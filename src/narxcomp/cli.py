@@ -241,10 +241,6 @@ def loop_params(args, model, spec, ts, n):
     return amp, f_cps, center
 
 
-def trace_loop(model, params):
-    return narx.hysteresis_loop(model, *params)
-
-
 # ---------------------------------------------------------------------------
 # Output
 
@@ -341,7 +337,7 @@ def cmd_compensate(args):
 
     loop = None
     if mode == "hysteresis":
-        loop = trace_loop(model, loop_params(args, model, spec, ts, n))
+        loop = narx.hysteresis_loop(model, *loop_params(args, model, spec, ts, n))
         seed = comp.init_hysteresis(model, loop, float(r[0]), float(r[1]))
     elif mode == "dynamic":
         try:
@@ -382,6 +378,8 @@ def cmd_montecarlo(args):
         raise ConfigError("rel-std", "relative std must be >= 0")
     if args.runs < 1:
         raise ConfigError("runs", "need at least one run")
+    if args.seed < 0:
+        raise ConfigError("seed", "seed must be >= 0, got %d" % args.seed)
     if (args.grid is None) == (args.signal is None):
         raise ConfigError("grid", "pass exactly one of --grid or --signal")
 
@@ -406,7 +404,7 @@ def cmd_montecarlo(args):
         if model.is_hysteretic():
             lp = loop_params(args, model, spec, ts, n)
             seed = comp.init_hysteresis(
-                model, trace_loop(model, lp), float(r[0]), float(r[1])
+                model, narx.hysteresis_loop(model, *lp), float(r[0]), float(r[1])
             )
         else:
             lp = None
@@ -416,7 +414,7 @@ def cmd_montecarlo(args):
         def experiment(pm):
             if lp is not None:
                 s = comp.init_hysteresis(
-                    pm, trace_loop(pm, lp), float(r[0]), float(r[1])
+                    pm, narx.hysteresis_loop(pm, *lp), float(r[0]), float(r[1])
                 )
             else:
                 s = comp.init_dynamic(pm, float(r[0]))

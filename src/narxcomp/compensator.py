@@ -21,9 +21,9 @@ from . import poly
 from .poly import AlgebraicPolynomial, RootSet
 from .model import (
     Regime,
-    Signal,
     fixed_points,
     loop_inverse,
+    term_value,
 )
 
 
@@ -126,14 +126,13 @@ def static_comp_poly(model, r_bar):
         )
     r_bar = float(r_bar)
     coeffs = [0.0] * (model.ell + 1)
-    for t in model.terms:
-        scalar = t.coefficient
+    for scalar, factors in model.table:
         xpow = 0
-        for f in t.factors:
-            if f.signal is Signal.OUTPUT_Y:
-                scalar *= r_bar ** f.power
-            else:  # INPUT_U; phi factors excluded above
-                xpow += f.power
+        for kind, _, power in factors:
+            if kind == "y":
+                scalar *= r_bar ** power
+            else:  # "u"; phi factors excluded above
+                xpow += power
         coeffs[xpow] += scalar
     coeffs[0] -= r_bar
     p = AlgebraicPolynomial(coeffs)
@@ -171,6 +170,84 @@ def solve_static(model, r_bar):
     return min(good, key=lambda m: (abs(m), m))
 
 
+def _step_plan(model):
+    """The model's table recast for solving in m(k), cached on the model.
+
+    After the forward shift by tau_d, a term is its coefficient times known
+    factors -- outputs become references r(k + tau_d - lag), deeper inputs
+    and increments become past compensation inputs -- times the unknown
+    part x^xpow (x - m(k-1))^d, where x = m(k) and d = m(k) - m(k-1) comes
+    from phi1 at lag tau_d.  An odd power of phi2 at lag tau_d is sign(d):
+    +1 on the loading branch and -1 on the unloading branch, so it only
+    flips the term's sign there.  Returns (terms, size): per term
+    (coefficient, known, xpow, d, flip), ``known`` holding (kind, lag,
+    power) entries whose lags index the reference window and ``m_hist``
+    the way :func:`narxcomp.model.term_value` reads them.
+    """
+    plan = model._step_plan
+    if plan is not None:
+        return plan
+    tau = model.tau_d
+    terms = []
+    # degree <= ell; branch polynomials carry one trailing zero (criterion 9 reads it)
+    size = model.ell + 1 + model.is_hysteretic()
+    for coef, factors in model.table:
+        known = []
+        xpow = d = flip = 0
+        for kind, lag, power in factors:
+            if kind == "y":
+                known.append((kind, lag, power))
+            elif lag < tau:
+                if kind == "u":
+                    raise UnknownFutureInput(
+                        "input lag %d is ahead of the dead time %d" % (lag, tau)
+                    )
+                raise UnsupportedStructure(
+                    "%s lag %d is ahead of the dead time %d" % (kind, lag, tau)
+                )
+            elif lag > tau:
+                known.append((kind, lag - tau, power))
+            elif kind == "u":
+                xpow += power
+            elif kind == "phi1":
+                d += power
+            else:
+                flip = (flip + power) % 2
+        terms.append((coef, tuple(known), xpow, d, flip))
+        size = max(size, xpow + d + 1)
+    plan = (tuple(terms), size)
+    object.__setattr__(model, "_step_plan", plan)
+    return plan
+
+
+def _step_coeffs(session, k):
+    """Loading and unloading coefficient lists of the step-k equation
+    f(...) - r(k + tau_d) = 0 in x = m(k); equal for non-hysteretic models."""
+    model = session.model
+    terms, size = _step_plan(model)
+    tau = model.tau_d
+    m_hist = session.m_hist
+    m_prev = m_hist[0]
+    # r_hist[lag - 1] = r(k + tau_d - lag), the output lag mapped to the reference
+    r_hist = [_r_at(session, k + tau - lag) for lag in range(1, model.max_y_lag() + 1)]
+    load = [0.0] * size
+    unload = [0.0] * size
+    for coef, known, xpow, d, flip in terms:
+        scalar = term_value(coef, known, r_hist, m_hist) if known else coef
+        if scalar == 0.0:
+            continue
+        part = [scalar]
+        for _ in range(d):  # times (x - m_prev)
+            part = [a - b * m_prev for a, b in zip([0.0] + part, part + [0.0])]
+        for i, c in enumerate(part, xpow):
+            load[i] += c
+            unload[i] += -c if flip else c
+    r_next = _r_at(session, k + tau)
+    load[0] -= r_next
+    unload[0] -= r_next
+    return load, unload
+
+
 def dynamic_comp_poly(session, k):
     """Per-step compensation polynomial in m(k) for a non-hysteretic model.
 
@@ -178,29 +255,9 @@ def dynamic_comp_poly(session, k):
     samples, input factors at lag tau_d contribute powers of the unknown,
     and deeper input lags evaluate to past compensation inputs.
     """
-    model = session.model
-    if model.is_hysteretic():
+    if session.model.is_hysteretic():
         raise ValueError("model has phi regressors; use hysteresis_comp_polys")
-    tau = model.tau_d
-    coeffs = [0.0] * (model.ell + 1)
-    for t in model.terms:
-        scalar = t.coefficient
-        xpow = 0
-        for f in t.factors:
-            if f.signal is Signal.OUTPUT_Y:
-                scalar *= _r_at(session, k + tau - f.lag) ** f.power
-            else:  # INPUT_U
-                if f.lag < tau:
-                    raise UnknownFutureInput(
-                        "input lag %d is ahead of the dead time %d" % (f.lag, tau)
-                    )
-                if f.lag == tau:
-                    xpow += f.power
-                else:
-                    scalar *= session.m_hist[f.lag - tau - 1] ** f.power
-        coeffs[xpow] += scalar
-    coeffs[0] -= _r_at(session, k + tau)
-    return AlgebraicPolynomial(coeffs)
+    return AlgebraicPolynomial(_step_coeffs(session, k)[0])
 
 
 def hysteresis_comp_polys(session, k):
@@ -208,107 +265,18 @@ def hysteresis_comp_polys(session, k):
 
     With the forward shift by tau_d, phi factors at lag tau_d become
     functions of d = m(k) - m(k-1): phi1 contributes powers of d and phi2
-    contributes sign(d).  Pairs phi1*phi2 turn into |d|; a leftover bare
-    sign(d) is cleared by multiplying the whole equation through by d.
-    Splitting on the sign of d then yields one polynomial valid for
-    m(k) > m(k-1) (loading) and one for m(k) < m(k-1) (unloading).
+    is sign(d), exactly +1 for m(k) > m(k-1) (loading) and -1 for
+    m(k) < m(k-1) (unloading).  Each branch therefore gives one polynomial,
+    with no root planted at the pivot m(k-1).
     """
-    model = session.model
-    if not model.is_hysteretic():
+    if not session.model.is_hysteretic():
         raise ValueError("model has no phi regressors; use dynamic_comp_poly")
-    tau = model.tau_d
-    m_prev = session.m_hist[0]
-
-    def m_at(step_back):
-        # m(k - step_back), step_back >= 1
-        return session.m_hist[step_back - 1]
-
-    info = []
-    mul_through = 0
-    for t in model.terms:
-        scalar = t.coefficient
-        xpow = 0
-        d_pow = 0     # powers of d = m(k) - m(k-1)
-        sgn_odd = 0   # bare sign(d) left after pairing (0 or 1)
-        for f in t.factors:
-            sig = f.signal
-            if sig is Signal.OUTPUT_Y:
-                scalar *= _r_at(session, k + tau - f.lag) ** f.power
-            elif sig is Signal.INPUT_U:
-                if f.lag < tau:
-                    raise UnknownFutureInput(
-                        "input lag %d is ahead of the dead time %d" % (f.lag, tau)
-                    )
-                if f.lag == tau:
-                    xpow += f.power
-                else:
-                    scalar *= m_at(f.lag - tau) ** f.power
-            elif sig is Signal.PHI1:
-                if f.lag < tau:
-                    raise UnsupportedStructure(
-                        "phi1 lag %d is ahead of the dead time %d" % (f.lag, tau)
-                    )
-                if f.lag == tau:
-                    d_pow += f.power
-                else:
-                    step = f.lag - tau
-                    scalar *= (m_at(step) - m_at(step + 1)) ** f.power
-            else:  # PHI2
-                if f.lag < tau:
-                    raise UnsupportedStructure(
-                        "phi2 lag %d is ahead of the dead time %d" % (f.lag, tau)
-                    )
-                if f.lag == tau:
-                    sgn_odd = (sgn_odd + f.power) % 2
-                else:
-                    step = f.lag - tau
-                    s = m_at(step) - m_at(step + 1)
-                    scalar *= _sign(s) ** f.power
-        if sgn_odd and d_pow == 0:
-            mul_through = 1
-        info.append((scalar, xpow, d_pow, sgn_odd))
-
-    size = model.ell + mul_through + 2
-    load = [0.0] * size
-    unload = [0.0] * size
-
-    def accumulate(dest, scalar, xpow, d_total):
-        # scalar * x^xpow * (x - m_prev)^d_total
-        part = [0.0] * (xpow + d_total + 1)
-        part[xpow] = scalar
-        for _ in range(d_total):
-            nxt = [0.0] * (len(part) + 1)
-            for i, c in enumerate(part):
-                if c:
-                    nxt[i + 1] += c
-                    nxt[i] -= c * m_prev
-            part = nxt
-        for i, c in enumerate(part):
-            dest[i] += c
-
-    for scalar, xpow, d_pow, sgn_odd in info:
-        if scalar == 0.0:
-            continue
-        d_total = d_pow + mul_through
-        accumulate(load, scalar, xpow, d_total)
-        accumulate(unload, -scalar if sgn_odd else scalar, xpow, d_total)
-    # move the shifted reference sample into the constant coefficient
-    accumulate(load, -_r_at(session, k + tau), 0, mul_through)
-    accumulate(unload, -_r_at(session, k + tau), 0, mul_through)
-
+    load, unload = _step_coeffs(session, k)
     return BranchPolynomials(
         loading=AlgebraicPolynomial(load),
         unloading=AlgebraicPolynomial(unload),
-        pivot=float(m_prev),
+        pivot=float(session.m_hist[0]),
     )
-
-
-def _sign(x):
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
 
 
 def select_root(candidates, m_prev, bounds, branch=None, im_tol=poly.DEFAULT_IM_TOL):

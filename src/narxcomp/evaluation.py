@@ -174,8 +174,13 @@ class ModelPlant:
     """The model itself run as the controlled system.
 
     The input history before the run is ``seed_value`` and the output
-    history is ``r_start``, so a perfect compensator tracks exactly from
-    the first sample.  ``simulate`` always restarts from that state.
+    history is ``r_start``; ``simulate`` always restarts from that state.
+    A perfect compensator tracks from the first sample only if that state
+    is an equilibrium of the model.  A hysteretic model holds any output
+    under a constant input only when its linear output coefficients sum to
+    one (sigma_y = 1); otherwise the plant starts about
+    2 (sigma_y - 1) r_start off the reference, and for sigma_y > 1 the
+    offset grows like sigma_y^k.
     """
 
     def __init__(self, model, seed_value, r_start):

@@ -14,7 +14,8 @@ History arguments are ordered most-recent-first: ``y_hist[0]`` is y(k-1),
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -77,6 +78,16 @@ class Term:
 
 @dataclass(frozen=True)
 class NarxModel:
+    """A polynomial NARX model.
+
+    ``table`` is the terms compiled once at construction (and again by
+    ``dataclasses.replace``): one entry ``(coefficient, ((kind, lag, power),
+    ...))`` per term, ``kind`` being the signal code "y", "u", "phi1" or
+    "phi2".  Factors keep the order of ``terms``, so every product rounds the
+    same way however it is evaluated.  ``u_depth`` is the input history the
+    table reads, u(k-1) ... u(k-u_depth).
+    """
+
     terms: tuple
     n_y: int
     n_u: int
@@ -84,13 +95,33 @@ class NarxModel:
     ell: int
     input_range: tuple
     output_range: tuple
+    table: tuple = field(init=False, repr=False, compare=False)
+    u_depth: int = field(init=False, repr=False, compare=False)
+    _hysteretic: bool = field(init=False, repr=False, compare=False)
+    _max_y_lag: int = field(init=False, repr=False, compare=False)
+    _max_phi_lag: int = field(init=False, repr=False, compare=False)
+    # Per-step compensation plan, built and cached by the compensator.
+    _step_plan: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = tuple(
+            (float(t.coefficient), tuple((f.signal.value, f.lag, f.power) for f in t.factors))
+            for t in self.terms
+        )
+        lags = {kind: [] for kind in ("y", "u", "phi1", "phi2")}
+        for _, factors in table:
+            for kind, lag, _ in factors:
+                lags[kind].append(lag)
+        phi = lags["phi1"] + lags["phi2"]
+        set_ = object.__setattr__
+        set_(self, "table", table)
+        set_(self, "u_depth", max([self.n_u] + lags["u"] + [lag + 1 for lag in phi]))
+        set_(self, "_hysteretic", bool(phi))
+        set_(self, "_max_y_lag", max(lags["y"], default=0))
+        set_(self, "_max_phi_lag", max(phi, default=0))
 
     def is_hysteretic(self):
-        return any(
-            f.signal in (Signal.PHI1, Signal.PHI2)
-            for t in self.terms
-            for f in t.factors
-        )
+        return self._hysteretic
 
     def sigma_y(self):
         """Sum of the coefficients of the purely linear output terms.
@@ -100,26 +131,16 @@ class NarxModel:
         hysteresis model.
         """
         s = 0.0
-        for t in self.terms:
-            if len(t.factors) == 1:
-                f = t.factors[0]
-                if f.signal is Signal.OUTPUT_Y and f.power == 1:
-                    s += t.coefficient
+        for coef, factors in self.table:
+            if len(factors) == 1 and factors[0][0] == "y" and factors[0][2] == 1:
+                s += coef
         return s
 
     def max_y_lag(self):
-        lags = [
-            f.lag for t in self.terms for f in t.factors
-            if f.signal is Signal.OUTPUT_Y
-        ]
-        return max(lags) if lags else 0
+        return self._max_y_lag
 
     def max_phi_lag(self):
-        lags = [
-            f.lag for t in self.terms for f in t.factors
-            if f.signal in (Signal.PHI1, Signal.PHI2)
-        ]
-        return max(lags) if lags else 0
+        return self._max_phi_lag
 
 
 @dataclass(frozen=True)
@@ -186,49 +207,57 @@ def validate(model):
     return problems
 
 
-def _sign(x):
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
+def term_value(value, factors, y_hist, u_hist):
+    """``value`` times the product of ``factors``, (kind, lag, power) entries
+    of a compiled table, read from histories ordered most-recent-first:
+    ``y_hist[0]`` is y(k-1), ``u_hist[0]`` is u(k-1)."""
+    for kind, lag, power in factors:
+        if kind == "y":
+            x = y_hist[lag - 1]
+        else:
+            x = u_hist[lag - 1]
+            if kind != "u":
+                x -= u_hist[lag]
+                if kind == "phi2":
+                    x = 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0
+        value *= x if power == 1 else x ** power
+    return value
 
 
-def _eval_terms(model, yat, uat):
-    """Sum the model terms given lag-accessor callables yat(lag), uat(lag)."""
+def _evaluate(table, y_hist, u_hist):
     acc = 0.0
-    for t in model.terms:
-        v = t.coefficient
-        for f in t.factors:
-            sig = f.signal
-            if sig is Signal.OUTPUT_Y:
-                x = yat(f.lag)
-            elif sig is Signal.INPUT_U:
-                x = uat(f.lag)
-            elif sig is Signal.PHI1:
-                x = uat(f.lag) - uat(f.lag + 1)
-            else:
-                x = _sign(uat(f.lag) - uat(f.lag + 1))
-            if f.power == 1:
-                v *= x
-            else:
-                v *= x ** f.power
-        acc += v
+    for coefficient, factors in table:
+        acc += term_value(coefficient, factors, y_hist, u_hist)
     return acc
+
+
+def _simulate(table, y_hist, u_hist, inputs):
+    """Outputs for ``inputs``, each fed back into the histories, which shift
+    in place.  Stops before the first non-finite output."""
+    out = []
+    for u_k in inputs:
+        val = _evaluate(table, y_hist, u_hist)
+        if not math.isfinite(val):
+            break
+        out.append(val)
+        y_hist.insert(0, val)
+        y_hist.pop()
+        u_hist.insert(0, u_k)
+        u_hist.pop()
+    return out
 
 
 def one_step(model, y_hist, u_hist):
     """One prediction y(k) from histories ordered most-recent-first."""
-    need_u = max(model.n_u, model.max_phi_lag() + 1)
     if len(y_hist) < model.n_y:
         raise InsufficientHistory(
             "need %d output samples, got %d" % (model.n_y, len(y_hist))
         )
-    if len(u_hist) < need_u:
+    if len(u_hist) < model.u_depth:
         raise InsufficientHistory(
-            "need %d input samples, got %d" % (need_u, len(u_hist))
+            "need %d input samples, got %d" % (model.u_depth, len(u_hist))
         )
-    return _eval_terms(model, lambda lag: y_hist[lag - 1], lambda lag: u_hist[lag - 1])
+    return _evaluate(model.table, y_hist, u_hist)
 
 
 def simulate_free_run(model, u_series, y_init):
@@ -238,34 +267,17 @@ def simulate_free_run(model, u_series, y_init):
     ``y_init[0]`` is y(-1).  Inputs before the series start are taken equal
     to ``u_series[0]``.  Raises :class:`NonFinite` if the output blows up.
     """
-    u = np.asarray(u_series, dtype=float)
-    n = len(u)
+    u = np.asarray(u_series, dtype=float).tolist()
     if len(y_init) < model.n_y:
         raise InsufficientHistory(
             "y_init needs %d samples, got %d" % (model.n_y, len(y_init))
         )
-    y = np.empty(n)
-    init = [float(v) for v in y_init]
-    u0 = float(u[0]) if n else 0.0
-
-    def uat_for(k):
-        def uat(lag):
-            i = k - lag
-            return float(u[i]) if i >= 0 else u0
-        return uat
-
-    def yat_for(k):
-        def yat(lag):
-            i = k - lag
-            return float(y[i]) if i >= 0 else init[-i - 1]
-        return yat
-
-    for k in range(n):
-        val = _eval_terms(model, yat_for(k), uat_for(k))
-        if not np.isfinite(val):
-            raise NonFinite("output diverged at sample %d" % k)
-        y[k] = val
-    return y
+    y_hist = [float(v) for v in y_init]
+    u_hist = [u[0] if u else 0.0] * model.u_depth
+    y = _simulate(model.table, y_hist, u_hist, u)
+    if len(y) < len(u):
+        raise NonFinite("output diverged at sample %d" % len(y))
+    return np.array(y, dtype=float)
 
 
 def static_polynomial(model, u_bar, branch_sign=0):
@@ -278,21 +290,21 @@ def static_polynomial(model, u_bar, branch_sign=0):
     """
     if branch_sign not in (-1, 0, 1):
         raise ValueError("branch_sign must be -1, 0 or +1")
+    u_bar = float(u_bar)
+    sign = float(branch_sign)
     coeffs = [0.0] * (model.ell + 2)
-    for t in model.terms:
-        scalar = t.coefficient
+    for scalar, factors in model.table:
         xpow = 0
-        for f in t.factors:
-            sig = f.signal
-            if sig is Signal.OUTPUT_Y:
-                xpow += f.power
-            elif sig is Signal.INPUT_U:
-                scalar *= float(u_bar) ** f.power
-            elif sig is Signal.PHI1:
+        for kind, _, power in factors:
+            if kind == "y":
+                xpow += power
+            elif kind == "u":
+                scalar *= u_bar ** power
+            elif kind == "phi1":
                 scalar = 0.0
                 break
-            else:  # PHI2
-                scalar *= float(branch_sign) ** f.power
+            else:
+                scalar *= sign ** power
                 if scalar == 0.0:
                     break
         if scalar != 0.0:
@@ -316,24 +328,23 @@ def jacobian_eigen(model, u_bar, y_bar):
     a = [0.0] * (n_eff + 1)  # a[i] = df/dy(k-i)
     u_bar = float(u_bar)
     y_bar = float(y_bar)
-    for t in model.terms:
-        for fi, f in enumerate(t.factors):
-            if f.signal is not Signal.OUTPUT_Y:
+    for coef, factors in model.table:
+        for fi, (kind, lag, power) in enumerate(factors):
+            if kind != "y":
                 continue
-            part = t.coefficient * f.power * y_bar ** (f.power - 1)
-            for gj, g in enumerate(t.factors):
+            part = coef * power * y_bar ** (power - 1)
+            for gj, (g_kind, _, g_power) in enumerate(factors):
                 if gj == fi:
                     continue
-                sig = g.signal
-                if sig is Signal.OUTPUT_Y:
-                    part *= y_bar ** g.power
-                elif sig is Signal.INPUT_U:
-                    part *= u_bar ** g.power
+                if g_kind == "y":
+                    part *= y_bar ** g_power
+                elif g_kind == "u":
+                    part *= u_bar ** g_power
                 else:
                     # phi1 and phi2 both vanish at steady state
                     part = 0.0
                     break
-            a[f.lag] += part
+            a[lag] += part
     char = [0.0] * (n_eff + 1)
     char[n_eff] = 1.0
     for i in range(1, n_eff + 1):
@@ -408,8 +419,7 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     if period < 8:
         raise ValueError("period of %d samples is too coarse to trace" % period)
 
-    need_u = max(model.n_u, model.max_phi_lag() + 1)
-    u_hist = [float(u_center)] * need_u  # u(k-1), u(k-2), ...
+    u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
     y_hist = [0.0] * model.n_y
     prev_y = None
     settled = None
@@ -417,20 +427,9 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     for p in range(max_periods):
         ks = np.arange(p * period, (p + 1) * period, dtype=float)
         u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
-        y_p = np.empty(period)
-        for i in range(period):
-            val = _eval_terms(
-                model,
-                lambda lag: y_hist[lag - 1],
-                lambda lag: u_hist[lag - 1],
-            )
-            if not np.isfinite(val):
-                raise NonFinite("loop trace diverged in period %d" % p)
-            y_p[i] = val
-            y_hist.insert(0, val)
-            del y_hist[-1]
-            u_hist.insert(0, float(u_p[i]))
-            del u_hist[-1]
+        y_p = np.array(_simulate(model.table, y_hist, u_hist, u_p.tolist()))
+        if len(y_p) < period:
+            raise NonFinite("loop trace diverged in period %d" % p)
         if prev_y is not None:
             scale = max(1.0, float(np.ptp(y_p)))
             if float(np.max(np.abs(y_p - prev_y))) < settle_tol * scale:

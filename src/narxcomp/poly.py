@@ -48,11 +48,12 @@ class NoConvergence(RuntimeError):
 class AlgebraicPolynomial:
     """Immutable dense polynomial a_0 + a_1 x + ... + a_n x^n."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_degree")
 
     def __init__(self, coeffs):
-        cs = tuple(float(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", cs if cs else (0.0,))
+        cs = tuple(map(float, coeffs)) or (0.0,)
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_degree", _effective_degree(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicPolynomial is immutable")
@@ -72,13 +73,18 @@ class AlgebraicPolynomial:
         Leading coefficients below ``LEADING_ZERO_RTOL`` times the largest
         coefficient magnitude are ignored.
         """
-        biggest = max(abs(c) for c in self.coeffs)
-        if biggest == 0.0:
-            return -1
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if abs(self.coeffs[i]) > LEADING_ZERO_RTOL * biggest:
-                return i
+        return self._degree
+
+
+def _effective_degree(coeffs):
+    biggest = max(map(abs, coeffs))
+    if biggest == 0.0:
         return -1
+    tol = LEADING_ZERO_RTOL * biggest
+    d = len(coeffs) - 1
+    while d >= 0 and not abs(coeffs[d]) > tol:
+        d -= 1
+    return d
 
 
 class RootSet:
@@ -149,36 +155,48 @@ def from_roots(roots, leading=1.0):
 
 def _trimmed(p):
     """Coefficients up to the effective degree (empty for the zero poly)."""
-    d = p.degree()
-    return [float(c) for c in p.coeffs[: d + 1]]
+    return p.coeffs[: p.degree() + 1]
+
+
+def _check_degree(p, want, name):
+    if p.degree() != want:
+        raise DegreeMismatch("%s needs degree %d, got %d" % (name, want, p.degree()))
+    return _trimmed(p)
 
 
 def solve_linear(p):
-    if p.degree() != 1:
-        raise DegreeMismatch("solve_linear needs degree 1, got %d" % p.degree())
-    a0, a1 = _trimmed(p)
-    return RootSet((complex(-a0 / a1),), "analytic")
+    return _linear(_check_degree(p, 1, "solve_linear"))
 
 
 def solve_quadratic(p):
-    if p.degree() != 2:
-        raise DegreeMismatch("solve_quadratic needs degree 2, got %d" % p.degree())
-    a0, a1, a2 = _trimmed(p)
+    return _quadratic(_check_degree(p, 2, "solve_quadratic"))
+
+
+def solve_cubic(p):
+    """Closed-form cubic solution (Cardano, in determinant form; see :func:`_cubic`)."""
+    return _cubic(_check_degree(p, 3, "solve_cubic"))
+
+
+def _linear(a):
+    a0, a1 = a
+    return RootSet((complex(-a0 / a1),), "analytic")
+
+
+def _quadratic(a):
+    a0, a1, a2 = a
     s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
     return RootSet(((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)), "analytic")
 
 
-def solve_cubic(p):
-    """Closed-form cubic solution (Cardano, in determinant form).
+def _cubic(a):
+    """Cardano's solution in determinant form, from ascending coefficients.
 
     Uses d0 = a2^2 - 3 a3 a1 and d1 = 2 a2^3 - 9 a3 a2 a1 + 27 a3^2 a0 with
     C = cbrt((d1 +- sqrt(d1^2 - 4 d0^3)) / 2), picking the sign that gives the
     larger |C| so C never vanishes unless d0 = d1 = 0, which is the triple
     root -a2 / (3 a3).
     """
-    if p.degree() != 3:
-        raise DegreeMismatch("solve_cubic needs degree 3, got %d" % p.degree())
-    a0, a1, a2, a3 = _trimmed(p)
+    a0, a1, a2, a3 = a
     d0 = a2 * a2 - 3.0 * a3 * a1
     d1 = 2.0 * a2 ** 3 - 9.0 * a3 * a2 * a1 + 27.0 * a3 * a3 * a0
     inner = cmath.sqrt(complex(d1 * d1 - 4.0 * d0 ** 3))
@@ -263,12 +281,13 @@ def solve_roots(p):
     d = p.degree()
     if d < 1:
         raise DegreeMismatch("no roots to solve for degree %d" % d)
+    a = p.coeffs[: d + 1]
     if d == 1:
-        return solve_linear(p)
+        return _linear(a)
     if d == 2:
-        return solve_quadratic(p)
+        return _quadratic(a)
     if d == 3:
-        return solve_cubic(p)
+        return _cubic(a)
     return durand_kerner(p)
 
 

@@ -256,6 +256,18 @@ def test_montecarlo_argument_exclusivity(capsys):
     assert code == 2
 
 
+def test_montecarlo_negative_seed_is_config_error(capsys, tmp_path):
+    out_file = tmp_path / "mc.csv"
+    code, _, err = run_cli(
+        ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "5",
+         "--grid", "0.1,0.2", "--seed", "-1", "-o", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: seed:")
+    assert not out_file.exists()
+
+
 def test_montecarlo_static_sweep_rejects_hysteretic(capsys):
     code, _, err = run_cli(
         ["montecarlo", "-m", "valve", "--rel-std", "0.005", "--runs", "5",

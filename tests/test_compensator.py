@@ -204,21 +204,42 @@ def test_branch_polys_signed_increment_does_not_flip(bouc_wen_model):
     assert bp.unloading.coeffs[1] == pytest.approx(0.7892915)
 
 
-def test_branch_polys_multiply_through_for_bare_sign():
+def test_branch_polys_bare_sign_is_plus_minus_one():
     # y(k) = 0.5 y(k-1) + 0.3 phi2(k-1) + u(k-1): the bare sign(d) factor is
-    # cleared by multiplying through by d, which plants a spurious root at
-    # the pivot; the true root survives on each branch.
+    # +1 on the loading branch and -1 on the unloading branch, so each branch
+    # polynomial is linear with the true root only; the pivot is no root.
     m = mk([term(0.5, ("y", 1, 1)), term(0.3, ("phi2", 1, 1)), term(1.0, ("u", 1, 1))])
     mp, r, rn = 0.4, 1.0, 2.0
     s = session_with_r(m, [mp], [0.0, r, rn])
     bp = comp.hysteresis_comp_polys(s, 1)
-    # Loading: original equation 0.5 r + 0.3 + x - rn = 0
-    x_load = rn - 0.5 * r - 0.3
-    assert poly.evaluate(bp.loading, x_load) == pytest.approx(0.0, abs=1e-12)
-    assert poly.evaluate(bp.loading, mp) == pytest.approx(0.0, abs=1e-12)
-    # Unloading: 0.5 r - 0.3 + x - rn = 0
-    x_unload = rn - 0.5 * r + 0.3
-    assert poly.evaluate(bp.unloading, x_unload) == pytest.approx(0.0, abs=1e-12)
+    # Loading: 0.5 r + 0.3 + x - rn = 0; unloading: 0.5 r - 0.3 + x - rn = 0
+    for p, root in ((bp.loading, rn - 0.5 * r - 0.3), (bp.unloading, rn - 0.5 * r + 0.3)):
+        assert p.degree() == 1
+        (got,) = poly.solve_roots(p).roots
+        assert got == pytest.approx(root, abs=1e-12)
+    assert poly.evaluate(bp.loading, mp) == pytest.approx(-0.8, abs=1e-12)
+    assert poly.evaluate(bp.unloading, mp) == pytest.approx(-1.4, abs=1e-12)
+
+
+def test_run_bare_sign_model_satisfies_model_equation():
+    # Self-tracking of a model with a bare phi2 term: every step that does
+    # not hold must solve the model equation itself, not a polynomial with
+    # a root planted at the previous input.
+    m = mk(
+        [term(0.5, ("y", 1, 1)), term(0.3, ("phi2", 1, 1)), term(1.0, ("u", 1, 1)),
+         term(0.2, ("u", 1, 2))],
+        inp=(-10.0, 10.0), out=(-5.0, 5.0),
+    )
+    k = np.arange(400)
+    r = 2.0 * np.sin(2.0 * np.pi * k / 100.0)
+    session = comp.CompensationSession(model=m, m_hist=[0.0])
+    mm = comp.run(session, r)
+    prev = np.concatenate([[0.0], mm[:-1]])
+    solved = mm != prev  # strict C3/C4: a solved step never equals m(k-1)
+    assert solved.sum() == session.steps - session.hold_count > 200
+    for i in np.flatnonzero(solved[:-1]):
+        got = narx.one_step(m, [r[i]], [mm[i], prev[i]])
+        assert abs(got - r[i + 1]) <= 1e-9, (i, got, r[i + 1])
 
 
 def test_branch_polys_evaluate_like_the_model(valve_model):
@@ -235,6 +256,22 @@ def test_branch_polys_evaluate_like_the_model(valve_model):
     for m_k in (mp - 0.25, mp - 1.1):  # unloading candidates
         direct = narx.one_step(valve_model, [r, r0], [m_k, mp]) - rn
         assert poly.evaluate(bp.unloading, m_k) == pytest.approx(direct, abs=1e-12)
+
+
+def test_branch_polys_expand_increment_powers():
+    # phi1(k-1)^2 and phi1(k-1)^3 phi2(k-1) expand into powers of
+    # (x - m(k-1)); the quartic term fits ell = 4.
+    m = mk([term(0.9, ("y", 1, 1)), term(0.5, ("phi1", 1, 2)),
+            term(-0.2, ("phi1", 1, 3), ("phi2", 1, 1)), term(1.0, ("u", 1, 1))], ell=4)
+    assert narx.validate(m) == []
+    mp, r, rn = 0.7, 1.1, 1.6
+    s = session_with_r(m, [mp], [0.0, r, rn])
+    bp = comp.hysteresis_comp_polys(s, 1)
+    for p, candidates in ((bp.loading, (mp + 0.3, mp + 1.2)),
+                          (bp.unloading, (mp - 0.3, mp - 1.2))):
+        for m_k in candidates:
+            direct = narx.one_step(m, [r], [m_k, mp]) - rn
+            assert poly.evaluate(p, m_k) == pytest.approx(direct, abs=1e-12)
 
 
 def test_branch_polys_deep_phi_lag_uses_history():

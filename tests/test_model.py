@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import narxcomp.evaluation as ev
 import narxcomp.model as narx
 from narxcomp.model import Factor, NarxModel, Regime, Signal, Term
 
@@ -187,6 +190,87 @@ def test_free_run_checks_initial_history():
     m = mk([term(1.0, ("y", 2, 1))], n_y=2)
     with pytest.raises(narx.InsufficientHistory):
         narx.simulate_free_run(m, np.zeros(3), y_init=[1.0])
+
+
+# ---------------------------------------------------------------------------
+# Compiled term table
+
+
+def walk_terms(model, y_hist, u_hist):
+    """Plain per-term evaluation from the Term and Factor objects."""
+    acc = 0.0
+    for t in model.terms:
+        v = t.coefficient
+        for f in t.factors:
+            if f.signal is Signal.OUTPUT_Y:
+                x = y_hist[f.lag - 1]
+            elif f.signal is Signal.INPUT_U:
+                x = u_hist[f.lag - 1]
+            else:
+                x = u_hist[f.lag - 1] - u_hist[f.lag]
+                if f.signal is Signal.PHI2:
+                    x = (x > 0.0) - (x < 0.0)
+            v *= x ** f.power
+        acc += v
+    return acc
+
+
+FACTORS = st.tuples(
+    st.sampled_from(["y", "u", "phi1", "phi2"]), st.integers(1, 4), st.integers(1, 3)
+)
+MODELS = st.lists(
+    st.tuples(st.floats(-0.6, 0.6), st.lists(FACTORS, max_size=3)),
+    min_size=1, max_size=5,
+).map(
+    lambda terms: mk(
+        [term(c, *fs) for c, fs in terms],
+        n_y=max([lag for _, fs in terms for s, lag, _ in fs if s == "y"], default=1),
+        n_u=max([lag for _, fs in terms for s, lag, _ in fs if s == "u"], default=1),
+        ell=max(1, max(sum(p for _, _, p in fs) for _, fs in terms)),
+    )
+)
+# few distinct input values, so that equal neighbours (sign(0) = 0) are common
+INPUTS = st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), min_size=6, max_size=6)
+OUTPUTS = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MODELS, OUTPUTS, INPUTS, st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
+def test_one_step_equals_term_walk(model, y_hist, u_hist, z):
+    assert narx.one_step(model, y_hist, u_hist) == walk_terms(model, y_hist, u_hist)
+    # replace() in perturbed_model must compile the new coefficients
+    pm = ev.perturbed_model(model, 0.1, z)
+    assert narx.one_step(pm, y_hist, u_hist) == walk_terms(pm, y_hist, u_hist)
+
+
+def iterate_one_step(model, u, y_init):
+    y_hist = list(y_init)
+    u_hist = [u[0]] * 6
+    out = []
+    for u_k in u:
+        val = narx.one_step(model, y_hist, u_hist)
+        if not math.isfinite(val):
+            return None
+        out.append(val)
+        y_hist = [val] + y_hist[:-1]
+        u_hist = [u_k] + u_hist[:-1]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS, st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), min_size=1,
+                        max_size=30))
+def test_free_run_equals_iterated_one_step(model, u):
+    y_init = [0.3] * model.n_y
+    try:
+        want = iterate_one_step(model, u, y_init)
+    except OverflowError:
+        want = None
+    try:
+        got = narx.simulate_free_run(model, u, y_init).tolist()
+    except (narx.NonFinite, OverflowError):
+        got = None
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
