@@ -204,11 +204,34 @@ def resolve_plant(text, model, seed_value, r_start):
     if text == "model_as_plant" or text.startswith("model_as_plant:"):
         _, _, path = text.partition(":")
         plant_model = model if not path else resolve_model(path)[0]
-        return lambda: ev.model_as_plant(plant_model, seed_value, r_start)
+        return lambda: ev.ModelPlant(plant_model, seed_value, r_start)
     raise ConfigError(
         "plant",
         "%r is not heater, bouc_wen or model_as_plant[:<path>]" % text,
     )
+
+
+def check_reachable(key, model, r, loop=None):
+    """Reject references the model cannot produce, naming the reachable span.
+
+    Every level must lie in the model's ``output_band()``, which
+    :func:`narxcomp.compensator.solve_static` accepts; with a seeding
+    ``loop``, r(1) must also lie within the loop's output span.
+    """
+    r = np.asarray(r, dtype=float)
+    r_lo, r_hi = model.output_band()
+    if not np.all((r_lo <= r) & (r <= r_hi)):
+        raise ConfigError(
+            key, "reference levels [%g, %g] outside the reachable output span "
+            "[%g, %g] of the model" % (r.min(), r.max(), r_lo, r_hi)
+        )
+    if loop is not None:
+        y_lo, y_hi = loop.y_span()
+        if not y_lo <= r[1] <= y_hi:
+            raise ConfigError(
+                key, "r(1) = %g outside the output span [%g, %g] of the seeding loop"
+                % (r[1], y_lo, y_hi)
+            )
 
 
 def loop_params(args, model, spec, ts, n):
@@ -335,9 +358,11 @@ def cmd_compensate(args):
     if mode in ("dynamic", "static") and model.is_hysteretic():
         raise ConfigError("mode", "%s mode cannot handle a hysteretic model" % mode)
 
+    check_reachable("signal", model, r)
     loop = None
     if mode == "hysteresis":
         loop = narx.hysteresis_loop(model, *loop_params(args, model, spec, ts, n))
+        check_reachable("signal", model, r, loop)
         seed = comp.init_hysteresis(model, loop, float(r[0]), float(r[1]))
     elif mode == "dynamic":
         try:
@@ -391,6 +416,7 @@ def cmd_montecarlo(args):
                 "plant", "the static sweep always runs against the heater plant"
             )
         grid = parse_grid(args.grid)
+        check_reachable("grid", model, grid)
         band = ev.monte_carlo(
             model, args.rel_std, args.runs,
             ev.heater_static_sweep(grid), args.seed, grid=grid,
@@ -401,35 +427,30 @@ def cmd_montecarlo(args):
         spec = parse_signal(args.signal)
         n = choose_n(args.n, spec, ts)
         r = build_signal(spec, n, ts)
+        check_reachable("signal", model, r)
+        lp = None
         if model.is_hysteretic():
             lp = loop_params(args, model, spec, ts, n)
-            seed = comp.init_hysteresis(
-                model, narx.hysteresis_loop(model, *lp), float(r[0]), float(r[1])
-            )
+            loop = narx.hysteresis_loop(model, *lp)
+            check_reachable("signal", model, r, loop)
+            seed = comp.init_hysteresis(model, loop, float(r[0]), float(r[1]))
         else:
-            lp = None
             seed = comp.init_dynamic(model, float(r[0]))
         factory = resolve_plant(args.plant, model, seed[0], float(r[0]))
-
-        def experiment(pm):
-            if lp is not None:
-                s = comp.init_hysteresis(
-                    pm, narx.hysteresis_loop(pm, *lp), float(r[0]), float(r[1])
-                )
-            else:
-                s = comp.init_dynamic(pm, float(r[0]))
-            sess = comp.CompensationSession(pm, list(s))
-            return factory().simulate(comp.run(sess, r))
-
         band = ev.monte_carlo(
-            model, args.rel_std, args.runs, experiment, args.seed,
-            grid=np.arange(n),
+            model, args.rel_std, args.runs, ev.TrackingExperiment(r, factory, lp),
+            args.seed, grid=np.arange(n),
         )
         header = ("k", "mean", "std", "lo", "hi")
 
     if band.n_skipped:
         print(
             "skipped %d of %d runs" % (band.n_skipped, band.n_runs),
+            file=sys.stderr,
+        )
+        print(
+            "skip reasons: %s"
+            % ", ".join("%s=%d" % item for item in band.skip_reasons.items()),
             file=sys.stderr,
         )
     rows = list(zip(band.grid, band.mean, band.std, band.lo, band.hi))

@@ -23,7 +23,11 @@ from .model import (
     Regime,
     fixed_points,
     loop_inverse,
+    stable_fixed_point_lockstep,
+    static_rows,
     term_value,
+    term_values,
+    with_coefficients,
 )
 
 
@@ -149,7 +153,8 @@ def solve_static(model, r_bar):
     """
     lo, hi = model.output_range
     span = hi - lo
-    if not lo - 0.1 * span <= r_bar <= hi + 0.1 * span:
+    r_lo, r_hi = model.output_band()
+    if not r_lo <= r_bar <= r_hi:
         raise ValueError(
             "reference %g outside the model output range [%g, %g]"
             % (r_bar, lo, hi)
@@ -168,6 +173,52 @@ def solve_static(model, r_bar):
     if not good:
         raise NoFeasibleRoot("no admissible static input for r=%g" % r_bar)
     return min(good, key=lambda m: (abs(m), m))
+
+
+@np.errstate(all="ignore")
+def solve_static_lockstep(model, coefs, r_bar):
+    """:func:`solve_static` of ``r_bar`` for copies of ``model`` carrying the
+    table coefficients ``coefs``, one row per run.
+
+    Where the compensation, static and characteristic polynomials all have
+    degree 1 or 2 the runs are solved together in closed form, bit for bit
+    as :func:`solve_static` solves them; the other runs call it.  Returns
+    (m_bar, errors): one input per run, and the exception raised for each
+    run index that has none.
+    """
+    n_runs = len(coefs)
+    m_bar = np.zeros(n_runs)
+    closed = np.zeros(n_runs, dtype=bool)
+    found = np.zeros(n_runs, dtype=bool)
+    lo, hi = model.output_range
+    span = hi - lo
+    r_lo, r_hi = model.output_band()
+    if r_lo <= r_bar <= r_hi and not model.is_hysteretic():
+        cols = np.asarray(coefs, dtype=float).T
+        p = static_rows(model, cols, "u", float(r_bar), model.ell + 1)
+        p[0] -= float(r_bar)
+        closed, degree, roots = poly.lockstep_roots(p)
+        u_lo, u_hi = model.input_range
+        for slot, (x, im) in enumerate(roots):
+            cand = poly.lockstep_real(x, im) & (u_lo <= x) & (x <= u_hi) & (degree > slot)
+            good, fp_closed = stable_fixed_point_lockstep(model, cols, x, r_bar, 1e-6 * span)
+            closed &= fp_closed | ~cand
+            good &= cand
+            # min over the admissible roots by (|m|, m); the first wins ties
+            better = good & (~found | (np.abs(x) < np.abs(m_bar))
+                             | ((np.abs(x) == np.abs(m_bar)) & (x < m_bar)))
+            m_bar = np.where(better, x, m_bar)
+            found |= good
+    errors = {}
+    for i in range(n_runs):
+        if not closed[i]:
+            try:
+                m_bar[i] = solve_static(with_coefficients(model, coefs[i]), r_bar)
+            except Exception as e:
+                errors[i] = e
+        elif not found[i]:
+            errors[i] = NoFeasibleRoot("no admissible static input for r=%g" % r_bar)
+    return m_bar, errors
 
 
 def _step_plan(model):
@@ -332,6 +383,45 @@ def _note_residual(session, p, m):
         session.max_residual = res
 
 
+def _step(session, k):
+    """Step k of :func:`run`: solve for m(k), or hold m(k-1), and shift the
+    chosen input into ``session.m_hist``."""
+    m_prev = session.m_hist[0]
+    if session.model.is_hysteretic():
+        bp = hysteresis_comp_polys(session, k)
+        m_load = select_root(
+            _roots_or_empty(bp.loading), m_prev, session.bounds, Regime.LOADING
+        )
+        m_unload = select_root(
+            _roots_or_empty(bp.unloading), m_prev, session.bounds, Regime.UNLOADING
+        )
+        m = HOLD
+        if m_load is not HOLD and (
+            m_unload is HOLD
+            or (abs(m_load - m_prev), m_load)
+            <= (abs(m_unload - m_prev), m_unload)
+        ):
+            m = m_load
+            session.branch_state = Regime.LOADING
+            _note_residual(session, bp.loading, m)
+        elif m_unload is not HOLD:
+            m = m_unload
+            session.branch_state = Regime.UNLOADING
+            _note_residual(session, bp.unloading, m)
+    else:
+        p = dynamic_comp_poly(session, k)
+        m = select_root(_roots_or_empty(p), m_prev, session.bounds)
+        if m is not HOLD:
+            _note_residual(session, p, m)
+    if m is HOLD:
+        m = m_prev
+        session.hold_count += 1
+    session.steps += 1
+    session.m_hist.insert(0, float(m))
+    del session.m_hist[-1]
+    return m
+
+
 def run(session, r_series):
     """Compensate a whole reference trajectory.
 
@@ -341,42 +431,98 @@ def run(session, r_series):
     session; the run never aborts because of a hold.
     """
     session.r = np.asarray(r_series, dtype=float)
-    n = len(session.r)
-    m_out = np.empty(n)
-    hysteretic = session.model.is_hysteretic()
-    for k in range(n):
-        m_prev = session.m_hist[0]
-        if hysteretic:
-            bp = hysteresis_comp_polys(session, k)
-            m_load = select_root(
-                _roots_or_empty(bp.loading), m_prev, session.bounds, Regime.LOADING
-            )
-            m_unload = select_root(
-                _roots_or_empty(bp.unloading), m_prev, session.bounds, Regime.UNLOADING
-            )
-            m = HOLD
-            if m_load is not HOLD and (
-                m_unload is HOLD
-                or (abs(m_load - m_prev), m_load)
-                <= (abs(m_unload - m_prev), m_unload)
-            ):
-                m = m_load
-                session.branch_state = Regime.LOADING
-                _note_residual(session, bp.loading, m)
-            elif m_unload is not HOLD:
-                m = m_unload
-                session.branch_state = Regime.UNLOADING
-                _note_residual(session, bp.unloading, m)
-        else:
-            p = dynamic_comp_poly(session, k)
-            m = select_root(_roots_or_empty(p), m_prev, session.bounds)
-            if m is not HOLD:
-                _note_residual(session, p, m)
-        if m is HOLD:
-            m = m_prev
-            session.hold_count += 1
-        session.steps += 1
-        m_out[k] = m
-        session.m_hist.insert(0, float(m))
-        del session.m_hist[-1]
+    m_out = np.empty(len(session.r))
+    for k in range(len(m_out)):
+        m_out[k] = _step(session, k)
     return m_out
+
+
+def _select_lockstep(p, m_prev, bounds, loading):
+    """:func:`select_root` over the closed-form roots of each column of
+    ``p``: (m, found, closed) per column.  ``loading`` is None for no
+    branch condition, else a mask of the columns that need m > m_prev (C3);
+    the others need m < m_prev (C4)."""
+    closed, degree, roots = poly.lockstep_roots(p)
+    lo, hi = bounds
+    picks = []
+    for slot, (x, im) in enumerate(roots):
+        ok = poly.lockstep_real(x, im) & (lo <= x) & (x <= hi) & (degree > slot)
+        if loading is not None:
+            ok &= np.where(loading, x > m_prev, x < m_prev)
+        picks.append((x, ok, np.abs(x - m_prev)))
+    (x1, ok1, d1), (x2, ok2, d2) = picks
+    second = ok2 & (~ok1 | (d2 < d1) | ((d2 == d1) & (x2 < x1)))
+    return np.where(second, x2, x1), ok1 | ok2, closed
+
+
+@np.errstate(all="ignore")
+def run_lockstep(models, coefs, seeds, r_series):
+    """:func:`run` for many models of one structure, stepped together.
+
+    ``models[i]`` carries the table coefficients ``coefs[i]`` and starts
+    from the input history ``seeds[i]`` (most-recent-first, as ``m_hist``).
+    Every step builds the polynomials of all runs over the shared
+    :func:`_step_plan`, term by term in table order, and solves and selects
+    the roots of degree 1 and 2 in closed form with the rounding of the
+    scalar path, so each run's inputs equal :func:`run`'s bit for bit.  A
+    run whose polynomial at a step has another degree, or non-finite
+    coefficients or roots, takes the scalar step.  Returns (m, errors): the
+    inputs, one row per run, and the exception raised for each run index
+    whose scalar step failed; such a run is not stepped further.
+    """
+    model = models[0]
+    r = np.asarray(r_series, dtype=float)
+    n_runs, n = len(models), len(r)
+    cols = [np.array([s[j] for s in seeds], dtype=float) for j in range(hist_depth(model))]
+    coef_cols = np.asarray(coefs, dtype=float).T.copy()
+    terms, size = _step_plan(model)
+    hysteretic = model.is_hysteretic()
+    loading = np.arange(2 * n_runs) < n_runs if hysteretic else None
+    bounds = tuple(model.input_range)
+    tau = model.tau_d
+    rl = r.tolist()
+    out = np.empty((n_runs, n))
+    errors = {}
+    for k in range(n):
+        m_prev = cols[0]
+        r_hist = [rl[min(max(k + tau - lag, 0), n - 1)]
+                  for lag in range(1, model.max_y_lag() + 1)]
+        p = np.zeros((size, 2 * n_runs if hysteretic else n_runs))
+        load, unload = p[:, :n_runs], p[:, n_runs:]
+        for coef, (_, known, xpow, d, flip) in zip(coef_cols, terms):
+            part = [term_values(coef, known, r_hist, cols)]
+            for _ in range(d):  # times (x - m_prev)
+                part = [a - b * m_prev for a, b in zip([0.0] + part, part + [0.0])]
+            for i, c in enumerate(part, xpow):
+                load[i] += c
+                if flip:
+                    unload[i] -= c
+                elif hysteretic:
+                    unload[i] += c
+        p[0] -= rl[min(k + tau, n - 1)]
+        if hysteretic:
+            both = np.concatenate([m_prev, m_prev])
+            x, found, closed = _select_lockstep(p, both, bounds, loading)
+            m_load, m_unload = x[:n_runs], x[n_runs:]
+            f_load, f_unload = found[:n_runs], found[n_runs:]
+            d_load, d_unload = np.abs(m_load - m_prev), np.abs(m_unload - m_prev)
+            take_load = f_load & (~f_unload | (d_load < d_unload)
+                                  | ((d_load == d_unload) & (m_load <= m_unload)))
+            m = np.where(take_load, m_load, np.where(f_unload, m_unload, m_prev))
+            slow = ~(closed[:n_runs] & closed[n_runs:])
+        else:
+            x, found, closed = _select_lockstep(p, m_prev, bounds, None)
+            m, slow = np.where(found, x, m_prev), ~closed
+        for i in np.flatnonzero(slow):
+            if i in errors:
+                continue
+            session = CompensationSession(models[i], [float(c[i]) for c in cols])
+            session.r = r
+            try:
+                m[i] = _step(session, k)
+            except Exception as e:
+                errors[i] = e
+        out[:, k] = m
+        cols.insert(0, m)
+        cols.pop()
+    return out, errors

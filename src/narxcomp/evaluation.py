@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import compensator as comp
 from . import model as narx
 from .benchmarks import BoucWenPlant, HammersteinHeater, SignalSpec, generate
-
-#: Environment variable capping Monte Carlo worker threads.
-THREADS_ENV = "NARX_COMP_THREADS"
-
 
 class DegenerateRange(ValueError):
     """The target series is constant, so the error cannot be normalized."""
@@ -38,7 +33,10 @@ class ExperimentReport:
 
 @dataclass
 class MonteCarloBand:
-    """Pointwise mean and +-2 std band over perturbed-model runs."""
+    """Pointwise mean and +-2 std band over perturbed-model runs.
+
+    ``skip_reasons`` counts the skipped runs by exception class name.
+    """
 
     grid: np.ndarray
     mean: np.ndarray
@@ -47,6 +45,7 @@ class MonteCarloBand:
     hi: np.ndarray
     n_runs: int
     n_skipped: int
+    skip_reasons: dict = field(default_factory=dict)
 
     def skip_rate(self):
         return self.n_skipped / self.n_runs if self.n_runs else 0.0
@@ -88,16 +87,25 @@ def effort(m, r, n0):
     return float(np.sum(dm * dm)), float(np.std(dm))
 
 
+#: Exceptions that skip a Monte Carlo run instead of ending the sweep.
+SKIPPED_RUN = (comp.NoFeasibleRoot, narx.NonFinite, narx.OutOfLoopRange, narx.LoopUnsettled)
+
+
+def perturbed_coefficients(model, rel_std, z):
+    """The table coefficients c shifted to c + rel_std*|c|*z; ``z`` holds one
+    value per term, or one row of them per run."""
+    c = np.array([coef for coef, _ in model.table])
+    return c + rel_std * np.abs(c) * z
+
+
 def perturbed_model(model, rel_std, z):
-    """Copy of ``model`` with each coefficient shifted by rel_std*|coeff|*z_i."""
-    terms = tuple(
-        replace(t, coefficient=t.coefficient + rel_std * abs(t.coefficient) * zi)
-        for t, zi in zip(model.terms, z)
-    )
-    return replace(model, terms=terms)
+    """Copy of ``model`` with each coefficient shifted by rel_std*|coeff|*z_i;
+    values of ``z`` past the last term are ignored."""
+    z = np.asarray(z, dtype=float)[: len(model.terms)]
+    return narx.with_coefficients(model, perturbed_coefficients(model, rel_std, z))
 
 
-def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None, workers=None):
+def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None):
     """Propagate coefficient uncertainty through an experiment.
 
     ``experiment(model) -> np.ndarray`` is evaluated once per run on a copy
@@ -105,34 +113,37 @@ def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None, workers=Non
     of standard deviation ``rel_std * |coefficient|``.  Runs where the
     perturbed model is unusable -- no feasible root, diverging simulation,
     an initialization loop that never settles or cannot cover the reference
-    -- are skipped and counted.  All perturbations are drawn up front from
-    ``seed``, so results are bit-reproducible regardless of the worker count
-    (capped by the NARX_COMP_THREADS environment variable).
+    -- are skipped and counted by reason.  All perturbations are drawn up
+    front from ``seed`` into one coefficient matrix, a row per run, so
+    results are bit-reproducible.  An experiment with a ``batch(model,
+    coefs)`` method gets the whole matrix at once and returns, per run, the
+    result or the exception that ended the run; the band is the same as
+    from calling the experiment run by run.
     """
-    if workers is None:
-        workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    workers = max(1, workers)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_runs, len(model.terms)))
-
-    def one_run(i):
-        try:
-            return np.asarray(experiment(perturbed_model(model, rel_std, z[i])))
-        except (
-            comp.NoFeasibleRoot,
-            narx.NonFinite,
-            narx.OutOfLoopRange,
-            narx.LoopUnsettled,
-        ):
-            return None
-
-    if workers == 1:
-        results = [one_run(i) for i in range(n_runs)]
+    coefs = perturbed_coefficients(model, rel_std, z)
+    batch = getattr(experiment, "batch", None)
+    if batch is not None:
+        results = batch(model, coefs)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_run, range(n_runs)))
-
-    kept = [r for r in results if r is not None]
+        results = []
+        for row in coefs:
+            try:
+                results.append(experiment(narx.with_coefficients(model, row)))
+            except SKIPPED_RUN as e:
+                results.append(e)
+    kept = []
+    reasons = Counter()
+    for res in results:
+        if not isinstance(res, Exception):
+            kept.append(np.asarray(res))
+        elif isinstance(res, SKIPPED_RUN):
+            reasons[type(res).__name__] += 1
+            # its frames would keep the whole batch alive in a reference cycle
+            res.__traceback__ = None
+        else:
+            raise res
     n_skipped = n_runs - len(kept)
     if not kept:
         raise comp.NoFeasibleRoot("every Monte Carlo run failed")
@@ -148,22 +159,105 @@ def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None, workers=Non
         hi=mean + 2.0 * std,
         n_runs=n_runs,
         n_skipped=n_skipped,
+        skip_reasons=dict(sorted(reasons.items())),
     )
+
+
+class HeaterStaticSweep:
+    """Static inversion per reference level, applied to the heater plant's
+    settled response; one run is one model's row of outputs."""
+
+    def __init__(self, grid):
+        self.grid = np.asarray(grid, dtype=float)
+
+    def __call__(self, model):
+        out = np.empty(len(self.grid))
+        for i, r_bar in enumerate(self.grid):
+            out[i] = HammersteinHeater.static_output(comp.solve_static(model, r_bar))
+        return out
+
+    def batch(self, model, coefs):
+        """Every run level by level, runs × levels as arrays; a run ends at
+        its first failing level, as in the scalar path."""
+        m_bar = np.empty((len(coefs), len(self.grid)))
+        results = [None] * len(coefs)
+        alive = list(range(len(coefs)))
+        for g, r_bar in enumerate(self.grid):
+            if not alive:
+                break
+            m, errors = comp.solve_static_lockstep(model, coefs[alive], r_bar)
+            m_bar[alive, g] = m
+            for j, e in errors.items():
+                results[alive[j]] = e
+            alive = [i for j, i in enumerate(alive) if j not in errors]
+        static_output = HammersteinHeater.static_output
+        for i in alive:
+            results[i] = np.array([static_output(m) for m in m_bar[i].tolist()])
+        return results
 
 
 def heater_static_sweep(grid):
     """Experiment factory: static inversion per reference level, applied to
     the heater plant's settled response."""
-    grid = np.asarray(grid, dtype=float)
+    return HeaterStaticSweep(grid)
 
-    def experiment(model):
-        out = np.empty(len(grid))
-        for i, r_bar in enumerate(grid):
-            m_bar = comp.solve_static(model, r_bar)
-            out[i] = HammersteinHeater.static_output(m_bar)
-        return out
 
-    return experiment
+class TrackingExperiment:
+    """Experiment: compensate the reference ``r`` with a perturbed model and
+    return the output of a fresh plant from ``plant_factory()``.
+
+    Hysteretic models are seeded from their own loop traced with
+    ``loop_spec`` = (amplitude, f_min_cycles_per_sample, center), which they
+    then need; others from the static inverse of r(0).
+    """
+
+    def __init__(self, r, plant_factory, loop_spec=None):
+        self.r = np.asarray(r, dtype=float)
+        self.plant_factory = plant_factory
+        self.loop_spec = loop_spec
+
+    def _seed(self, model):
+        r0, r1 = float(self.r[0]), float(self.r[1])
+        if self.loop_spec is not None:
+            loop = narx.hysteresis_loop(model, *self.loop_spec)
+            return comp.init_hysteresis(model, loop, r0, r1)
+        return comp.init_dynamic(model, r0)
+
+    def __call__(self, model):
+        session = comp.CompensationSession(model, list(self._seed(model)))
+        return self.plant_factory().simulate(comp.run(session, self.r))
+
+    def batch(self, model, coefs):
+        """Seeds (loop traces included) run by run, then every seeded run's
+        compensation in lockstep, then the plant: one lockstep free run for
+        a :class:`ModelPlant`, a fresh plant per run otherwise."""
+        results = [None] * len(coefs)
+        models, seeds, live = [], [], []
+        for i, row in enumerate(coefs):
+            pm = narx.with_coefficients(model, row)
+            try:
+                seeds.append(self._seed(pm))
+            except Exception as e:
+                results[i] = e
+                continue
+            models.append(pm)
+            live.append(i)
+        if not live:
+            return results
+        m, errors = comp.run_lockstep(models, coefs[live], seeds, self.r)
+        plant = self.plant_factory()
+        lockstep = plant.simulate_runs(m) if isinstance(plant, ModelPlant) else None
+        for j, i in enumerate(live):
+            if j in errors:
+                results[i] = errors[j]
+            elif lockstep is not None:
+                results[i] = lockstep[j]
+            else:
+                try:
+                    results[i] = self.plant_factory().simulate(m[j])
+                except Exception as e:
+                    results[i] = e
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +291,13 @@ class ModelPlant:
         )
         return y[1:]
 
-
-def model_as_plant(model, seed_value, r_start):
-    """Plant factory form of :class:`ModelPlant`."""
-    return ModelPlant(model, seed_value, r_start)
+    def simulate_runs(self, u_rows):
+        """:meth:`simulate` on every row of ``u_rows`` in lockstep; a run
+        that diverges yields the :class:`NonFinite` ``simulate`` raises."""
+        u_rows = np.asarray(u_rows, dtype=float)
+        u_ext = np.hstack([np.full((len(u_rows), 1), self.seed_value), u_rows])
+        ys = narx.simulate_free_runs(self.model, u_ext, [self.r_start] * self.model.n_y)
+        return [y if isinstance(y, Exception) else y[1:] for y in ys]
 
 
 def compensation_experiment(model, plant_factory, r, *, loop_spec=None,

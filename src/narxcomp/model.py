@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -139,8 +139,23 @@ class NarxModel:
     def max_y_lag(self):
         return self._max_y_lag
 
+    def output_band(self):
+        """The output range widened by 10% of its span on each side: the
+        equilibria :func:`fixed_points` keeps, the levels static inversion
+        accepts."""
+        lo, hi = self.output_range
+        band = 0.1 * (hi - lo)
+        return lo - band, hi + band
+
     def max_phi_lag(self):
         return self._max_phi_lag
+
+
+def with_coefficients(model, coefs):
+    """Copy of ``model`` whose terms carry the coefficients ``coefs``."""
+    return replace(model, terms=tuple(
+        replace(t, coefficient=c) for t, c in zip(model.terms, np.asarray(coefs).tolist())
+    ))
 
 
 @dataclass(frozen=True)
@@ -280,6 +295,64 @@ def simulate_free_run(model, u_series, y_init):
     return np.array(y, dtype=float)
 
 
+def _power(x, power):
+    """``x ** power`` as the scalar code computes it, also per element of an
+    array (numpy's ``**`` may round differently from the C library's pow)."""
+    if power == 1:
+        return x
+    if power == 0:
+        return 1.0
+    if isinstance(x, np.ndarray):
+        return np.array([v ** power for v in x.tolist()])
+    return x ** power
+
+
+def term_values(value, factors, y_hist, u_hist):
+    """:func:`term_value` for many runs at once: ``value`` and the history
+    entries may be arrays with one element per run.  Products round as in
+    :func:`term_value`; the histories must be finite (phi2 of a NaN
+    increment is NaN here)."""
+    for kind, lag, power in factors:
+        if kind == "y":
+            x = y_hist[lag - 1]
+        else:
+            x = u_hist[lag - 1]
+            if kind != "u":
+                x = x - u_hist[lag]
+                if kind == "phi2":
+                    x = np.sign(x)
+        value = value * _power(x, power)
+    return value
+
+
+@np.errstate(all="ignore")
+def simulate_free_runs(model, u_rows, y_init):
+    """:func:`simulate_free_run` on every row of ``u_rows``, in lockstep.
+
+    Returns one entry per row: its outputs, bit for bit those of
+    :func:`simulate_free_run`, or the :class:`NonFinite` that it raises.
+    """
+    u_cols = np.asarray(u_rows, dtype=float).T
+    n, runs = u_cols.shape
+    y_hist = [float(v) for v in y_init]
+    u_hist = [u_cols[0]] * model.u_depth
+    y = np.empty((runs, n))
+    for k in range(n):
+        acc = np.zeros(runs)
+        for coefficient, factors in model.table:
+            acc += term_values(coefficient, factors, y_hist, u_hist)
+        y[:, k] = acc
+        y_hist.insert(0, acc)
+        y_hist.pop()
+        u_hist.insert(0, u_cols[k])
+        u_hist.pop()
+    finite = np.isfinite(y)
+    return [
+        row if ok.all() else NonFinite("output diverged at sample %d" % np.argmin(ok))
+        for row, ok in zip(y, finite)
+    ]
+
+
 def static_polynomial(model, u_bar, branch_sign=0):
     """Steady-state polynomial in y_bar for a constant input u_bar.
 
@@ -369,16 +442,81 @@ def fixed_points(model, u_bar, branch_sign=0):
     if d == 0:
         return []
     reals = poly.real_roots(poly.solve_roots(p))
-    lo, hi = model.output_range
-    band = 0.1 * (hi - lo)
+    y_lo, y_hi = model.output_band()
     out = []
     for y_bar in sorted(reals):
-        if not lo - band <= y_bar <= hi + band:
+        if not y_lo <= y_bar <= y_hi:
             continue
         mags = jacobian_eigen(model, u_bar, y_bar)
         stable = all(m < 1.0 for m in mags)
         out.append(FixedPoint(float(u_bar), float(y_bar), tuple(mags), stable))
     return out
+
+
+def static_rows(model, cols, var, value, size):
+    """Steady-state coefficients in powers of ``var`` for many runs: the
+    terms summed as :func:`narxcomp.compensator.static_comp_poly` (``var``
+    "u", outputs at ``value``) and :func:`static_polynomial` (``var`` "y",
+    inputs at ``value``) sum them, one column per run, the model's
+    coefficients replaced by the rows of ``cols`` (one row per term).
+    Non-hysteretic models only; the constant terms are left to the caller.
+    """
+    p = np.zeros((size, cols.shape[1]))
+    for (_, factors), c in zip(model.table, cols):
+        xpow = 0
+        for kind, _, power in factors:
+            if kind == var:
+                xpow += power
+            else:
+                c = c * _power(value, power)
+        p[xpow] += c
+    return p
+
+
+def _stable_lockstep(model, cols, u_bar, y_bar):
+    """Per run, whether every :func:`jacobian_eigen` magnitude is below one,
+    and the mask of runs whose characteristic polynomial had a closed form."""
+    n_eff = model.max_y_lag()
+    if n_eff == 0:
+        return True, True
+    a = np.zeros((n_eff + 1, cols.shape[1]))
+    for (_, factors), c in zip(model.table, cols):
+        for fi, (kind, lag, power) in enumerate(factors):
+            if kind != "y":
+                continue
+            part = c * power * _power(y_bar, power - 1)
+            for gj, (g_kind, _, g_power) in enumerate(factors):
+                if gj != fi:
+                    part = part * _power(y_bar if g_kind == "y" else u_bar, g_power)
+            a[lag] += part
+    char = np.zeros_like(a)
+    char[n_eff] = 1.0
+    char[:n_eff] = -a[:0:-1]
+    closed, degree, roots = poly.lockstep_roots(char)
+    stable = np.ones(cols.shape[1], dtype=bool)
+    for slot, (re, im) in enumerate(roots):
+        stable &= (np.hypot(re, im) < 1.0) | (degree <= slot)
+    return stable, closed
+
+
+def stable_fixed_point_lockstep(model, cols, u_bar, y_target, tol):
+    """Per run, whether :func:`fixed_points` at ``u_bar`` holds a stable
+    point within ``tol`` of ``y_target``, the model's coefficients replaced
+    by the rows of ``cols``; and the mask of runs whose static and
+    characteristic polynomials had degree 1 or 2.  Only those are decided
+    here; the others need :func:`fixed_points`.
+    """
+    q = static_rows(model, cols, "y", u_bar, model.ell + 2)
+    q[1] -= 1.0
+    closed, degree, roots = poly.lockstep_roots(q)
+    y_lo, y_hi = model.output_band()
+    found = np.zeros(cols.shape[1], dtype=bool)
+    for slot, (y_bar, im) in enumerate(roots):
+        fp = poly.lockstep_real(y_bar, im) & (y_lo <= y_bar) & (y_bar <= y_hi) & (degree > slot)
+        stable, eig_closed = _stable_lockstep(model, cols, u_bar, y_bar)
+        closed &= eig_closed | ~fp
+        found |= fp & stable & (np.abs(y_bar - y_target) < tol)
+    return found, closed
 
 
 def static_curve(model, u_grid):
@@ -484,15 +622,6 @@ def loop_inverse(loop, y_target, regime):
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-_SIG_CODE = {
-    Signal.OUTPUT_Y: "y",
-    Signal.INPUT_U: "u",
-    Signal.PHI1: "phi1",
-    Signal.PHI2: "phi2",
-}
-_CODE_SIG = {v: k for k, v in _SIG_CODE.items()}
-
-
 def model_to_dict(model):
     return {
         "n_y": model.n_y,
@@ -505,7 +634,7 @@ def model_to_dict(model):
             {
                 "coeff": t.coefficient,
                 "factors": [
-                    {"sig": _SIG_CODE[f.signal], "lag": f.lag, "pow": f.power}
+                    {"sig": f.signal.value, "lag": f.lag, "pow": f.power}
                     for f in t.factors
                 ],
             }
@@ -520,7 +649,7 @@ def model_from_dict(d):
             coefficient=float(t["coeff"]),
             factors=tuple(
                 Factor(
-                    signal=_CODE_SIG[f["sig"]],
+                    signal=Signal(f["sig"]),
                     lag=int(f["lag"]),
                     power=int(f.get("pow", 1)),
                 )

@@ -13,6 +13,8 @@ import cmath
 import math
 import sys
 
+import numpy as np
+
 # A coefficient is treated as zero when it is this small relative to the
 # largest coefficient of the polynomial.
 LEADING_ZERO_RTOL = 1e-12
@@ -22,6 +24,10 @@ DEFAULT_IM_TOL = 1e-9
 
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
+
+# Below this magnitude a discriminant is left to cmath.sqrt, which rounds
+# its square root differently within a few multiples of the smallest normal.
+_TINY_DISC = 8.0 * sys.float_info.min
 
 _DK_STEP_TOL = 1e-12
 _DK_MAX_ITER = 500
@@ -109,31 +115,6 @@ def evaluate(p, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
-
-
-def add(p, q):
-    n = max(len(p.coeffs), len(q.coeffs))
-    out = [0.0] * n
-    for i, c in enumerate(p.coeffs):
-        out[i] += c
-    for i, c in enumerate(q.coeffs):
-        out[i] += c
-    return AlgebraicPolynomial(out)
-
-
-def mul(p, q):
-    out = [0.0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0.0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return AlgebraicPolynomial(out)
-
-
-def scale(p, c):
-    c = float(c)
-    return AlgebraicPolynomial(tuple(a * c for a in p.coeffs))
 
 
 def from_roots(roots, leading=1.0):
@@ -301,3 +282,51 @@ def real_roots(rs, im_tol=DEFAULT_IM_TOL):
         if abs(r.imag) <= im_tol * max(1.0, abs(r.real)):
             out.append(r.real)
     return out
+
+
+def lockstep_roots(p):
+    """Closed-form roots of many polynomials, rounded as :func:`solve_roots` rounds them.
+
+    ``p`` holds ascending coefficients, one polynomial per column.  Returns
+    (closed, degree, roots): a mask of the columns whose effective degree
+    is 1 or 2 and whose coefficients, discriminant and roots are finite;
+    each column's effective degree; and its two roots as ((real, imag),
+    (real, imag)) arrays, the second one meaningful at degree 2 only.
+    Degree 1 is ``_linear``'s -a0 / a1.  Degree 2 is ``_quadratic``: the
+    square root of the real discriminant as cmath.sqrt returns it, added
+    to -a1 as a complex number and divided by the float 2 a2 as CPython
+    divides a complex by a float (Smith's method, zero imaginary part).
+    Columns outside ``closed`` need :func:`solve_roots`.
+    """
+    p = np.asarray(p, dtype=float)
+    mag = np.abs(p)
+    live = mag > LEADING_ZERO_RTOL * mag.max(axis=0)
+    degree = np.where(live.any(axis=0), len(p) - 1 - np.argmax(live[::-1], axis=0), -1)
+    a0, a1 = p[0], p[1]
+    a2 = p[2] if len(p) > 2 else np.zeros_like(a0)
+    with np.errstate(all="ignore"):
+        disc = a1 * a1 - 4.0 * a2 * a0
+        s = np.sqrt(np.abs(disc))
+        s_re = np.where(disc >= 0.0, s, 0.0)
+        s_im = np.where(disc >= 0.0, 0.0, s)
+        den = 2.0 * a2
+        ratio = 0.0 / den
+        den = den + 0.0 * ratio
+        roots = [
+            ((re + im * ratio) / den, (im - re * ratio) / den)
+            for re, im in ((-a1 + s_re, 0.0 + s_im), (-a1 - s_re, 0.0 - s_im))
+        ]
+        quad = degree == 2
+        (re1, im1), second = roots
+        roots = ((np.where(quad, re1, -a0 / a1), np.where(quad, im1, 0.0)), second)
+    closed = (degree == 1) | (
+        quad & np.isfinite(disc) & ((disc == 0.0) | (np.abs(disc) >= _TINY_DISC))
+    )
+    finite = [np.isfinite(re) & np.isfinite(im) for re, im in roots]
+    closed &= finite[0] & (finite[1] | ~quad) & np.isfinite(p).all(axis=0)
+    return closed, degree, roots
+
+
+def lockstep_real(re, im):
+    """Mask of the roots :func:`real_roots` keeps, from their parts as arrays."""
+    return np.abs(im) <= DEFAULT_IM_TOL * np.maximum(1.0, np.abs(re))

@@ -154,7 +154,7 @@ def test_criterion_07_self_consistency(
             seed = comp.init_dynamic(model, r[0])
         session = comp.CompensationSession(model, list(seed))
         m = comp.run(session, r)
-        y = ev.model_as_plant(model, seed[0], r[0]).simulate(m)
+        y = ev.ModelPlant(model, seed[0], r[0]).simulate(m)
         return ev.mape(r, y), session.max_residual, session.hold_count
 
     k2000, k1000 = np.arange(2000), np.arange(1000)
@@ -277,7 +277,7 @@ def test_criterion_09_hysteretic_construction_exactness(
     seed = comp.init_hysteresis(valve_model, valve_loop, r_series[0], r_series[1])
     session = comp.CompensationSession(valve_model, list(seed))
     m = comp.run(session, r_series)
-    y = ev.model_as_plant(valve_model, seed[0], r_series[0]).simulate(m)
+    y = ev.ModelPlant(valve_model, seed[0], r_series[0]).simulate(m)
     mape_valve = ev.mape(r_series, y)
     ok_track = mape_valve < 1.0
 

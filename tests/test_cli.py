@@ -268,6 +268,66 @@ def test_montecarlo_negative_seed_is_config_error(capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_compensate_unreachable_reference_is_config_error(capsys, tmp_path):
+    # r in [-1, 1] lies outside the valve's output range [0.75, 4]
+    out_file = tmp_path / "c.csv"
+    code, _, err = run_cli(
+        ["compensate", "-m", "valve", "--signal", "sine:G0=1,f=0.01",
+         "-o", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: signal:")
+    assert "[0.425, 4.325]" in err
+    assert not out_file.exists()
+
+
+def test_montecarlo_unreachable_reference_is_config_error(capsys):
+    code, _, err = run_cli(
+        ["montecarlo", "-m", "valve", "--rel-std", "0.005", "--runs", "5",
+         "--signal", "sine:G0=1,f=0.01"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: signal:")
+    assert "[0.425, 4.325]" in err
+
+
+def test_reference_outside_seeding_loop_is_config_error(capsys):
+    # a loop of amplitude 10 spans about +-7.9; r(1) is about 30
+    code, _, err = run_cli(
+        ["compensate", "-m", "bouc_wen", "--signal", "sine:G0=30,f=1,phase=1.5708",
+         "--loop-amplitude", "10"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: signal: r(1) = 29.9")
+    assert "seeding loop" in err
+
+
+def test_montecarlo_grid_outside_output_range_is_config_error(capsys):
+    code, _, err = run_cli(
+        ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "5",
+         "--grid", "0.1,0.6"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: grid:")
+
+
+def test_montecarlo_prints_skip_reasons(capsys):
+    argv = ["montecarlo", "-m", "heater", "--rel-std", "0.05", "--runs", "20",
+            "--grid", "0.05,0.45", "--seed", "1"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err.splitlines() == [
+        "skipped 6 of 20 runs", "skip reasons: NoFeasibleRoot=6",
+    ]
+    code, _, err = run_cli(argv[:4] + ["0.005"] + argv[5:], capsys)
+    assert code == 0
+    assert err == ""
+
+
 def test_montecarlo_static_sweep_rejects_hysteretic(capsys):
     code, _, err = run_cli(
         ["montecarlo", "-m", "valve", "--rel-std", "0.005", "--runs", "5",
@@ -320,21 +380,6 @@ def test_montecarlo_seed_changes_output(capsys, tmp_path):
         assert code == 0
         outs.append(f.read_bytes())
     assert outs[0] != outs[1]
-
-
-def test_thread_env_does_not_change_results(capsys, tmp_path, monkeypatch):
-    outs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("NARX_COMP_THREADS", threads)
-        f = tmp_path / ("t%s.csv" % threads)
-        code, _, _ = run_cli(
-            ["montecarlo", "-m", "heater", "--rel-std", "0.005",
-             "--runs", "24", "--grid", "0.1,0.2,0.3", "-o", str(f)],
-            capsys,
-        )
-        assert code == 0
-        outs[threads] = f.read_bytes()
-    assert outs["1"] == outs["4"]
 
 
 def test_montecarlo_tracking_mode(capsys):

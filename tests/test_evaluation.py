@@ -1,5 +1,7 @@
 """Metrics, Monte Carlo propagation, and the canned benchmark experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,19 +145,13 @@ def test_monte_carlo_bit_reproducible(heater_model):
     assert not np.array_equal(runs[0].mean, other.mean)
 
 
-def test_monte_carlo_worker_count_does_not_change_results(heater_model):
+def test_monte_carlo_static_batch_matches_per_run(heater_model):
     grid = np.array([0.15, 0.3])
-    serial = ev.monte_carlo(
-        heater_model, 0.005, 40, ev.heater_static_sweep(grid), SEED,
-        grid=grid, workers=1,
-    )
-    threaded = ev.monte_carlo(
-        heater_model, 0.005, 40, ev.heater_static_sweep(grid), SEED,
-        grid=grid, workers=4,
-    )
-    assert np.array_equal(serial.mean, threaded.mean)
-    assert np.array_equal(serial.std, threaded.std)
-    assert serial.n_skipped == threaded.n_skipped
+    sweep = ev.heater_static_sweep(grid)
+    batch = ev.monte_carlo(heater_model, 0.005, 40, sweep, SEED, grid=grid)
+    per_run = ev.monte_carlo(heater_model, 0.005, 40, _plain(sweep), SEED, grid=grid)
+    assert _same_band(batch, per_run)
+    assert batch.n_skipped == 0
 
 
 def test_monte_carlo_counts_skipped_runs(heater_model):
@@ -191,6 +187,36 @@ def test_monte_carlo_band_is_mean_plus_minus_two_std(heater_model):
     assert np.all(band.std > 0.0)
 
 
+def test_monte_carlo_raises_a_batch_runs_unexpected_error(heater_model):
+    class Experiment:
+        def batch(self, model, coefs):
+            return [np.zeros(2), comp.NoFeasibleRoot("skip"), ValueError("bad run")]
+
+    with pytest.raises(ValueError, match="bad run"):
+        ev.monte_carlo(heater_model, 0.01, 3, Experiment(), SEED)
+
+
+def test_monte_carlo_batch_gets_the_perturbed_coefficient_matrix(bouc_wen_model):
+    seen = []
+
+    class Experiment:
+        def batch(self, model, coefs):
+            seen.append(coefs)
+            return [np.zeros(1)] * len(coefs)
+
+    ev.monte_carlo(bouc_wen_model, 0.005, 6, Experiment(), SEED)
+    (coefs,) = seen
+    z = np.random.default_rng(SEED).standard_normal((6, len(bouc_wen_model.terms)))
+    assert coefs.shape == (6, len(bouc_wen_model.terms))
+    for row, zi in zip(coefs, z):
+        table = [c for c, _ in ev.perturbed_model(bouc_wen_model, 0.005, zi).table]
+        assert row.tolist() == table
+        assert table == [
+            t.coefficient + 0.005 * abs(t.coefficient) * float(v)
+            for t, v in zip(bouc_wen_model.terms, zi)
+        ]
+
+
 def test_heater_static_sweep_experiment(heater_model):
     t1, t2, t3 = 0.8958185, 0.06393347, -0.01746750
     grid = np.array([0.2, 0.3])
@@ -209,14 +235,14 @@ def test_heater_static_sweep_experiment(heater_model):
 def test_model_plant_holds_its_equilibrium(heater_model):
     gain = 0.06393347 / (1.0 - 0.8958185 + 0.01746750)
     y_eq = gain * 0.25
-    plant = ev.model_as_plant(heater_model, 0.5, y_eq)
+    plant = ev.ModelPlant(heater_model, 0.5, y_eq)
     y = plant.simulate(np.full(200, 0.5))
     assert len(y) == 200
     assert np.allclose(y, y_eq, atol=1e-12)
 
 
 def test_model_plant_restarts_each_simulate(bouc_wen_model):
-    plant = ev.model_as_plant(bouc_wen_model, 0.0, 0.0)
+    plant = ev.ModelPlant(bouc_wen_model, 0.0, 0.0)
     u = 10.0 * np.sin(2 * np.pi * 0.01 * np.arange(200))
     a = plant.simulate(u)
     b = plant.simulate(u)
@@ -379,3 +405,126 @@ def test_monte_carlo_tracking_band_covers_reference(bouc_wen_model):
     assert band.skip_rate() < 0.1
     covered = np.mean((r >= band.lo) & (r <= band.hi))
     assert covered >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# Lockstep Monte Carlo: the batch forms give the per-run band bit for bit
+
+
+def _plain(experiment):
+    """The same experiment without its batch form, so it runs run by run."""
+    return lambda model: experiment(model)
+
+
+def _same_band(a, b):
+    return (
+        np.array_equal(a.mean, b.mean)
+        and np.array_equal(a.std, b.std)
+        and a.n_skipped == b.n_skipped
+        and a.skip_reasons == b.skip_reasons
+    )
+
+
+def _self_plant(model, r, loop_spec=None):
+    """Plant factory running the model itself from its nominal seed."""
+    if loop_spec is None:
+        seed = comp.init_dynamic(model, r[0])
+    else:
+        seed = comp.init_hysteresis(model, narx.hysteresis_loop(model, *loop_spec), r[0], r[1])
+    return lambda: ev.ModelPlant(model, seed[0], r[0])
+
+
+def _with_term(model, coefficient, *factors):
+    term = narx.Term(coefficient, tuple(narx.Factor(narx.Signal(s), lag, p) for s, lag, p in factors))
+    return replace(model, terms=model.terms + (term,), n_u=max(model.n_u, *(f[1] for f in factors)))
+
+
+def _lockstep_case(name, models):
+    """(model, rel_std, n_runs, experiment) of one lockstep scenario."""
+    k = np.arange(200)
+    if name == "bouc_wen":
+        model = models["bouc_wen"]
+        r = 30.0 * np.sin(2 * np.pi * 0.005 * k + np.pi / 2)
+        spec = (80.0, 0.005, 0.0)
+        return model, 0.005, 6, ev.TrackingExperiment(r, _self_plant(model, r, spec), spec)
+    if name == "valve":
+        model = models["valve"]
+        r = 2.5 + np.sin(2 * np.pi * 0.01 * k)
+        spec = (2.0, 0.01, 3.0)
+        return model, 0.02, 6, ev.TrackingExperiment(r, _self_plant(model, r, spec), spec)
+    if name == "heater_known_input":
+        # tau_d = 2 with a u(k-3) term: a known input factor from m_hist
+        model = _with_term(models["heater"], 0.004, ("u", 3, 1))
+        r = 0.25 + 0.1 * np.sin(2 * np.pi * 0.005 * k)
+        return model, 0.01, 6, ev.TrackingExperiment(r, HammersteinHeater)
+    if name == "heater_holds":
+        model = models["heater"]
+        r = 0.25 + 0.2 * np.sin(2 * np.pi * 0.05 * k)
+        return model, 0.01, 6, ev.TrackingExperiment(r, _self_plant(model, r))
+    if name == "cubic_fallback":
+        # phi1(k-1)^2 u(k-1) makes every step's polynomial a cubic
+        model = _with_term(models["bouc_wen"], 2e-4, ("phi1", 1, 2), ("u", 1, 1))
+        r = 30.0 * np.sin(2 * np.pi * 0.005 * k[:60] + np.pi / 2)
+        spec = (80.0, 0.005, 0.0)
+        return model, 0.005, 3, ev.TrackingExperiment(r, _self_plant(model, r, spec), spec)
+    grid = np.array([0.05, 0.2, 0.45])
+    return models["heater"], 0.05, 30, ev.heater_static_sweep(grid)
+
+
+@pytest.fixture(scope="module")
+def lockstep_models(heater_model, bouc_wen_model, valve_model):
+    return {"heater": heater_model, "bouc_wen": bouc_wen_model, "valve": valve_model}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["bouc_wen", "valve", "heater_known_input", "heater_holds", "cubic_fallback",
+     "heater_static"],
+)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lockstep_band_equals_per_run_band(lockstep_models, name, seed):
+    model, rel_std, n_runs, experiment = _lockstep_case(name, lockstep_models)
+    batch = ev.monte_carlo(model, rel_std, n_runs, experiment, seed)
+    per_run = ev.monte_carlo(model, rel_std, n_runs, _plain(experiment), seed)
+    assert _same_band(batch, per_run)
+    assert batch.n_skipped == sum(batch.skip_reasons.values())
+
+
+def test_lockstep_cases_reach_holds_and_the_scalar_fallback(lockstep_models):
+    model, _, _, experiment = _lockstep_case("heater_holds", lockstep_models)
+    session = comp.CompensationSession(model, comp.init_dynamic(model, experiment.r[0]))
+    comp.run(session, experiment.r)
+    assert session.hold_count > 0
+    model, _, _, experiment = _lockstep_case("cubic_fallback", lockstep_models)
+    loop = narx.hysteresis_loop(model, *experiment.loop_spec)
+    r = experiment.r
+    session = comp.CompensationSession(model, comp.init_hysteresis(model, loop, r[0], r[1]))
+    session.r = r
+    assert comp.hysteresis_comp_polys(session, 0).loading.degree() == 3
+    m, errors = comp.run_lockstep([model], [[c for c, _ in model.table]],
+                                  [session.m_hist], r)
+    assert errors == {}
+    assert np.array_equal(m[0], comp.run(session, r))
+
+
+def test_lockstep_free_run_reports_divergence(bouc_wen_model):
+    u = np.vstack([np.zeros(50), np.tile([0.0, 1e300], 25)])
+    y_ok, y_bad = narx.simulate_free_runs(bouc_wen_model, u, [0.0])
+    assert np.array_equal(y_ok, narx.simulate_free_run(bouc_wen_model, u[0], [0.0]))
+    assert isinstance(y_bad, narx.NonFinite)
+    with pytest.raises(narx.NonFinite, match=str(y_bad)):
+        narx.simulate_free_run(bouc_wen_model, u[1], [0.0])
+
+
+def test_monte_carlo_tracking_band_names_its_skip_reasons(bouc_wen_model):
+    # the mc-tracking benchmark band: two perturbed loops never settle
+    n = 1000
+    r = 30.0 * np.sin(2 * np.pi * 0.005 * np.arange(n) + 1.5708)
+    spec = (80.0, 0.005, 0.0)
+    band = ev.monte_carlo(
+        bouc_wen_model, 0.005, 40,
+        ev.TrackingExperiment(r, _self_plant(bouc_wen_model, r, spec), spec), SEED,
+    )
+    assert band.n_skipped == 2
+    assert band.skip_reasons == {"LoopUnsettled": 2}

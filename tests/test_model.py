@@ -486,5 +486,5 @@ def test_round_trip_preserves_exact_coefficients(heater_model, tmp_path):
 def test_model_from_dict_rejects_unknown_signal():
     d = narx.model_to_dict(mk([term(1.0, ("y", 1, 1))]))
     d["terms"][0]["factors"][0]["sig"] = "bogus"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         narx.model_from_dict(d)

@@ -1,6 +1,7 @@
 """Polynomial arithmetic and root finding."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,28 +50,6 @@ def test_degree_ignores_tiny_leading_coefficients():
     assert P([0.0, 0.0]).degree() == -1
     # The threshold is relative: a uniformly tiny polynomial keeps its degree.
     assert P([1e-30, 1e-30]).degree() == 1
-
-
-def test_add_mul_scale_oracles():
-    p = P([1.0, 1.0])        # 1 + x
-    q = P([-1.0, 1.0])       # -1 + x
-    assert poly.add(p, q).coeffs == (0.0, 2.0)
-    assert poly.mul(p, q).coeffs == (-1.0, 0.0, 1.0)   # x^2 - 1
-    assert poly.scale(p, 3.0).coeffs == (3.0, 3.0)
-    # Different lengths pad rather than truncate.
-    assert poly.add(P([1.0]), P([0.0, 0.0, 2.0])).coeffs == (1.0, 0.0, 2.0)
-
-
-@given(
-    st.lists(st.floats(-10, 10), min_size=1, max_size=5),
-    st.lists(st.floats(-10, 10), min_size=1, max_size=5),
-    st.floats(-5, 5),
-)
-def test_mul_is_pointwise_product(a, b, x):
-    p, q = P(a), P(b)
-    lhs = poly.evaluate(poly.mul(p, q), x)
-    rhs = poly.evaluate(p, x) * poly.evaluate(q, x)
-    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
 @given(
@@ -264,3 +243,36 @@ def test_real_roots_of_real_rooted_polynomial(roots):
     got = poly.real_roots(poly.solve_roots(poly.from_roots(rs)), im_tol=1e-6)
     assert len(got) == len(rs)
     assert sorted(got) == pytest.approx(rs, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms over many polynomials at once
+
+
+_coefficient = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-6, 1e-6),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_coefficient, min_size=3, max_size=3), min_size=1, max_size=8))
+def test_lockstep_roots_equal_solve_roots_bit_for_bit(columns):
+    closed, degree, roots = poly.lockstep_roots(np.array(columns).T)
+    for j, coeffs in enumerate(columns):
+        p = P(coeffs)
+        assert degree[j] == p.degree()
+        if not closed[j]:
+            # left to solve_roots: other degrees, and discriminants so close
+            # to the smallest normal float that cmath.sqrt rounds them apart
+            a0, a1, a2 = coeffs
+            disc = a1 * a1 - 4.0 * a2 * a0
+            assert p.degree() not in (1, 2) or 0.0 < abs(disc) < 8.0 * sys.float_info.min
+            continue
+        got = [complex(re[j], im[j]) for re, im in roots[: p.degree()]]
+        want = poly.solve_roots(p).roots
+        # repr tells signed zeros apart
+        assert [repr(z) for z in got] == [repr(z) for z in want]
+        real = poly.lockstep_real(np.array([z.real for z in got]), np.array([z.imag for z in got]))
+        assert [z.real for z, ok in zip(got, real) if ok] == poly.real_roots(poly.RootSet(want, ""))
