@@ -102,13 +102,6 @@ class BoucWenPlant:
     def reset(self):
         self.h = 0.0
 
-    def _hdot(self, h, udot):
-        return (
-            self.ALPHA * udot
-            - self.BETA * abs(udot) * h
-            - self.GAMMA * udot * abs(h)
-        )
-
     def simulate(self, u_series, substeps=1):
         u = np.asarray(u_series, dtype=float)
         n = len(u)
@@ -121,51 +114,31 @@ class BoucWenPlant:
             du[-1] = (u[-1] - u[-2]) / self.DT
         if n > 2:
             du[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.DT)
+        A, B, G, nu_y = self.ALPHA, self.BETA, self.GAMMA, self.NU_Y
         h = self.h
         step = self.DT / substeps
+        fractions = [(s / substeps, (s + 1) / substeps) for s in range(substeps)]
+        u, du = u.tolist(), du.tolist()
         for k in range(n):
-            y[k] = self.NU_Y * u[k] - h
+            y[k] = nu_y * u[k] - h
             if k == n - 1:
                 break
-            for s in range(substeps):
-                v0 = du[k] + (du[k + 1] - du[k]) * (s / substeps)
-                v1 = du[k] + (du[k + 1] - du[k]) * ((s + 1) / substeps)
+            d0, d1 = du[k], du[k + 1]
+            for f0, f1 in fractions:
+                v0 = d0 + (d1 - d0) * f0
+                v1 = d0 + (d1 - d0) * f1
                 vm = 0.5 * (v0 + v1)
-                k1 = self._hdot(h, v0)
-                k2 = self._hdot(h + 0.5 * step * k1, vm)
-                k3 = self._hdot(h + 0.5 * step * k2, vm)
-                k4 = self._hdot(h + step * k3, v1)
+                # h' = A v - B |v| h - G v |h|, at each RK4 stage
+                k1 = A * v0 - B * abs(v0) * h - G * v0 * abs(h)
+                hh = h + 0.5 * step * k1
+                k2 = A * vm - B * abs(vm) * hh - G * vm * abs(hh)
+                hh = h + 0.5 * step * k2
+                k3 = A * vm - B * abs(vm) * hh - G * vm * abs(hh)
+                hh = h + step * k3
+                k4 = A * v1 - B * abs(v1) * hh - G * v1 * abs(hh)
                 h += step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         self.h = h
         return y
-
-
-def bouc_wen_inverse(r_series, nu_y=None, plant=None):
-    """Hysteresis feedforward by inverting the output map: m = (r + h) / nu_y.
-
-    The internal state h is advanced by the same RK4 scheme the plant uses,
-    driven by the generated input itself (the per-step input derivative uses
-    the latest two computed samples).  ``nu_y`` defaults to the plant gain.
-    """
-    if plant is None:
-        plant = BoucWenPlant()
-    if nu_y is None:
-        nu_y = plant.NU_Y
-    r = np.asarray(r_series, dtype=float)
-    n = len(r)
-    m = np.empty(n)
-    h = plant.h
-    for k in range(n):
-        m[k] = (r[k] + h) / nu_y
-        if k == n - 1:
-            break
-        udot = 0.0 if k == 0 else (m[k] - m[k - 1]) / plant.DT
-        k1 = plant._hdot(h, udot)
-        k2 = plant._hdot(h + 0.5 * plant.DT * k1, udot)
-        k3 = plant._hdot(h + 0.5 * plant.DT * k2, udot)
-        k4 = plant._hdot(h + plant.DT * k3, udot)
-        h += plant.DT / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return m
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,22 @@ held.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import poly
-from .poly import AlgebraicPolynomial, RootSet
+from .poly import AlgebraicPolynomial
 from .model import (
     Regime,
     fixed_points,
     loop_inverse,
     stable_fixed_point_lockstep,
     static_rows,
-    term_value,
+    compile_kernel,
+    kernel_factor,
     term_values,
     with_coefficients,
 )
@@ -108,13 +111,11 @@ def hist_depth(model):
     return d
 
 
-def _r_at(session, idx):
-    r = session.r
-    if idx < 0:
-        return float(r[0])
-    if idx >= len(r):
-        return float(r[-1])
-    return float(r[idx])
+def _clamped(r, start, stop):
+    """r(start) ... r(stop - 1) as a list, indices past either end of ``r``
+    clamped to the nearest sample."""
+    n = len(r)
+    return [float(r[min(max(i, 0), n - 1)]) for i in range(start, stop)] if n else []
 
 
 def static_comp_poly(model, r_bar):
@@ -233,7 +234,7 @@ def _step_plan(model):
     flips the term's sign there.  Returns (terms, size): per term
     (coefficient, known, xpow, d, flip), ``known`` holding (kind, lag,
     power) entries whose lags index the reference window and ``m_hist``
-    the way :func:`narxcomp.model.term_value` reads them.
+    the way :func:`narxcomp.model.one_step` reads its histories.
     """
     plan = model._step_plan
     if plan is not None:
@@ -271,32 +272,57 @@ def _step_plan(model):
     return plan
 
 
-def _step_coeffs(session, k):
-    """Loading and unloading coefficient lists of the step-k equation
-    f(...) - r(k + tau_d) = 0 in x = m(k); equal for non-hysteretic models."""
-    model = session.model
+def _step_kernel(model):
+    """The model's step-coefficient kernel ``coeffs(r, j, m_hist)``,
+    generated from :func:`_step_plan` and cached on the model.
+
+    It returns the loading and unloading coefficient lists of the step-k
+    equation f(...) - r(k + tau_d) = 0 in x = m(k), equal for a model with
+    no phi2 at lag tau_d; ``r[j]`` is r(k + tau_d) and ``r[j - lag]`` the
+    reference an output lag reads.  Per term in table order the known
+    factors multiply the coefficient, a zero product is skipped, the rest
+    is expanded times (x - m(k-1))^d as [0.0] + part and part + [0.0]
+    combine, and added to each list, negated on the unloading branch where
+    the term flips; r(k + tau_d) comes off the constant last.
+    """
+    kernel = model._step_kernel
+    if kernel is not None:
+        return kernel
     terms, size = _step_plan(model)
-    tau = model.tau_d
-    m_hist = session.m_hist
-    m_prev = m_hist[0]
-    # r_hist[lag - 1] = r(k + tau_d - lag), the output lag mapped to the reference
-    r_hist = [_r_at(session, k + tau - lag) for lag in range(1, model.max_y_lag() + 1)]
-    load = [0.0] * size
-    unload = [0.0] * size
-    for coef, known, xpow, d, flip in terms:
-        scalar = term_value(coef, known, r_hist, m_hist) if known else coef
-        if scalar == 0.0:
-            continue
-        part = [scalar]
-        for _ in range(d):  # times (x - m_prev)
-            part = [a - b * m_prev for a, b in zip([0.0] + part, part + [0.0])]
-        for i, c in enumerate(part, xpow):
-            load[i] += c
-            unload[i] += -c if flip else c
-    r_next = _r_at(session, k + tau)
-    load[0] -= r_next
-    unload[0] -= r_next
-    return load, unload
+    signs = {}
+    body = []
+    for i, (_, known, xpow, d, flip) in enumerate(terms):
+        t = ["c[%d]" % i] + [
+            kernel_factor(kind, lag, power, "r[j - %d]" % lag, "m", signs)
+            for kind, lag, power in known
+        ]
+        body += ["    t = " + " * ".join(t), "    if t != 0.0:"]
+        part = ["t"]
+        for level in range(1, d + 1):  # times (x - m_prev)
+            names = ["d%d_%d" % (level, n) for n in range(len(part) + 1)]
+            for name, a, b in zip(names, ["0.0"] + part, part + ["0.0"]):
+                body.append("        %s = %s - %s * mp" % (name, a, b))
+            part = names
+        for slot, c in enumerate(part, xpow):
+            body.append("        L%d += %s" % (slot, c))
+            body.append("        U%d += %s%s" % (slot, "-" if flip else "", c))
+    lists = ["[%s0 - rn%s]" % (b, "".join(", %s%d" % (b, i) for i in range(1, size))) for b in "LU"]
+    source = "\n".join(
+        ["def kernel(c, r, j, m):", "    mp = m[0]"] + list(signs.values())
+        + ["    %s = 0.0" % " = ".join(b + str(i) for b in "LU" for i in range(size))]
+        + body + ["    rn = r[j]", "    return %s, %s\n" % tuple(lists)]
+    )
+    kernel = partial(compile_kernel(source), tuple(c for c, *_ in terms))
+    object.__setattr__(model, "_step_kernel", kernel)
+    return kernel
+
+
+def _branch_coeffs(session, k):
+    """The kernel's coefficient lists at step k of ``session``."""
+    model = session.model
+    lags = model.max_y_lag()
+    top = k + model.tau_d
+    return _step_kernel(model)(_clamped(session.r, top - lags, top + 1), lags, session.m_hist)
 
 
 def dynamic_comp_poly(session, k):
@@ -308,7 +334,7 @@ def dynamic_comp_poly(session, k):
     """
     if session.model.is_hysteretic():
         raise ValueError("model has phi regressors; use hysteresis_comp_polys")
-    return AlgebraicPolynomial(_step_coeffs(session, k)[0])
+    return AlgebraicPolynomial(_branch_coeffs(session, k)[0])
 
 
 def hysteresis_comp_polys(session, k):
@@ -322,7 +348,7 @@ def hysteresis_comp_polys(session, k):
     """
     if not session.model.is_hysteretic():
         raise ValueError("model has no phi regressors; use dynamic_comp_poly")
-    load, unload = _step_coeffs(session, k)
+    load, unload = _branch_coeffs(session, k)
     return BranchPolynomials(
         loading=AlgebraicPolynomial(load),
         unloading=AlgebraicPolynomial(unload),
@@ -337,19 +363,24 @@ def select_root(candidates, m_prev, bounds, branch=None, im_tol=poly.DEFAULT_IM_
     ``branch=Regime.LOADING`` the root must exceed ``m_prev`` strictly (C3),
     with ``Regime.UNLOADING`` it must lie strictly below (C4).
     """
+    return _nearest(poly.real_roots(candidates, im_tol), m_prev, bounds, branch)
+
+
+def _nearest(xs, m_prev, bounds, branch):
+    """The first of the reals ``xs`` admissible under C2-C4 with the least
+    (|x - m_prev|, x), or HOLD."""
     lo, hi = bounds
-    adm = []
-    for x in poly.real_roots(candidates, im_tol):
+    best = HOLD
+    for x in xs:
         if not lo <= x <= hi:
             continue
         if branch is Regime.LOADING and not x > m_prev:
             continue
         if branch is Regime.UNLOADING and not x < m_prev:
             continue
-        adm.append(x)
-    if not adm:
-        return HOLD
-    return min(adm, key=lambda x: (abs(x - m_prev), x))
+        if best is HOLD or (abs(x - m_prev), x) < (abs(best - m_prev), best):
+            best = x
+    return best
 
 
 def init_dynamic(model, r_at_start):
@@ -370,31 +401,49 @@ def init_hysteresis(model, loop, r0, r1):
     return [m0] * hist_depth(model)
 
 
-def _roots_or_empty(p):
-    if p.degree() < 1:
-        # constant polynomial: no root can be extracted from this branch
-        return RootSet((), "analytic")
-    return poly.solve_roots(p)
+def _pick(p, m_prev, bounds, branch):
+    """:func:`select_root` over the roots of the coefficient list ``p``, or
+    HOLD when ``p`` has degree < 1.  Degree 1 and 2 are solved here, rounded
+    as :func:`narxcomp.poly.solve_roots` rounds them; higher degrees call it."""
+    d = poly.effective_degree(p)
+    if d < 1:
+        return HOLD
+    if d == 1:
+        # complex(-a0 / a1) has no imaginary part, so the root is real
+        return _nearest((-p[0] / p[1],), m_prev, bounds, branch)
+    if d > 2:
+        return select_root(poly.solve_roots(AlgebraicPolynomial(p)), m_prev, bounds, branch)
+    a0, a1, a2 = p[0], p[1], p[2]
+    s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
+    reals = [
+        r.real for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
+        if abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real))
+    ]
+    return _nearest(reals, m_prev, bounds, branch)
 
 
 def _note_residual(session, p, m):
-    res = abs(poly.evaluate(p, m)) / (1.0 + max(abs(c) for c in p.coeffs))
+    """Raise ``session.max_residual`` to the scaled residual of the root
+    ``m`` of the full coefficient list ``p``, evaluated as
+    :func:`narxcomp.poly.evaluate` evaluates it."""
+    acc = 0.0
+    for c in reversed(p):
+        acc = acc * m + c
+    res = abs(acc) / (1.0 + max(map(abs, p)))
     if res > session.max_residual:
         session.max_residual = res
 
 
-def _step(session, k):
-    """Step k of :func:`run`: solve for m(k), or hold m(k-1), and shift the
-    chosen input into ``session.m_hist``."""
-    m_prev = session.m_hist[0]
+def _step(session, kernel, r, j):
+    """One step of :func:`run`: solve for m(k) on the coefficient lists
+    ``kernel(r, j, m_hist)``, or hold m(k-1), and shift the chosen input
+    into ``session.m_hist``."""
+    m_hist = session.m_hist
+    m_prev = m_hist[0]
+    load, unload = kernel(r, j, m_hist)
     if session.model.is_hysteretic():
-        bp = hysteresis_comp_polys(session, k)
-        m_load = select_root(
-            _roots_or_empty(bp.loading), m_prev, session.bounds, Regime.LOADING
-        )
-        m_unload = select_root(
-            _roots_or_empty(bp.unloading), m_prev, session.bounds, Regime.UNLOADING
-        )
+        m_load = _pick(load, m_prev, session.bounds, Regime.LOADING)
+        m_unload = _pick(unload, m_prev, session.bounds, Regime.UNLOADING)
         m = HOLD
         if m_load is not HOLD and (
             m_unload is HOLD
@@ -403,23 +452,30 @@ def _step(session, k):
         ):
             m = m_load
             session.branch_state = Regime.LOADING
-            _note_residual(session, bp.loading, m)
+            _note_residual(session, load, m)
         elif m_unload is not HOLD:
             m = m_unload
             session.branch_state = Regime.UNLOADING
-            _note_residual(session, bp.unloading, m)
+            _note_residual(session, unload, m)
     else:
-        p = dynamic_comp_poly(session, k)
-        m = select_root(_roots_or_empty(p), m_prev, session.bounds)
+        m = _pick(load, m_prev, session.bounds, None)
         if m is not HOLD:
-            _note_residual(session, p, m)
+            _note_residual(session, load, m)
     if m is HOLD:
         m = m_prev
         session.hold_count += 1
     session.steps += 1
-    session.m_hist.insert(0, float(m))
-    del session.m_hist[-1]
+    m_hist.insert(0, float(m))
+    del m_hist[-1]
     return m
+
+
+def _reference(r, model):
+    """The reference as a list, extended by the clamped samples the step
+    equations read before its start and past its end, and the index in it
+    of r(tau_d), the newest sample step 0 reads."""
+    lead = max(model.max_y_lag() - model.tau_d, 0)
+    return _clamped(r, -lead, len(r) + model.tau_d), lead + model.tau_d
 
 
 def run(session, r_series):
@@ -432,8 +488,11 @@ def run(session, r_series):
     """
     session.r = np.asarray(r_series, dtype=float)
     m_out = np.empty(len(session.r))
-    for k in range(len(m_out)):
-        m_out[k] = _step(session, k)
+    if len(m_out):
+        kernel = _step_kernel(session.model)
+        r, j = _reference(session.r, session.model)
+        for k in range(len(m_out)):
+            m_out[k] = _step(session, kernel, r, j + k)
     return m_out
 
 
@@ -479,14 +538,12 @@ def run_lockstep(models, coefs, seeds, r_series):
     hysteretic = model.is_hysteretic()
     loading = np.arange(2 * n_runs) < n_runs if hysteretic else None
     bounds = tuple(model.input_range)
-    tau = model.tau_d
-    rl = r.tolist()
+    r_ext, j = _reference(r, model)
     out = np.empty((n_runs, n))
     errors = {}
     for k in range(n):
         m_prev = cols[0]
-        r_hist = [rl[min(max(k + tau - lag, 0), n - 1)]
-                  for lag in range(1, model.max_y_lag() + 1)]
+        r_hist = [r_ext[j + k - lag] for lag in range(1, model.max_y_lag() + 1)]
         p = np.zeros((size, 2 * n_runs if hysteretic else n_runs))
         load, unload = p[:, :n_runs], p[:, n_runs:]
         for coef, (_, known, xpow, d, flip) in zip(coef_cols, terms):
@@ -499,7 +556,7 @@ def run_lockstep(models, coefs, seeds, r_series):
                     unload[i] -= c
                 elif hysteretic:
                     unload[i] += c
-        p[0] -= rl[min(k + tau, n - 1)]
+        p[0] -= r_ext[j + k]
         if hysteretic:
             both = np.concatenate([m_prev, m_prev])
             x, found, closed = _select_lockstep(p, both, bounds, loading)
@@ -517,9 +574,8 @@ def run_lockstep(models, coefs, seeds, r_series):
             if i in errors:
                 continue
             session = CompensationSession(models[i], [float(c[i]) for c in cols])
-            session.r = r
             try:
-                m[i] = _step(session, k)
+                m[i] = _step(session, _step_kernel(models[i]), r_ext, j + k)
             except Exception as e:
                 errors[i] = e
         out[:, k] = m

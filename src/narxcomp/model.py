@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from enum import Enum
 
 import numpy as np
@@ -100,7 +102,10 @@ class NarxModel:
     _hysteretic: bool = field(init=False, repr=False, compare=False)
     _max_y_lag: int = field(init=False, repr=False, compare=False)
     _max_phi_lag: int = field(init=False, repr=False, compare=False)
-    # Per-step compensation plan, built and cached by the compensator.
+    # Generated kernels (see compile_kernel) and the per-step compensation
+    # plan, built on first use and cached; the compensator builds the last two.
+    _one_step: object = field(default=None, init=False, repr=False, compare=False)
+    _step_kernel: object = field(default=None, init=False, repr=False, compare=False)
     _step_plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,6 +124,10 @@ class NarxModel:
         set_(self, "_hysteretic", bool(phi))
         set_(self, "_max_y_lag", max(lags["y"], default=0))
         set_(self, "_max_phi_lag", max(phi, default=0))
+
+    def __getstate__(self):
+        # generated kernels do not pickle; they are rebuilt on first use
+        return dict(self.__dict__, _one_step=None, _step_kernel=None)
 
     def is_hysteretic(self):
         return self._hysteretic
@@ -222,36 +231,76 @@ def validate(model):
     return problems
 
 
-def term_value(value, factors, y_hist, u_hist):
-    """``value`` times the product of ``factors``, (kind, lag, power) entries
-    of a compiled table, read from histories ordered most-recent-first:
-    ``y_hist[0]`` is y(k-1), ``u_hist[0]`` is u(k-1)."""
-    for kind, lag, power in factors:
-        if kind == "y":
-            x = y_hist[lag - 1]
-        else:
-            x = u_hist[lag - 1]
-            if kind != "u":
-                x -= u_hist[lag]
-                if kind == "phi2":
-                    x = 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0
-        value *= x if power == 1 else x ** power
-    return value
+@lru_cache(maxsize=256)
+def compile_kernel(source):
+    """The function ``kernel`` defined by the generated ``source``.
+
+    Compiled once per distinct text, so once per term structure: kernels
+    take the coefficients as an argument and never hold them as literals.
+    The function's ``source`` attribute keeps the text for reading.
+    """
+    namespace = {}
+    exec(compile(source, "<narxcomp kernel>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
 
 
-def _evaluate(table, y_hist, u_hist):
-    acc = 0.0
-    for coefficient, factors in table:
-        acc += term_value(coefficient, factors, y_hist, u_hist)
-    return acc
+def kernel_factor(kind, lag, power, y_read, u, signs):
+    """Source of one (kind, lag, power) table factor, read as :func:`one_step`
+    reads it: ``y_read`` is the source of the output read at this lag, and
+    the input history is named ``u`` (most-recent-first).  A phi2 factor
+    names a variable whose two lines, added to ``signs`` once per lag,
+    compute sign(0) = 0.  Lags and powers must be integers."""
+    lag, power = operator.index(lag), operator.index(power)
+    if kind == "y":
+        x = y_read
+    elif kind == "u":
+        x = "%s[%d]" % (u, lag - 1)
+    elif kind == "phi1":
+        x = "(%s[%d] - %s[%d])" % (u, lag - 1, u, lag)
+    elif kind == "phi2":
+        x = "s%d" % lag
+        if x not in signs:
+            signs[x] = (
+                "    %s = %s[%d] - %s[%d]\n" % (x, u, lag - 1, u, lag)
+                + "    %s = 1.0 if %s > 0.0 else -1.0 if %s < 0.0 else 0.0" % (x, x, x)
+            )
+    else:
+        raise ValueError("unknown factor kind %r" % (kind,))
+    return x if power == 1 else "%s ** %d" % (x, power)
 
 
-def _simulate(table, y_hist, u_hist, inputs):
-    """Outputs for ``inputs``, each fed back into the histories, which shift
-    in place.  Stops before the first non-finite output."""
+def _evaluator(model):
+    """The model's one-step evaluator ``step(y_hist, u_hist)``, generated
+    from its table and cached on the model: per term, the coefficient
+    times its factors in table order, summed from 0.0 in table order."""
+    step = model._one_step
+    if step is None:
+        signs = {}
+        terms = [
+            " * ".join(["c[%d]" % i] + [
+                kernel_factor(kind, lag, power, "y[%d]" % (lag - 1), "u", signs)
+                for kind, lag, power in factors
+            ])
+            for i, (_, factors) in enumerate(model.table)
+        ]
+        source = "\n".join(
+            ["def kernel(c, y, u):"] + list(signs.values())
+            + ["    return " + " + ".join(["0.0"] + terms)]
+        ) + "\n"
+        step = partial(compile_kernel(source), tuple(c for c, _ in model.table))
+        object.__setattr__(model, "_one_step", step)
+    return step
+
+
+def _simulate(step, y_hist, u_hist, inputs):
+    """Outputs of the evaluator ``step`` for ``inputs``, each fed back into
+    the histories, which shift in place.  Stops before the first non-finite
+    output."""
     out = []
     for u_k in inputs:
-        val = _evaluate(table, y_hist, u_hist)
+        val = step(y_hist, u_hist)
         if not math.isfinite(val):
             break
         out.append(val)
@@ -272,7 +321,7 @@ def one_step(model, y_hist, u_hist):
         raise InsufficientHistory(
             "need %d input samples, got %d" % (model.u_depth, len(u_hist))
         )
-    return _evaluate(model.table, y_hist, u_hist)
+    return _evaluator(model)(y_hist, u_hist)
 
 
 def simulate_free_run(model, u_series, y_init):
@@ -289,7 +338,7 @@ def simulate_free_run(model, u_series, y_init):
         )
     y_hist = [float(v) for v in y_init]
     u_hist = [u[0] if u else 0.0] * model.u_depth
-    y = _simulate(model.table, y_hist, u_hist, u)
+    y = _simulate(_evaluator(model), y_hist, u_hist, u)
     if len(y) < len(u):
         raise NonFinite("output diverged at sample %d" % len(y))
     return np.array(y, dtype=float)
@@ -308,9 +357,10 @@ def _power(x, power):
 
 
 def term_values(value, factors, y_hist, u_hist):
-    """:func:`term_value` for many runs at once: ``value`` and the history
-    entries may be arrays with one element per run.  Products round as in
-    :func:`term_value`; the histories must be finite (phi2 of a NaN
+    """``value`` times the product of ``factors``, (kind, lag, power)
+    entries of a compiled table, for many runs at once: ``value`` and the
+    history entries may be arrays with one element per run.  Products round
+    as in :func:`one_step`; the histories must be finite (phi2 of a NaN
     increment is NaN here)."""
     for kind, lag, power in factors:
         if kind == "y":
@@ -557,6 +607,7 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     if period < 8:
         raise ValueError("period of %d samples is too coarse to trace" % period)
 
+    step = _evaluator(model)
     u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
     y_hist = [0.0] * model.n_y
     prev_y = None
@@ -565,7 +616,7 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     for p in range(max_periods):
         ks = np.arange(p * period, (p + 1) * period, dtype=float)
         u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
-        y_p = np.array(_simulate(model.table, y_hist, u_hist, u_p.tolist()))
+        y_p = np.array(_simulate(step, y_hist, u_hist, u_p.tolist()))
         if len(y_p) < period:
             raise NonFinite("loop trace diverged in period %d" % p)
         if prev_y is not None:

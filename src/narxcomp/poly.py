@@ -59,7 +59,7 @@ class AlgebraicPolynomial:
     def __init__(self, coeffs):
         cs = tuple(map(float, coeffs)) or (0.0,)
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "_degree", _effective_degree(cs))
+        object.__setattr__(self, "_degree", effective_degree(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicPolynomial is immutable")
@@ -82,7 +82,9 @@ class AlgebraicPolynomial:
         return self._degree
 
 
-def _effective_degree(coeffs):
+def effective_degree(coeffs):
+    """Degree of the ascending coefficients ``coeffs`` under the
+    ``LEADING_ZERO_RTOL`` rule of :meth:`AlgebraicPolynomial.degree`."""
     biggest = max(map(abs, coeffs))
     if biggest == 0.0:
         return -1
@@ -146,38 +148,25 @@ def _check_degree(p, want, name):
 
 
 def solve_linear(p):
-    return _linear(_check_degree(p, 1, "solve_linear"))
-
-
-def solve_quadratic(p):
-    return _quadratic(_check_degree(p, 2, "solve_quadratic"))
-
-
-def solve_cubic(p):
-    """Closed-form cubic solution (Cardano, in determinant form; see :func:`_cubic`)."""
-    return _cubic(_check_degree(p, 3, "solve_cubic"))
-
-
-def _linear(a):
-    a0, a1 = a
+    a0, a1 = _check_degree(p, 1, "solve_linear")
     return RootSet((complex(-a0 / a1),), "analytic")
 
 
-def _quadratic(a):
-    a0, a1, a2 = a
+def solve_quadratic(p):
+    a0, a1, a2 = _check_degree(p, 2, "solve_quadratic")
     s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
     return RootSet(((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)), "analytic")
 
 
-def _cubic(a):
-    """Cardano's solution in determinant form, from ascending coefficients.
+def solve_cubic(p):
+    """Cardano's closed-form solution in determinant form.
 
     Uses d0 = a2^2 - 3 a3 a1 and d1 = 2 a2^3 - 9 a3 a2 a1 + 27 a3^2 a0 with
     C = cbrt((d1 +- sqrt(d1^2 - 4 d0^3)) / 2), picking the sign that gives the
     larger |C| so C never vanishes unless d0 = d1 = 0, which is the triple
     root -a2 / (3 a3).
     """
-    a0, a1, a2, a3 = a
+    a0, a1, a2, a3 = _check_degree(p, 3, "solve_cubic")
     d0 = a2 * a2 - 3.0 * a3 * a1
     d1 = 2.0 * a2 ** 3 - 9.0 * a3 * a2 * a1 + 27.0 * a3 * a3 * a0
     inner = cmath.sqrt(complex(d1 * d1 - 4.0 * d0 ** 3))
@@ -262,13 +251,12 @@ def solve_roots(p):
     d = p.degree()
     if d < 1:
         raise DegreeMismatch("no roots to solve for degree %d" % d)
-    a = p.coeffs[: d + 1]
     if d == 1:
-        return _linear(a)
+        return solve_linear(p)
     if d == 2:
-        return _quadratic(a)
+        return solve_quadratic(p)
     if d == 3:
-        return _cubic(a)
+        return solve_cubic(p)
     return durand_kerner(p)
 
 
@@ -292,10 +280,11 @@ def lockstep_roots(p):
     is 1 or 2 and whose coefficients, discriminant and roots are finite;
     each column's effective degree; and its two roots as ((real, imag),
     (real, imag)) arrays, the second one meaningful at degree 2 only.
-    Degree 1 is ``_linear``'s -a0 / a1.  Degree 2 is ``_quadratic``: the
-    square root of the real discriminant as cmath.sqrt returns it, added
-    to -a1 as a complex number and divided by the float 2 a2 as CPython
-    divides a complex by a float (Smith's method, zero imaginary part).
+    Degree 1 is :func:`solve_linear`'s -a0 / a1.  Degree 2 is
+    :func:`solve_quadratic`: the square root of the real discriminant as
+    cmath.sqrt returns it, added to -a1 as a complex number and divided by
+    the float 2 a2 as CPython divides a complex by a float (Smith's method,
+    zero imaginary part).
     Columns outside ``closed`` need :func:`solve_roots`.
     """
     p = np.asarray(p, dtype=float)

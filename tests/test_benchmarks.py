@@ -7,7 +7,6 @@ from narxcomp.benchmarks import (
     BoucWenPlant,
     HammersteinHeater,
     SignalSpec,
-    bouc_wen_inverse,
     generate,
 )
 
@@ -153,22 +152,54 @@ def test_bouc_wen_loop_is_nearly_rate_independent():
     assert spans[0] == pytest.approx(spans[1], rel=5e-3)
 
 
-def test_bouc_wen_inverse_beats_raw_gain_inversion():
+def rk4_with_hdot(plant, u_series, substeps=1):
+    """The plant's integration written with a separate state-derivative
+    function, stage by stage on numpy scalars."""
+
+    def hdot(h, udot):
+        return plant.ALPHA * udot - plant.BETA * abs(udot) * h - plant.GAMMA * udot * abs(h)
+
+    u = np.asarray(u_series, dtype=float)
+    n = len(u)
+    y = np.empty(n)
+    du = np.zeros(n)
+    if n > 1:
+        du[0] = (u[1] - u[0]) / plant.DT
+        du[-1] = (u[-1] - u[-2]) / plant.DT
+    if n > 2:
+        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * plant.DT)
+    h = plant.h
+    step = plant.DT / substeps
+    for k in range(n):
+        y[k] = plant.NU_Y * u[k] - h
+        if k == n - 1:
+            break
+        for s in range(substeps):
+            v0 = du[k] + (du[k + 1] - du[k]) * (s / substeps)
+            v1 = du[k] + (du[k + 1] - du[k]) * ((s + 1) / substeps)
+            vm = 0.5 * (v0 + v1)
+            k1 = hdot(h, v0)
+            k2 = hdot(h + 0.5 * step * k1, vm)
+            k3 = hdot(h + 0.5 * step * k2, vm)
+            k4 = hdot(h + step * k3, v1)
+            h += step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    plant.h = h
+    return y
+
+
+@pytest.mark.parametrize("substeps", [1, 4])
+@pytest.mark.parametrize("hold_at", [None, 1130])
+def test_bouc_wen_matches_stagewise_rk4_exactly(substeps, hold_at):
     k = np.arange(2000)
-    r = 25.0 * np.sin(2.0 * np.pi * 1.0 * k * BoucWenPlant.DT)
-    m = bouc_wen_inverse(r)
-    y_comp = BoucWenPlant().simulate(m)
-    y_raw = BoucWenPlant().simulate(r / BoucWenPlant.NU_Y)
-    tail = slice(400, None)
-    err_comp = np.mean(np.abs(y_comp[tail] - r[tail]))
-    err_raw = np.mean(np.abs(y_raw[tail] - r[tail]))
-    assert err_comp < 0.5 * err_raw
-
-
-def test_bouc_wen_inverse_respects_given_gain():
-    r = np.linspace(0.0, 10.0, 50)
-    m = bouc_wen_inverse(r, nu_y=2.0)
-    assert m[0] == pytest.approx(r[0] / 2.0)
+    u = 60.0 * np.sin(2.0 * np.pi * 1.5 * k * BoucWenPlant.DT + 0.3)
+    if hold_at is not None:
+        u[hold_at:] = u[hold_at]
+    plant, ref = BoucWenPlant(), BoucWenPlant()
+    for part in (u[:1250], u[1250:]):  # the state carries over between calls
+        got = plant.simulate(part, substeps=substeps)
+        want = rk4_with_hdot(ref, part, substeps=substeps)
+        assert np.array_equal(got, want)
+        assert plant.h == ref.h
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Compensator construction, root selection, initialization, tracking runs."""
 
+import ast
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import narxcomp.compensator as comp
+import narxcomp.evaluation as ev
 import narxcomp.model as narx
 import narxcomp.poly as poly
 from narxcomp.model import Regime
@@ -441,3 +446,231 @@ def test_run_hysteretic_tracks_model_as_plant(bouc_wen_model, bouc_wen_loop):
     err = np.abs(y - r)[2:]
     assert np.max(err) < 0.01
     assert np.mean(err) / 40.0 < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Generated kernels
+
+
+def expand_terms(model, r, k, m_hist):
+    """Loading and unloading coefficients of the step-k equation in m(k),
+    expanded term by term from the Term and Factor objects."""
+    tau = model.tau_d
+    mp = m_hist[0]
+
+    def ref(i):
+        return float(r[min(max(i, 0), len(r) - 1)])
+
+    parts = []
+    for t in model.terms:
+        scalar, xpow, d, flip = t.coefficient, 0, 0, 0
+        for f in t.factors:
+            lag = f.lag - tau  # after the forward shift by tau_d
+            if f.signal is narx.Signal.OUTPUT_Y:
+                scalar *= ref(k + tau - f.lag) ** f.power
+            elif lag == 0 and f.signal is narx.Signal.INPUT_U:
+                xpow += f.power
+            elif lag == 0 and f.signal is narx.Signal.PHI1:
+                d += f.power
+            elif lag == 0:
+                flip += f.power
+            else:
+                x = m_hist[lag - 1]
+                if f.signal is not narx.Signal.INPUT_U:
+                    x = m_hist[lag - 1] - m_hist[lag]
+                    if f.signal is narx.Signal.PHI2:
+                        x = (x > 0.0) - (x < 0.0)
+                scalar *= x ** f.power
+        parts.append((scalar, xpow, d, flip % 2))
+    size = max([model.ell + 1 + model.is_hysteretic()] + [x + d + 1 for _, x, d, _ in parts])
+    load, unload = [0.0] * size, [0.0] * size
+    for scalar, xpow, d, flip in parts:
+        if scalar == 0.0:
+            continue
+        part = [scalar]
+        for _ in range(d):  # times (x - m(k-1))
+            part = [a - b * mp for a, b in zip([0.0] + part, part + [0.0])]
+        for i, c in enumerate(part, xpow):
+            load[i] += c
+            unload[i] += -c if flip else c
+    load[0] -= ref(k + tau)
+    unload[0] -= ref(k + tau)
+    return load, unload
+
+
+# few distinct values, so that equal neighbours (sign(0) = 0) are common
+HIST = st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0])
+# (kind, lag offset, power): inputs and increments lag tau_d + offset,
+# outputs 1 + offset
+STEP_FACTORS = st.tuples(
+    st.sampled_from(["y", "u", "phi1", "phi2"]), st.integers(0, 3), st.integers(1, 3)
+)
+STEP_TERMS = st.one_of(
+    st.lists(STEP_FACTORS, max_size=3),
+    st.just([("phi2", 0, 1)]),  # bare sign at the dead-time lag
+    st.integers(1, 3).map(lambda d: [("phi1", 0, d), ("phi2", 0, 1)]),
+)
+
+
+@st.composite
+def step_models(draw):
+    tau = draw(st.integers(1, 3))
+    terms = draw(st.lists(
+        st.tuples(st.floats(-2.0, 2.0) | st.just(0.0), STEP_TERMS), min_size=1, max_size=5
+    ))
+    factors = [
+        [(s, 1 + off if s == "y" else tau + off, p) for s, off, p in fs] for _, fs in terms
+    ]
+    return mk(
+        [term(c, *fs) for (c, _), fs in zip(terms, factors)],
+        n_y=max([lag for fs in factors for s, lag, _ in fs if s == "y"], default=1),
+        n_u=max([tau] + [lag for fs in factors for s, lag, _ in fs if s == "u"]),
+        tau_d=tau,
+        ell=max(1, max(sum(p for *_, p in fs) for fs in factors)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_models(), st.lists(HIST, min_size=6, max_size=6),
+       st.lists(HIST | st.floats(-3.0, 3.0), min_size=1, max_size=6), st.integers(0, 7))
+def test_step_kernel_equals_term_expansion(model, m_hist, r, k):
+    s = session_with_r(model, m_hist[:comp.hist_depth(model)], r)
+    load, unload = expand_terms(model, r, k, s.m_hist)
+    if model.is_hysteretic():
+        bp = comp.hysteresis_comp_polys(s, k)
+        got = (bp.loading.coeffs, bp.unloading.coeffs)
+    else:
+        p = comp.dynamic_comp_poly(s, k)
+        got = (p.coeffs, p.coeffs)
+    # repr tells signed zeros apart
+    assert repr(got) == repr((tuple(load), tuple(unload)))
+
+
+def reference_run(model, seeds, r):
+    """:func:`comp.run` step by step through the polynomial builders,
+    ``solve_roots`` and ``select_root``; returns m and the session."""
+    s = session_with_r(model, seeds, r)
+    out = []
+
+    def pick(p, m_prev, branch):
+        if p.degree() < 1:
+            return comp.HOLD
+        return comp.select_root(poly.solve_roots(p), m_prev, s.bounds, branch)
+
+    def note(p, m):
+        res = abs(poly.evaluate(p, m)) / (1.0 + max(abs(c) for c in p.coeffs))
+        s.max_residual = max(s.max_residual, res)
+
+    for k in range(len(r)):
+        m_prev = s.m_hist[0]
+        m = comp.HOLD
+        if model.is_hysteretic():
+            bp = comp.hysteresis_comp_polys(s, k)
+            up = pick(bp.loading, m_prev, Regime.LOADING)
+            down = pick(bp.unloading, m_prev, Regime.UNLOADING)
+            if up is not comp.HOLD and (
+                down is comp.HOLD
+                or (abs(up - m_prev), up) <= (abs(down - m_prev), down)
+            ):
+                m, s.branch_state = up, Regime.LOADING
+                note(bp.loading, m)
+            elif down is not comp.HOLD:
+                m, s.branch_state = down, Regime.UNLOADING
+                note(bp.unloading, m)
+        else:
+            p = comp.dynamic_comp_poly(s, k)
+            m = pick(p, m_prev, None)
+            if m is not comp.HOLD:
+                note(p, m)
+        if m is comp.HOLD:
+            m = m_prev
+            s.hold_count += 1
+        s.steps += 1
+        s.m_hist = [m] + s.m_hist[:-1]
+        out.append(m)
+    return np.array(out), s
+
+
+def phi1_squared_model():
+    """y(k) = 0.9 y(k-1) + 0.4 u(k-1) + 0.05 phi1(k-1)^2 u(k-1): the
+    branch polynomials are cubic in m(k)."""
+    return mk([term(0.9, ("y", 1, 1)), term(0.4, ("u", 1, 1)),
+               term(0.05, ("phi1", 1, 2), ("u", 1, 1)),
+               term(0.02, ("phi1", 1, 1), ("phi2", 1, 1))], ell=3)
+
+
+@pytest.mark.parametrize("case", ["heater", "bouc_wen", "cubic", "phi1_squared"])
+def test_run_equals_select_root_loop(case, heater_model, bouc_wen_model, bouc_wen_loop):
+    k = np.arange(240)
+    if case == "heater":
+        model = heater_model
+        r = 0.3 + 0.25 * np.sin(2 * np.pi * k / 80.0)  # peaks past what u <= 1 reaches
+        seeds = comp.init_dynamic(model, r[0])
+    elif case == "bouc_wen":
+        model = bouc_wen_model
+        r = 30.0 * np.sin(2 * np.pi * k / 60.0 + np.pi / 2)
+        r[150:170] = 200.0  # out of reach: holds
+        seeds = comp.init_hysteresis(model, bouc_wen_loop, r[0], r[1])
+    else:
+        model = cubic_hys_model()[0] if case == "cubic" else phi1_squared_model()
+        r = 2.0 * np.sin(2 * np.pi * k / 50.0)
+        r[100:110] = 1e4  # out of reach: holds
+        seeds = [0.0]
+    want, ref = reference_run(model, seeds, r)
+    s = comp.CompensationSession(model=model, m_hist=list(seeds))
+    got = comp.run(s, r)
+    assert np.array_equal(got, want)
+    assert (s.steps, s.hold_count, s.branch_state) == (ref.steps, ref.hold_count, ref.branch_state)
+    assert s.max_residual == ref.max_residual
+    assert s.hold_count > 0 and s.steps > s.hold_count
+
+
+def test_run_solves_cubic_steps():
+    # the phi1^2 u model needs the solver above degree 2 on every solved step
+    calls = []
+
+    def counting(p):
+        calls.append(p.degree())
+        return solve_roots(p)
+
+    solve_roots = poly.solve_roots
+    model = phi1_squared_model()
+    s = comp.CompensationSession(model=model, m_hist=[0.0])
+    try:
+        poly.solve_roots = counting
+        comp.run(s, 2.0 * np.sin(2 * np.pi * np.arange(50) / 50.0))
+    finally:
+        poly.solve_roots = solve_roots
+    assert calls and set(calls) == {3}
+    assert s.steps - s.hold_count > 40
+
+
+def float_literals(source):
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)}
+
+
+def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
+    a = ev.perturbed_model(bouc_wen_model, 0.01, [0.3, -1.2, 0.8, 2.0])
+    b = ev.perturbed_model(bouc_wen_model, 0.01, [-0.7, 0.1, 1.5, -0.4])
+    assert a.table != b.table
+    for kernel in (narx._evaluator, comp._step_kernel):
+        ka, kb = kernel(a), kernel(b)
+        assert ka.func.__code__ is kb.func.__code__
+        assert kernel(valve_model).func.__code__ is not ka.func.__code__
+        # coefficients are arguments: only the expansion's constants are literals
+        assert float_literals(ka.func.source) <= {0.0, 1.0}
+        assert ka.args == (tuple(c for c, _ in a.table),)
+
+
+def test_run_holds_on_nearly_real_roots():
+    # x^2 + x + 0.25 + 2.5e-15 = 0 at step 0: roots -0.5 +- 5e-8 i, whose
+    # imaginary part exceeds DEFAULT_IM_TOL relative to the real part
+    model = mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(1.0, ("u", 1, 1))],
+               ell=2)
+    r = np.array([0.0, -0.25 - 2.5e-15])
+    want, ref = reference_run(model, [0.0], r)
+    s = comp.CompensationSession(model=model, m_hist=[0.0])
+    assert np.array_equal(comp.run(s, r), want)
+    assert (s.steps, s.hold_count, s.max_residual) == (ref.steps, ref.hold_count, ref.max_residual)
+    assert s.hold_count == 1 and want[0] == 0.0 and want[1] != 0.0

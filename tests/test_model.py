@@ -1,6 +1,7 @@
 """Model structure, simulation, steady-state analysis, loops, serialization."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -241,6 +242,21 @@ def test_one_step_equals_term_walk(model, y_hist, u_hist, z):
     # replace() in perturbed_model must compile the new coefficients
     pm = ev.perturbed_model(model, 0.1, z)
     assert narx.one_step(pm, y_hist, u_hist) == walk_terms(pm, y_hist, u_hist)
+
+
+def test_one_step_rejects_non_integer_lag():
+    # lags and powers reach the generated evaluator only as integers
+    m = mk([term(1.0, ("y", 1.5, 1))])
+    with pytest.raises(TypeError):
+        narx.one_step(m, [1.0, 2.0], [0.0, 0.0])
+
+
+def test_model_pickles_after_its_kernels_are_built(valve_model):
+    want = narx.one_step(valve_model, [3.0, 2.9], [3.2, 3.1])
+    narx.simulate_free_run(valve_model, [3.0, 3.5], [3.0, 3.0])
+    copy = pickle.loads(pickle.dumps(valve_model))
+    assert copy == valve_model
+    assert narx.one_step(copy, [3.0, 2.9], [3.2, 3.1]) == want
 
 
 def iterate_one_step(model, u, y_init):
