@@ -216,7 +216,8 @@ def check_reachable(key, model, r, loop=None):
 
     Every level must lie in the model's ``output_band()``, which
     :func:`narxcomp.compensator.solve_static` accepts; with a seeding
-    ``loop``, r(1) must also lie within the loop's output span.
+    ``loop``, r(1) must also lie within the output span of the branch that
+    :func:`narxcomp.compensator.init_hysteresis` inverts it on.
     """
     r = np.asarray(r, dtype=float)
     r_lo, r_hi = model.output_band()
@@ -226,11 +227,13 @@ def check_reachable(key, model, r, loop=None):
             "[%g, %g] of the model" % (r.min(), r.max(), r_lo, r_hi)
         )
     if loop is not None:
-        y_lo, y_hi = loop.y_span()
+        regime = comp.seed_regime(r[0], r[1])
+        ys = loop.branch(regime)[:, 1]
+        y_lo, y_hi = float(ys.min()), float(ys.max())
         if not y_lo <= r[1] <= y_hi:
             raise ConfigError(
-                key, "r(1) = %g outside the output span [%g, %g] of the seeding loop"
-                % (r[1], y_lo, y_hi)
+                key, "r(1) = %g outside the output span [%g, %g] of the seeding "
+                "loop's %s branch" % (r[1], y_lo, y_hi, regime.name.lower())
             )
 
 

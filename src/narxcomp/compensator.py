@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -27,8 +26,10 @@ from .model import (
     loop_inverse,
     stable_fixed_point_lockstep,
     static_rows,
-    compile_kernel,
+    bind_kernel,
+    indented,
     kernel_factor,
+    kernel_shift,
     term_values,
     with_coefficients,
 )
@@ -59,6 +60,10 @@ class _HoldType:
 
 #: Sentinel returned by :func:`select_root` when no admissible root exists.
 HOLD = _HoldType()
+
+# Regime members as module globals: reading them off the class costs about
+# ten times as much, and the step loop tests them on every root
+LOADING, UNLOADING = Regime.LOADING, Regime.UNLOADING
 
 
 @dataclass(frozen=True)
@@ -272,48 +277,128 @@ def _step_plan(model):
     return plan
 
 
-def _step_kernel(model):
-    """The model's step-coefficient kernel ``coeffs(r, j, m_hist)``,
-    generated from :func:`_step_plan` and cached on the model.
+def _step_lines(model, m, branches):
+    """Unindented source adding each term of the step-k equation into the
+    sums ``L<i>`` (loading) and ``U<i>`` (unloading) of the powers x^i,
+    x = m(k), and the slots i that some term reaches.
 
-    It returns the loading and unloading coefficient lists of the step-k
-    equation f(...) - r(k + tau_d) = 0 in x = m(k), equal for a model with
-    no phi2 at lag tau_d; ``r[j]`` is r(k + tau_d) and ``r[j - lag]`` the
-    reference an output lag reads.  Per term in table order the known
-    factors multiply the coefficient, a zero product is skipped, the rest
-    is expanded times (x - m(k-1))^d as [0.0] + part and part + [0.0]
-    combine, and added to each list, negated on the unloading branch where
-    the term flips; r(k + tau_d) comes off the constant last.
+    ``m % i`` is the source of m(k-1-i), ``r[j]`` is r(k + tau_d), and the
+    local ``mp`` must hold m(k-1); ``branches`` is "LU", or "L" for the
+    loading sums alone.  Per term in table order the known factors multiply
+    the coefficient, a zero product is skipped, the rest is expanded times
+    (x - m(k-1))^d as [0.0] + part and part + [0.0] combine, and added to
+    each sum, negated on the unloading branch where the term flips.
     """
-    kernel = model._step_kernel
-    if kernel is not None:
-        return kernel
-    terms, size = _step_plan(model)
+    terms, _ = _step_plan(model)
     signs = {}
     body = []
+    slots = {0}
     for i, (_, known, xpow, d, flip) in enumerate(terms):
         t = ["c[%d]" % i] + [
-            kernel_factor(kind, lag, power, "r[j - %d]" % lag, "m", signs)
+            kernel_factor(kind, lag, power, "r[j - %d]" % lag, m, signs)
             for kind, lag, power in known
         ]
-        body += ["    t = " + " * ".join(t), "    if t != 0.0:"]
+        body += ["t = " + " * ".join(t), "if t != 0.0:"]
         part = ["t"]
         for level in range(1, d + 1):  # times (x - m_prev)
             names = ["d%d_%d" % (level, n) for n in range(len(part) + 1)]
             for name, a, b in zip(names, ["0.0"] + part, part + ["0.0"]):
-                body.append("        %s = %s - %s * mp" % (name, a, b))
+                body.append("    %s = %s - %s * mp" % (name, a, b))
             part = names
         for slot, c in enumerate(part, xpow):
-            body.append("        L%d += %s" % (slot, c))
-            body.append("        U%d += %s%s" % (slot, "-" if flip else "", c))
+            slots.add(slot)
+            body.append("    L%d += %s" % (slot, c))
+            if "U" in branches:
+                body.append("    U%d += %s%s" % (slot, "-" if flip else "", c))
+    return [line for pair in signs.values() for line in pair] + body, sorted(slots)
+
+
+def _step_kernel(model):
+    """The model's step-coefficient kernel ``coeffs(r, j, m_hist)``,
+    generated from :func:`_step_lines` and cached on the model.
+
+    It returns the loading and unloading coefficient lists of the step-k
+    equation f(...) - r(k + tau_d) = 0 in x = m(k), equal for a model with
+    no phi2 at lag tau_d; ``r[j]`` is r(k + tau_d) and ``r[j - lag]`` the
+    reference an output lag reads.  r(k + tau_d) comes off the constant
+    last.
+    """
+    kernel = model._step_kernel
+    if kernel is not None:
+        return kernel
+    _, size = _step_plan(model)
+    lines, _ = _step_lines(model, "m[%d]", "LU")
     lists = ["[%s0 - rn%s]" % (b, "".join(", %s%d" % (b, i) for i in range(1, size))) for b in "LU"]
     source = "\n".join(
-        ["def kernel(c, r, j, m):", "    mp = m[0]"] + list(signs.values())
-        + ["    %s = 0.0" % " = ".join(b + str(i) for b in "LU" for i in range(size))]
-        + body + ["    rn = r[j]", "    return %s, %s\n" % tuple(lists)]
+        ["def kernel(c, r, j, m):", "    mp = m[0]",
+         "    %s = 0.0" % " = ".join(b + str(i) for b in "LU" for i in range(size))]
+        + indented(lines, 1) + ["    rn = r[j]", "    return %s, %s\n" % tuple(lists)]
     )
-    kernel = partial(compile_kernel(source), tuple(c for c, *_ in terms))
+    kernel = bind_kernel(model, source)
     object.__setattr__(model, "_step_kernel", kernel)
+    return kernel
+
+
+def _run_kernel(model):
+    """The model's compensation loop ``loop(r, j, n, session)``, generated
+    from :func:`_step_lines` and cached on the model.
+
+    It runs n steps of :func:`run` on ``session``, the first against the
+    reference ``r[j]`` = r(k + tau_d), with m(k-1), m(k-2), ... in locals,
+    and returns the inputs as a list.  Each branch sums only the slots some
+    term reaches; the others hold a structural 0.0, which changes neither
+    the degree nor the residual.  Where every coefficient is finite and the
+    degree is 1 or 2, :func:`_closed_pick` solves and selects; otherwise
+    :func:`_pick` takes the full coefficient list.  The session's steps,
+    holds, ``max_residual``, ``branch_state`` and ``m_hist`` are written
+    back when the loop ends, also when a step raises.
+    """
+    kernel = model._run_kernel
+    if kernel is not None:
+        return kernel
+    _, size = _step_plan(model)
+    hysteretic = model.is_hysteretic()
+    branches = "LU" if hysteretic else "L"
+    lines, slots = _step_lines(model, "m%d", branches)
+    ms = ["m%d" % i for i in range(hist_depth(model))]
+    step = ["mp = m0", "%s = 0.0" % " = ".join(b + str(i) for b in branches for i in slots)]
+    step += lines + ["rn = r[j]"]
+    regimes = ("LOADING", "UNLOADING") if hysteretic else ("None",)
+    for b, regime in zip(branches, regimes):
+        coefs = ["a"] + ["%s%d" % (b, i) if i in slots else "0.0" for i in range(1, size)]
+        closed = (coefs + ["0.0"])[:3] + coefs[3:slots[-1] + 1]
+        step += [
+            "a = %s0 - rn" % b,
+            "x = solve(mp, bounds, %s, %s)" % (regime, ", ".join(closed)),
+            "if x is None:",
+            "    x = pick([%s], mp, bounds, %s)" % (", ".join(coefs), regime),
+            "x%s, e%s = x" % (b, b),
+        ]
+    if hysteretic:  # the nearer admissible root; loading wins ties
+        step += [
+            "if xL is not HOLD and (xU is HOLD or (abs(xL - mp), xL) <= (abs(xU - mp), xU)):",
+            "    x, state = xL, LOADING", "    if eL > res:", "        res = eL",
+            "elif xU is not HOLD:",
+            "    x, state = xU, UNLOADING", "    if eU > res:", "        res = eU",
+        ]
+    else:
+        step += ["if xL is not HOLD:", "    x = xL", "    if eL > res:", "        res = eL"]
+    step += ["else:", "    x = mp", "    holds += 1", "append(x)", kernel_shift(ms, "x")]
+    source = "\n".join(
+        ["from %s import HOLD, LOADING, UNLOADING, _closed_pick as solve, _pick as pick"
+         % __name__, "def kernel(c, r, j, n, s):"]
+        + indented(["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)), "bounds = s.bounds",
+                    "holds, res, state = 0, s.max_residual, s.branch_state",
+                    "out = []", "append = out.append", "try:",
+                    "    for j in range(j, j + n):"], 1)
+        + indented(step, 3)
+        + indented(["finally:", "    s.steps += len(out)", "    s.hold_count += holds",
+                    "    s.max_residual = res", "    s.branch_state = state",
+                    "    s.m_hist[:] = (out[::-1] + s.m_hist)[:len(s.m_hist)]",
+                    "return out\n"], 1)
+    )
+    kernel = bind_kernel(model, source)
+    object.__setattr__(model, "_run_kernel", kernel)
     return kernel
 
 
@@ -374,9 +459,9 @@ def _nearest(xs, m_prev, bounds, branch):
     for x in xs:
         if not lo <= x <= hi:
             continue
-        if branch is Regime.LOADING and not x > m_prev:
+        if branch is LOADING and not x > m_prev:
             continue
-        if branch is Regime.UNLOADING and not x < m_prev:
+        if branch is UNLOADING and not x < m_prev:
             continue
         if best is HOLD or (abs(x - m_prev), x) < (abs(best - m_prev), best):
             best = x
@@ -390,84 +475,91 @@ def init_dynamic(model, r_at_start):
 
 
 def init_hysteresis(model, loop, r0, r1):
-    """Seed the input history from a traced hysteresis loop.
-
-    The initial regime is loading when the reference starts upward
-    (r1 >= r0, ties load), unloading otherwise; the seed is the loop-branch
-    input that would produce r1.
-    """
-    regime = Regime.LOADING if r1 >= r0 else Regime.UNLOADING
-    m0 = loop_inverse(loop, r1, regime)
+    """Seed the input history from a traced hysteresis loop: the input
+    that would produce r1 on the branch :func:`seed_regime` names."""
+    m0 = loop_inverse(loop, r1, seed_regime(r0, r1))
     return [m0] * hist_depth(model)
 
 
-def _pick(p, m_prev, bounds, branch):
-    """:func:`select_root` over the roots of the coefficient list ``p``, or
-    HOLD when ``p`` has degree < 1.  Degree 1 and 2 are solved here, rounded
-    as :func:`narxcomp.poly.solve_roots` rounds them; higher degrees call it."""
-    d = poly.effective_degree(p)
-    if d < 1:
-        return HOLD
+def seed_regime(r0, r1):
+    """The branch :func:`init_hysteresis` seeds on: loading when the
+    reference starts upward (r1 >= r0, ties load), unloading otherwise."""
+    return LOADING if r1 >= r0 else UNLOADING
+
+
+def _closed_roots(d, a0, a1, a2):
+    """The real roots of a0 + a1 x + a2 x^2, of effective degree ``d`` (1
+    or 2), as :func:`select_root` reads them from
+    :func:`narxcomp.poly.solve_roots`: rounded as it rounds them, then
+    filtered by the ``DEFAULT_IM_TOL`` realness test."""
     if d == 1:
         # complex(-a0 / a1) has no imaginary part, so the root is real
-        return _nearest((-p[0] / p[1],), m_prev, bounds, branch)
-    if d > 2:
-        return select_root(poly.solve_roots(AlgebraicPolynomial(p)), m_prev, bounds, branch)
-    a0, a1, a2 = p[0], p[1], p[2]
+        return (-a0 / a1,)
     s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
-    reals = [
-        r.real for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
-        if abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real))
-    ]
-    return _nearest(reals, m_prev, bounds, branch)
+    xs = []
+    for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)):
+        # a zero imaginary part passes the test below for any real part
+        if r.imag == 0.0 or abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real)):
+            xs.append(r.real)
+    return xs
 
 
-def _note_residual(session, p, m):
-    """Raise ``session.max_residual`` to the scaled residual of the root
-    ``m`` of the full coefficient list ``p``, evaluated as
-    :func:`narxcomp.poly.evaluate` evaluates it."""
+def _pick(p, m_prev, bounds, branch):
+    """(x, residual): :func:`select_root` over the roots of the coefficient
+    list ``p``, and the scaled residual |p(x)| / (1 + max |p_i|) of that
+    root, p(x) evaluated as :func:`narxcomp.poly.evaluate` evaluates it;
+    (HOLD, 0.0) when no root is admissible or ``p`` has degree < 1.  Degree
+    1 and 2 are solved here; higher degrees call ``solve_roots``."""
+    d = poly.effective_degree(p)
+    if d < 1:
+        return HOLD, 0.0
+    if d > 2:
+        x = select_root(poly.solve_roots(AlgebraicPolynomial(p)), m_prev, bounds, branch)
+    else:
+        x = _nearest(_closed_roots(d, p[0], p[1], p[2] if d == 2 else 0.0),
+                     m_prev, bounds, branch)
+    if x is HOLD:
+        return HOLD, 0.0
     acc = 0.0
     for c in reversed(p):
-        acc = acc * m + c
-    res = abs(acc) / (1.0 + max(map(abs, p)))
-    if res > session.max_residual:
-        session.max_residual = res
+        acc = acc * x + c
+    return x, abs(acc) / (1.0 + max(map(abs, p)))
 
 
-def _step(session, kernel, r, j):
-    """One step of :func:`run`: solve for m(k) on the coefficient lists
-    ``kernel(r, j, m_hist)``, or hold m(k-1), and shift the chosen input
-    into ``session.m_hist``."""
-    m_hist = session.m_hist
-    m_prev = m_hist[0]
-    load, unload = kernel(r, j, m_hist)
-    if session.model.is_hysteretic():
-        m_load = _pick(load, m_prev, session.bounds, Regime.LOADING)
-        m_unload = _pick(unload, m_prev, session.bounds, Regime.UNLOADING)
-        m = HOLD
-        if m_load is not HOLD and (
-            m_unload is HOLD
-            or (abs(m_load - m_prev), m_load)
-            <= (abs(m_unload - m_prev), m_unload)
-        ):
-            m = m_load
-            session.branch_state = Regime.LOADING
-            _note_residual(session, load, m)
-        elif m_unload is not HOLD:
-            m = m_unload
-            session.branch_state = Regime.UNLOADING
-            _note_residual(session, unload, m)
+def _closed_pick(m_prev, bounds, branch, a0, a1, a2, *high):
+    """:func:`_pick` of the list [a0, a1, a2, *high] when all of it is finite
+    and its degree is 1 or 2, else None.
+
+    Bit for bit as :func:`_pick`: the ``LEADING_ZERO_RTOL`` degree rule,
+    :func:`_closed_roots` and Horner from the top coefficient.  A list that
+    :func:`_pick` would get with more zeros on top gives the same result:
+    the zeros change neither the largest magnitude nor, for a finite
+    root, the Horner sum.
+    """
+    t = a0 + a1 + a2
+    for h in high:
+        t += h
+    if t - t != 0.0:  # an inf or NaN coefficient (or an overflowing sum)
+        return None
+    b1, b2 = abs(a1), abs(a2)
+    big = max(abs(a0), b1, b2)
+    tol = poly.LEADING_ZERO_RTOL * big
+    for h in high:
+        if abs(h) > tol:
+            return None
+    if b2 > tol:
+        d = 2
+    elif b1 > tol:
+        d = 1
     else:
-        m = _pick(load, m_prev, session.bounds, None)
-        if m is not HOLD:
-            _note_residual(session, load, m)
-    if m is HOLD:
-        m = m_prev
-        session.hold_count += 1
-    session.steps += 1
-    m_hist.insert(0, float(m))
-    del m_hist[-1]
-    return m
+        return None
+    x = _nearest(_closed_roots(d, a0, a1, a2), m_prev, bounds, branch)
+    if x is HOLD:
+        return HOLD, 0.0
+    acc = 0.0
+    for h in reversed(high):
+        acc = acc * x + h
+    return x, abs(((acc * x + a2) * x + a1) * x + a0) / (1.0 + big)
 
 
 def _reference(r, model):
@@ -487,13 +579,11 @@ def run(session, r_series):
     session; the run never aborts because of a hold.
     """
     session.r = np.asarray(r_series, dtype=float)
-    m_out = np.empty(len(session.r))
-    if len(m_out):
-        kernel = _step_kernel(session.model)
-        r, j = _reference(session.r, session.model)
-        for k in range(len(m_out)):
-            m_out[k] = _step(session, kernel, r, j + k)
-    return m_out
+    n = len(session.r)
+    if not n:
+        return np.empty(0)
+    r, j = _reference(session.r, session.model)
+    return np.array(_run_kernel(session.model)(r, j, n, session))
 
 
 def _select_lockstep(p, m_prev, bounds, loading):
@@ -525,9 +615,12 @@ def run_lockstep(models, coefs, seeds, r_series):
     the roots of degree 1 and 2 in closed form with the rounding of the
     scalar path, so each run's inputs equal :func:`run`'s bit for bit.  A
     run whose polynomial at a step has another degree, or non-finite
-    coefficients or roots, takes the scalar step.  Returns (m, errors): the
+    coefficients or roots, takes the scalar step: one step of
+    :func:`_run_kernel`, as :func:`run` takes it.  Returns (m, errors): the
     inputs, one row per run, and the exception raised for each run index
-    whose scalar step failed; such a run is not stepped further.
+    whose scalar step failed.  Such a run takes no further scalar step, but
+    its column is still stepped in lockstep with the others, so its row
+    holds no meaningful inputs and is to be discarded.
     """
     model = models[0]
     r = np.asarray(r_series, dtype=float)
@@ -575,7 +668,7 @@ def run_lockstep(models, coefs, seeds, r_series):
                 continue
             session = CompensationSession(models[i], [float(c[i]) for c in cols])
             try:
-                m[i] = _step(session, _step_kernel(models[i]), r_ext, j + k)
+                m[i] = _run_kernel(models[i])(r_ext, j + k, 1, session)[0]
             except Exception as e:
                 errors[i] = e
         out[:, k] = m

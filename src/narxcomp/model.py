@@ -14,7 +14,6 @@ History arguments are ordered most-recent-first: ``y_hist[0]`` is y(k-1),
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -103,9 +102,12 @@ class NarxModel:
     _max_y_lag: int = field(init=False, repr=False, compare=False)
     _max_phi_lag: int = field(init=False, repr=False, compare=False)
     # Generated kernels (see compile_kernel) and the per-step compensation
-    # plan, built on first use and cached; the compensator builds the last two.
+    # plan, built on first use and cached; the compensator builds the last
+    # three.
     _one_step: object = field(default=None, init=False, repr=False, compare=False)
+    _free_run: object = field(default=None, init=False, repr=False, compare=False)
     _step_kernel: object = field(default=None, init=False, repr=False, compare=False)
+    _run_kernel: object = field(default=None, init=False, repr=False, compare=False)
     _step_plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,7 +129,8 @@ class NarxModel:
 
     def __getstate__(self):
         # generated kernels do not pickle; they are rebuilt on first use
-        return dict(self.__dict__, _one_step=None, _step_kernel=None)
+        return dict(self.__dict__, _one_step=None, _free_run=None,
+                    _step_kernel=None, _run_kernel=None)
 
     def is_hysteretic(self):
         return self._hysteretic
@@ -191,6 +194,10 @@ class HysteresisLoop:
         ys = np.concatenate([self.loading[:, 1], self.unloading[:, 1]])
         return float(ys.min()), float(ys.max())
 
+    def branch(self, regime):
+        """The (u, y) rows of the loading or the unloading branch."""
+        return self.loading if regime is Regime.LOADING else self.unloading
+
 
 def validate(model):
     """Structural checks.  Returns a list of violation messages (empty = ok)."""
@@ -249,66 +256,102 @@ def compile_kernel(source):
 def kernel_factor(kind, lag, power, y_read, u, signs):
     """Source of one (kind, lag, power) table factor, read as :func:`one_step`
     reads it: ``y_read`` is the source of the output read at this lag, and
-    the input history is named ``u`` (most-recent-first).  A phi2 factor
-    names a variable whose two lines, added to ``signs`` once per lag,
-    compute sign(0) = 0.  Lags and powers must be integers."""
+    ``u % i`` the source of the input i + 1 samples back.  A phi2 factor
+    names a variable whose two unindented lines, added to ``signs`` once
+    per lag, compute sign(0) = 0.  Lags and powers must be integers."""
     lag, power = operator.index(lag), operator.index(power)
     if kind == "y":
         x = y_read
     elif kind == "u":
-        x = "%s[%d]" % (u, lag - 1)
+        x = u % (lag - 1)
     elif kind == "phi1":
-        x = "(%s[%d] - %s[%d])" % (u, lag - 1, u, lag)
+        x = "(%s - %s)" % (u % (lag - 1), u % lag)
     elif kind == "phi2":
         x = "s%d" % lag
         if x not in signs:
-            signs[x] = (
-                "    %s = %s[%d] - %s[%d]\n" % (x, u, lag - 1, u, lag)
-                + "    %s = 1.0 if %s > 0.0 else -1.0 if %s < 0.0 else 0.0" % (x, x, x)
-            )
+            signs[x] = [
+                "%s = %s - %s" % (x, u % (lag - 1), u % lag),
+                "%s = 1.0 if %s > 0.0 else -1.0 if %s < 0.0 else 0.0" % (x, x, x),
+            ]
     else:
         raise ValueError("unknown factor kind %r" % (kind,))
     return x if power == 1 else "%s ** %d" % (x, power)
 
 
+def indented(lines, depth):
+    """``lines`` indented by ``depth`` levels of four spaces."""
+    return ["    " * depth + line for line in lines]
+
+
+def _output_source(model, y, u):
+    """The sign lines and the expression of y(k): per term, the coefficient
+    ``c[i]`` times its factors in table order, summed from 0.0 in table
+    order; ``y % i`` and ``u % i`` are the sources of the output and input
+    i + 1 samples back."""
+    signs = {}
+    terms = [
+        " * ".join(["c[%d]" % i] + [
+            kernel_factor(kind, lag, power, y % (lag - 1), u, signs)
+            for kind, lag, power in factors
+        ])
+        for i, (_, factors) in enumerate(model.table)
+    ]
+    return [line for pair in signs.values() for line in pair], " + ".join(["0.0"] + terms)
+
+
+def bind_kernel(model, source):
+    """The kernel compiled from ``source`` with the model's coefficients
+    bound as its first argument."""
+    return partial(compile_kernel(source), tuple(c for c, _ in model.table))
+
+
 def _evaluator(model):
     """The model's one-step evaluator ``step(y_hist, u_hist)``, generated
-    from its table and cached on the model: per term, the coefficient
-    times its factors in table order, summed from 0.0 in table order."""
+    from its table and cached on the model."""
     step = model._one_step
     if step is None:
-        signs = {}
-        terms = [
-            " * ".join(["c[%d]" % i] + [
-                kernel_factor(kind, lag, power, "y[%d]" % (lag - 1), "u", signs)
-                for kind, lag, power in factors
-            ])
-            for i, (_, factors) in enumerate(model.table)
-        ]
+        signs, expr = _output_source(model, "y[%d]", "u[%d]")
         source = "\n".join(
-            ["def kernel(c, y, u):"] + list(signs.values())
-            + ["    return " + " + ".join(["0.0"] + terms)]
+            ["def kernel(c, y, u):"] + indented(signs, 1) + ["    return " + expr]
         ) + "\n"
-        step = partial(compile_kernel(source), tuple(c for c, _ in model.table))
+        step = bind_kernel(model, source)
         object.__setattr__(model, "_one_step", step)
     return step
 
 
-def _simulate(step, y_hist, u_hist, inputs):
-    """Outputs of the evaluator ``step`` for ``inputs``, each fed back into
-    the histories, which shift in place.  Stops before the first non-finite
-    output."""
-    out = []
-    for u_k in inputs:
-        val = step(y_hist, u_hist)
-        if not math.isfinite(val):
-            break
-        out.append(val)
-        y_hist.insert(0, val)
-        y_hist.pop()
-        u_hist.insert(0, u_k)
-        u_hist.pop()
-    return out
+def _free_run_kernel(model):
+    """The model's free-run loop ``run(y_hist, u_hist, inputs)``, generated
+    from the expression of :func:`_evaluator` and cached on the model.
+
+    ``y_hist`` holds n_y outputs and ``u_hist`` u_depth inputs,
+    most-recent-first; the loop keeps them in locals and writes them back,
+    shifted, at the end.  Returns the outputs for the list ``inputs``, each
+    fed back as one_step iterated would feed it, and stops before the first
+    non-finite output.
+    """
+    run = model._free_run
+    if run is None:
+        ys = ["y%d" % i for i in range(model.n_y)]
+        us = ["u%d" % i for i in range(model.u_depth)]
+        signs, expr = _output_source(model, "y%d", "u%d")
+        source = "\n".join(
+            ["from math import isfinite", "def kernel(c, y, u, inputs):"]
+            + indented(["%s, = y" % ", ".join(ys), "%s, = u" % ", ".join(us), "out = []",
+                        "append = out.append", "for uk in inputs:"], 1)
+            + indented(signs + ["v = " + expr, "if not isfinite(v):", "    break",
+                                "append(v)", kernel_shift(ys, "v"), kernel_shift(us, "uk")], 2)
+            + indented(["y[:] = [%s]" % ", ".join(ys), "u[:] = [%s]" % ", ".join(us),
+                        "return out"], 1)
+        ) + "\n"
+        run = bind_kernel(model, source)
+        object.__setattr__(model, "_free_run", run)
+    return run
+
+
+def kernel_shift(names, new):
+    """Source that shifts ``new`` into the history held in the locals
+    ``names``, most-recent-first."""
+    return "%s = %s" % (", ".join(names), ", ".join([new] + names[:-1]))
 
 
 def one_step(model, y_hist, u_hist):
@@ -336,9 +379,9 @@ def simulate_free_run(model, u_series, y_init):
         raise InsufficientHistory(
             "y_init needs %d samples, got %d" % (model.n_y, len(y_init))
         )
-    y_hist = [float(v) for v in y_init]
+    y_hist = [float(v) for v in y_init[:model.n_y]]
     u_hist = [u[0] if u else 0.0] * model.u_depth
-    y = _simulate(_evaluator(model), y_hist, u_hist, u)
+    y = _free_run_kernel(model)(y_hist, u_hist, u)
     if len(y) < len(u):
         raise NonFinite("output diverged at sample %d" % len(y))
     return np.array(y, dtype=float)
@@ -607,7 +650,7 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     if period < 8:
         raise ValueError("period of %d samples is too coarse to trace" % period)
 
-    step = _evaluator(model)
+    free_run = _free_run_kernel(model)
     u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
     y_hist = [0.0] * model.n_y
     prev_y = None
@@ -616,7 +659,7 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     for p in range(max_periods):
         ks = np.arange(p * period, (p + 1) * period, dtype=float)
         u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
-        y_p = np.array(_simulate(step, y_hist, u_hist, u_p.tolist()))
+        y_p = np.array(free_run(y_hist, u_hist, u_p.tolist()))
         if len(y_p) < period:
             raise NonFinite("loop trace diverged in period %d" % p)
         if prev_y is not None:
@@ -656,7 +699,7 @@ def loop_inverse(loop, y_target, regime):
     Linear interpolation between adjacent traced points; raises
     :class:`OutOfLoopRange` if no branch segment brackets the target.
     """
-    branch = loop.loading if regime is Regime.LOADING else loop.unloading
+    branch = loop.branch(regime)
     t = float(y_target)
     for i in range(len(branch) - 1):
         u0, y0 = branch[i]

@@ -305,6 +305,18 @@ def test_reference_outside_seeding_loop_is_config_error(capsys):
     assert "seeding loop" in err
 
 
+def test_reference_outside_seeding_branch_is_config_error(capsys):
+    # r(1) = 65.6867 >= r(0) seeds on the loading branch, which tops out at
+    # 65.6666, though the loop as a whole reaches 65.709
+    signal = ["--signal", "sine:G0=65.69,f=1,phase=1.5294"]
+    for argv in (["compensate", "-m", "bouc_wen"],
+                 ["montecarlo", "-m", "bouc_wen", "--rel-std", "0.005", "--runs", "4"]):
+        code, _, err = run_cli(argv + signal, capsys)
+        assert code == 2
+        assert err.startswith("error: signal: r(1) = 65.6867 outside the output span "
+                              "[-65.709, 65.6666] of the seeding loop's loading branch")
+
+
 def test_montecarlo_grid_outside_output_range_is_config_error(capsys):
     code, _, err = run_cli(
         ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "5",

@@ -1,10 +1,12 @@
 """Compensator construction, root selection, initialization, tracking runs."""
 
 import ast
+import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import narxcomp.compensator as comp
@@ -513,10 +515,10 @@ STEP_TERMS = st.one_of(
 
 
 @st.composite
-def step_models(draw):
-    tau = draw(st.integers(1, 3))
+def step_models(draw, term_factors=STEP_TERMS, taus=st.integers(1, 3)):
+    tau = draw(taus)
     terms = draw(st.lists(
-        st.tuples(st.floats(-2.0, 2.0) | st.just(0.0), STEP_TERMS), min_size=1, max_size=5
+        st.tuples(st.floats(-2.0, 2.0) | st.just(0.0), term_factors), min_size=1, max_size=5
     ))
     factors = [
         [(s, 1 + off if s == "y" else tau + off, p) for s, off, p in fs] for _, fs in terms
@@ -546,10 +548,11 @@ def test_step_kernel_equals_term_expansion(model, m_hist, r, k):
     assert repr(got) == repr((tuple(load), tuple(unload)))
 
 
-def reference_run(model, seeds, r):
+def reference_run(model, seeds, r, s=None):
     """:func:`comp.run` step by step through the polynomial builders,
-    ``solve_roots`` and ``select_root``; returns m and the session."""
-    s = session_with_r(model, seeds, r)
+    ``solve_roots`` and ``select_root``; returns m and the session, which
+    may be passed in as ``s``."""
+    s = s or session_with_r(model, seeds, r)
     out = []
 
     def pick(p, m_prev, branch):
@@ -599,6 +602,31 @@ def phi1_squared_model():
                term(0.02, ("phi1", 1, 1), ("phi2", 1, 1))], ell=3)
 
 
+def run_outcome(run):
+    """(m as bytes, None) or (None, (exception type, message))."""
+    try:
+        return run().tobytes(), None
+    except Exception as e:
+        return None, (type(e), str(e))
+
+
+def run_state(s):
+    # repr tells signed zeros apart
+    return repr((s.steps, s.hold_count, s.max_residual, s.branch_state, s.m_hist))
+
+
+def assert_run_equals_reference(model, seeds, r):
+    """:func:`comp.run` and :func:`reference_run` agree bit for bit: m, or
+    the exception raised, and the session's steps, holds, max_residual,
+    branch_state and m_hist.  Returns the session."""
+    ref = session_with_r(model, seeds, r)
+    want = run_outcome(lambda: reference_run(model, seeds, r, ref)[0])
+    s = comp.CompensationSession(model=model, m_hist=list(seeds))
+    assert run_outcome(lambda: comp.run(s, r)) == want
+    assert run_state(s) == run_state(ref)
+    return s
+
+
 @pytest.mark.parametrize("case", ["heater", "bouc_wen", "cubic", "phi1_squared"])
 def test_run_equals_select_root_loop(case, heater_model, bouc_wen_model, bouc_wen_loop):
     k = np.arange(240)
@@ -616,13 +644,77 @@ def test_run_equals_select_root_loop(case, heater_model, bouc_wen_model, bouc_we
         r = 2.0 * np.sin(2 * np.pi * k / 50.0)
         r[100:110] = 1e4  # out of reach: holds
         seeds = [0.0]
-    want, ref = reference_run(model, seeds, r)
-    s = comp.CompensationSession(model=model, m_hist=list(seeds))
-    got = comp.run(s, r)
-    assert np.array_equal(got, want)
-    assert (s.steps, s.hold_count, s.branch_state) == (ref.steps, ref.hold_count, ref.branch_state)
-    assert s.max_residual == ref.max_residual
+    s = assert_run_equals_reference(model, seeds, r)
     assert s.hold_count > 0 and s.steps > s.hold_count
+
+
+# at most two factors of power <= 2 (steps of degree <= 4), and a term
+# cubic in m(k); inputs and increments lag tau_d + offset, so the per-step
+# polynomials read up to three past inputs
+RUN_TERMS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["y", "u", "phi1", "phi2"]), st.integers(0, 2),
+                       st.integers(1, 2)), max_size=2),
+    st.just([("u", 0, 3)]),
+    st.just([("phi2", 0, 1)]),
+    st.integers(1, 2).map(lambda d: [("phi1", 0, d), ("phi2", 0, 1)]),
+)
+REFERENCE = HIST | st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # m(k-2) and phi1(k-2) deeper than tau_d, a cubic step, a NaN and an inf
+    model=mk([term(0.9, ("y", 1, 1)), term(0.4, ("u", 1, 1)), term(0.3, ("u", 2, 1)),
+              term(0.05, ("phi1", 1, 2), ("u", 1, 1)),
+              term(0.02, ("phi1", 2, 1), ("phi2", 1, 1))], n_u=2, ell=3),
+    seeds=[0.5, -0.25, 0.0, 2.0, 0.5, 0.5],
+    r=[0.5, 1.0, math.nan, 0.7, 1.2, math.inf, -0.3, 0.2, 1.5, 40.0, 2.0],
+)
+@example(  # an x^3 coefficient under LEADING_ZERO_RTOL: quadratic steps whose
+    # residual still reads it
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(1.0, ("u", 1, 1)),
+              term(3e-15, ("u", 1, 3))], ell=3),
+    seeds=[0.5] * 6,
+    r=[0.3, 0.7, 1.1, -0.2, 2.0, 0.9],
+)
+@given(step_models(RUN_TERMS, st.integers(1, 2)), st.lists(HIST, min_size=6, max_size=6),
+       st.lists(REFERENCE, min_size=1, max_size=12))
+def test_run_equals_select_root_loop_on_random_models(model, seeds, r):
+    assert_run_equals_reference(model, seeds[:comp.hist_depth(model)], r)
+
+
+@pytest.mark.parametrize("case", ["bouc_wen", "slot1"])
+def test_run_takes_the_full_list_on_non_finite_coefficients(case, bouc_wen_model, bouc_wen_loop):
+    if case == "bouc_wen":
+        # r(20) = NaN and r(40) = inf reach the coefficients at steps 19 and
+        # 39 (as r(k + tau_d)) and 20 and 40 (through the y(k-1) terms): at
+        # each of those steps both branches hand their five-slot list to _pick
+        model = bouc_wen_model
+        k = np.arange(60)
+        r = 30.0 * np.sin(2 * np.pi * k / 60.0 + np.pi / 2)
+        r[20], r[40] = np.nan, np.inf
+        seeds = comp.init_hysteresis(model, bouc_wen_loop, r[0], r[1])
+        full = [5] * 8
+    else:
+        # x^2 + 0.2 r(k) x - r(k + 1): at steps 2 and 4 only the x coefficient
+        # is non-finite, at steps 1 and 3 only the constant
+        model = mk([term(0.2, ("y", 1, 1), ("u", 1, 1)), term(1.0, ("u", 1, 2))], ell=2)
+        r = np.array([0.5, 0.6, np.nan, 0.7, np.inf, 0.8])
+        seeds = [0.5]
+        full = [3] * 4
+    assert assert_run_equals_reference(model, seeds, r).hold_count >= 4
+    lists = []
+
+    def counting(p):
+        lists.append(len(p))
+        return degree(p)
+
+    degree = poly.effective_degree
+    try:
+        poly.effective_degree = counting
+        comp.run(comp.CompensationSession(model=model, m_hist=list(seeds)), r)
+    finally:
+        poly.effective_degree = degree
+    assert lists == full
 
 
 def test_run_solves_cubic_steps():
@@ -654,13 +746,29 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
     a = ev.perturbed_model(bouc_wen_model, 0.01, [0.3, -1.2, 0.8, 2.0])
     b = ev.perturbed_model(bouc_wen_model, 0.01, [-0.7, 0.1, 1.5, -0.4])
     assert a.table != b.table
-    for kernel in (narx._evaluator, comp._step_kernel):
+    kernels = (narx._evaluator, narx._free_run_kernel, comp._step_kernel, comp._run_kernel)
+    for kernel in kernels:
         ka, kb = kernel(a), kernel(b)
         assert ka.func.__code__ is kb.func.__code__
         assert kernel(valve_model).func.__code__ is not ka.func.__code__
         # coefficients are arguments: only the expansion's constants are literals
         assert float_literals(ka.func.source) <= {0.0, 1.0}
         assert ka.args == (tuple(c for c, _ in a.table),)
+    # the free run evaluates the one-step expression, histories renamed to locals
+    expr = narx._evaluator(a).func.source.rstrip().split("return ")[1]
+    assert "v = " + re.sub(r"([yu])\[(\d+)\]", r"\1\2", expr) in narx._free_run_kernel(a).func.source
+
+
+def test_run_keeps_roots_within_the_realness_tolerance():
+    # x^2 + 0.02 x + 1.0000000000000002e-4 = 0 at step 0: roots -0.01 +- 1.2e-10 i,
+    # real by the DEFAULT_IM_TOL test
+    model = mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(0.02, ("u", 1, 1))],
+               ell=2)
+    r = np.array([0.0, -1.0000000000000002e-4])
+    roots = poly.solve_roots(comp.dynamic_comp_poly(session_with_r(model, [0.0], r), 0)).roots
+    assert all(0.0 < abs(x.imag) <= poly.DEFAULT_IM_TOL for x in roots)
+    assert assert_run_equals_reference(model, [0.0], r).hold_count == 0
+    assert comp.run(comp.CompensationSession(model=model, m_hist=[0.0]), r)[0] == roots[0].real
 
 
 def test_run_holds_on_nearly_real_roots():

@@ -5,9 +5,10 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import narxcomp.compensator as comp
 import narxcomp.evaluation as ev
 import narxcomp.model as narx
 from narxcomp.model import Factor, NarxModel, Regime, Signal, Term
@@ -254,39 +255,92 @@ def test_one_step_rejects_non_integer_lag():
 def test_model_pickles_after_its_kernels_are_built(valve_model):
     want = narx.one_step(valve_model, [3.0, 2.9], [3.2, 3.1])
     narx.simulate_free_run(valve_model, [3.0, 3.5], [3.0, 3.0])
+    narx.hysteresis_loop(valve_model, 0.5, 0.1, 3.0)
+    comp.run(comp.CompensationSession(valve_model, [3.0]), [3.0, 3.1, 3.2])
+    comp.hysteresis_comp_polys(comp.CompensationSession(valve_model, [3.0], r=[3.0, 3.1]), 0)
+    kernels = ("_one_step", "_free_run", "_step_kernel", "_run_kernel")
+    assert all(getattr(valve_model, name) is not None for name in kernels)
     copy = pickle.loads(pickle.dumps(valve_model))
     assert copy == valve_model
+    assert all(getattr(copy, name) is None for name in kernels)
     assert narx.one_step(copy, [3.0, 2.9], [3.2, 3.1]) == want
 
 
-def iterate_one_step(model, u, y_init):
-    y_hist = list(y_init)
-    u_hist = [u[0]] * 6
+def iterate_one_step(model, u, y_hist, u_hist):
+    """one_step iterated over the inputs ``u`` as a free run feeds it, up to
+    the first non-finite output: (outputs, whether one came, and the
+    histories shifted past the outputs)."""
     out = []
     for u_k in u:
         val = narx.one_step(model, y_hist, u_hist)
         if not math.isfinite(val):
-            return None
+            return out, True, y_hist, u_hist
         out.append(val)
         y_hist = [val] + y_hist[:-1]
         u_hist = [u_k] + u_hist[:-1]
-    return out
+    return out, False, y_hist, u_hist
+
+
+U_VALUES = st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), min_size=1, max_size=30)
 
 
 @settings(max_examples=200, deadline=None)
-@given(MODELS, st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), min_size=1,
-                        max_size=30))
+@example(model=mk([term(2.0, ("y", 1, 1))]), u=[0.0] * 1100)  # overflows at 1025
+@given(MODELS, U_VALUES)
 def test_free_run_equals_iterated_one_step(model, u):
     y_init = [0.3] * model.n_y
     try:
-        want = iterate_one_step(model, u, y_init)
+        want, diverged, *_ = iterate_one_step(model, u, y_init, [u[0]] * model.u_depth)
     except OverflowError:
-        want = None
+        want, diverged = "OverflowError", False
     try:
         got = narx.simulate_free_run(model, u, y_init).tolist()
-    except (narx.NonFinite, OverflowError):
-        got = None
-    assert got == want
+    except OverflowError:
+        got = "OverflowError"
+    except narx.NonFinite as e:
+        assert diverged and str(e) == "output diverged at sample %d" % len(want)
+        return
+    # repr tells signed zeros apart
+    assert not diverged and repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS, U_VALUES, st.integers(0, 30))
+def test_free_run_kernel_carries_histories(model, u, cut):
+    # two calls on the same history lists continue one free run, and each
+    # stops before its first non-finite output with the histories shifted
+    # past the outputs it returned
+    y_hist, u_hist = [0.3] * model.n_y, [u[0]] * model.u_depth
+    try:
+        want = iterate_one_step(model, u, list(y_hist), list(u_hist))
+        first = iterate_one_step(model, u[:cut], list(y_hist), list(u_hist))
+    except OverflowError:
+        return
+    run = narx._free_run_kernel(model)
+    got = run(y_hist, u_hist, u[:cut])
+    assert repr((got, y_hist, u_hist)) == repr((first[0], first[2], first[3]))
+    if not first[1]:
+        got += run(y_hist, u_hist, u[cut:])
+    assert repr((got, y_hist, u_hist)) == repr((want[0], want[2], want[3]))
+
+
+def test_loop_equals_one_step_iterated_across_periods(valve_model, valve_loop):
+    # the settled period, found by the loop's own rule, from one_step
+    # iterated period after period on carried histories
+    period = valve_loop.period
+    y_hist, u_hist = [0.0] * valve_model.n_y, [3.0] * valve_model.u_depth
+    prev = None
+    for p in range(64):
+        ks = np.arange(p * period, (p + 1) * period, dtype=float)
+        u_p = (2.0 * np.sin(2.0 * np.pi * 0.001 * ks) + 3.0).tolist()
+        y_p, _, y_hist, u_hist = iterate_one_step(valve_model, u_p, y_hist, u_hist)
+        if prev is not None and max(abs(a - b) for a, b in zip(y_p, prev)) < 1e-8 * max(
+                1.0, max(y_p) - min(y_p)):
+            break
+        prev = y_p
+    rows = np.vstack([valve_loop.loading, valve_loop.unloading]).tolist()
+    assert p > 1
+    assert repr(sorted(map(tuple, rows))) == repr(sorted(zip(u_p, y_p)))
 
 
 # ---------------------------------------------------------------------------
