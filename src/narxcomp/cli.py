@@ -422,7 +422,7 @@ def cmd_montecarlo(args):
         check_reachable("grid", model, grid)
         band = ev.monte_carlo(
             model, args.rel_std, args.runs,
-            ev.heater_static_sweep(grid), args.seed, grid=grid,
+            ev.HeaterStaticSweep(grid), args.seed, grid=grid,
         )
         header = ("r", "mean", "std", "lo", "hi")
     else:

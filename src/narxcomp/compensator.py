@@ -14,7 +14,8 @@ held.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .model import (
     indented,
     kernel_factor,
     kernel_shift,
-    term_values,
     with_coefficients,
 )
 
@@ -491,11 +491,21 @@ def _closed_roots(d, a0, a1, a2):
     """The real roots of a0 + a1 x + a2 x^2, of effective degree ``d`` (1
     or 2), as :func:`select_root` reads them from
     :func:`narxcomp.poly.solve_roots`: rounded as it rounds them, then
-    filtered by the ``DEFAULT_IM_TOL`` realness test."""
+    filtered by the ``DEFAULT_IM_TOL`` realness test.
+
+    A finite discriminant above 1e-300 takes ``math.sqrt`` and float
+    division, which give the same floats: there ``cmath.sqrt`` scales by
+    powers of 4 only, exactly so far above 8 * DBL_MIN, and the complex
+    division adds a zero to a numerator that is never -0.0 and leaves a
+    zero imaginary part."""
     if d == 1:
         # complex(-a0 / a1) has no imaginary part, so the root is real
         return (-a0 / a1,)
-    s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if 1e-300 < disc < math.inf:
+        s = math.sqrt(disc)
+        return ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
+    s = cmath.sqrt(complex(disc))
     xs = []
     for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)):
         # a zero imaginary part passes the test below for any real part
@@ -542,7 +552,11 @@ def _closed_pick(m_prev, bounds, branch, a0, a1, a2, *high):
     if t - t != 0.0:  # an inf or NaN coefficient (or an overflowing sum)
         return None
     b1, b2 = abs(a1), abs(a2)
-    big = max(abs(a0), b1, b2)
+    big = abs(a0)
+    if b1 > big:
+        big = b1
+    if b2 > big:
+        big = b2
     tol = poly.LEADING_ZERO_RTOL * big
     for h in high:
         if abs(h) > tol:
@@ -584,94 +598,3 @@ def run(session, r_series):
         return np.empty(0)
     r, j = _reference(session.r, session.model)
     return np.array(_run_kernel(session.model)(r, j, n, session))
-
-
-def _select_lockstep(p, m_prev, bounds, loading):
-    """:func:`select_root` over the closed-form roots of each column of
-    ``p``: (m, found, closed) per column.  ``loading`` is None for no
-    branch condition, else a mask of the columns that need m > m_prev (C3);
-    the others need m < m_prev (C4)."""
-    closed, degree, roots = poly.lockstep_roots(p)
-    lo, hi = bounds
-    picks = []
-    for slot, (x, im) in enumerate(roots):
-        ok = poly.lockstep_real(x, im) & (lo <= x) & (x <= hi) & (degree > slot)
-        if loading is not None:
-            ok &= np.where(loading, x > m_prev, x < m_prev)
-        picks.append((x, ok, np.abs(x - m_prev)))
-    (x1, ok1, d1), (x2, ok2, d2) = picks
-    second = ok2 & (~ok1 | (d2 < d1) | ((d2 == d1) & (x2 < x1)))
-    return np.where(second, x2, x1), ok1 | ok2, closed
-
-
-@np.errstate(all="ignore")
-def run_lockstep(models, coefs, seeds, r_series):
-    """:func:`run` for many models of one structure, stepped together.
-
-    ``models[i]`` carries the table coefficients ``coefs[i]`` and starts
-    from the input history ``seeds[i]`` (most-recent-first, as ``m_hist``).
-    Every step builds the polynomials of all runs over the shared
-    :func:`_step_plan`, term by term in table order, and solves and selects
-    the roots of degree 1 and 2 in closed form with the rounding of the
-    scalar path, so each run's inputs equal :func:`run`'s bit for bit.  A
-    run whose polynomial at a step has another degree, or non-finite
-    coefficients or roots, takes the scalar step: one step of
-    :func:`_run_kernel`, as :func:`run` takes it.  Returns (m, errors): the
-    inputs, one row per run, and the exception raised for each run index
-    whose scalar step failed.  Such a run takes no further scalar step, but
-    its column is still stepped in lockstep with the others, so its row
-    holds no meaningful inputs and is to be discarded.
-    """
-    model = models[0]
-    r = np.asarray(r_series, dtype=float)
-    n_runs, n = len(models), len(r)
-    cols = [np.array([s[j] for s in seeds], dtype=float) for j in range(hist_depth(model))]
-    coef_cols = np.asarray(coefs, dtype=float).T.copy()
-    terms, size = _step_plan(model)
-    hysteretic = model.is_hysteretic()
-    loading = np.arange(2 * n_runs) < n_runs if hysteretic else None
-    bounds = tuple(model.input_range)
-    r_ext, j = _reference(r, model)
-    out = np.empty((n_runs, n))
-    errors = {}
-    for k in range(n):
-        m_prev = cols[0]
-        r_hist = [r_ext[j + k - lag] for lag in range(1, model.max_y_lag() + 1)]
-        p = np.zeros((size, 2 * n_runs if hysteretic else n_runs))
-        load, unload = p[:, :n_runs], p[:, n_runs:]
-        for coef, (_, known, xpow, d, flip) in zip(coef_cols, terms):
-            part = [term_values(coef, known, r_hist, cols)]
-            for _ in range(d):  # times (x - m_prev)
-                part = [a - b * m_prev for a, b in zip([0.0] + part, part + [0.0])]
-            for i, c in enumerate(part, xpow):
-                load[i] += c
-                if flip:
-                    unload[i] -= c
-                elif hysteretic:
-                    unload[i] += c
-        p[0] -= r_ext[j + k]
-        if hysteretic:
-            both = np.concatenate([m_prev, m_prev])
-            x, found, closed = _select_lockstep(p, both, bounds, loading)
-            m_load, m_unload = x[:n_runs], x[n_runs:]
-            f_load, f_unload = found[:n_runs], found[n_runs:]
-            d_load, d_unload = np.abs(m_load - m_prev), np.abs(m_unload - m_prev)
-            take_load = f_load & (~f_unload | (d_load < d_unload)
-                                  | ((d_load == d_unload) & (m_load <= m_unload)))
-            m = np.where(take_load, m_load, np.where(f_unload, m_unload, m_prev))
-            slow = ~(closed[:n_runs] & closed[n_runs:])
-        else:
-            x, found, closed = _select_lockstep(p, m_prev, bounds, None)
-            m, slow = np.where(found, x, m_prev), ~closed
-        for i in np.flatnonzero(slow):
-            if i in errors:
-                continue
-            session = CompensationSession(models[i], [float(c[i]) for c in cols])
-            try:
-                m[i] = _run_kernel(models[i])(r_ext, j + k, 1, session)[0]
-            except Exception as e:
-                errors[i] = e
-        out[:, k] = m
-        cols.insert(0, m)
-        cols.pop()
-    return out, errors

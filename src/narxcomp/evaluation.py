@@ -196,12 +196,6 @@ class HeaterStaticSweep:
         return results
 
 
-def heater_static_sweep(grid):
-    """Experiment factory: static inversion per reference level, applied to
-    the heater plant's settled response."""
-    return HeaterStaticSweep(grid)
-
-
 class TrackingExperiment:
     """Experiment: compensate the reference ``r`` with a perturbed model and
     return the output of a fresh plant from ``plant_factory()``.
@@ -216,48 +210,15 @@ class TrackingExperiment:
         self.plant_factory = plant_factory
         self.loop_spec = loop_spec
 
-    def _seed(self, model):
+    def __call__(self, model):
         r0, r1 = float(self.r[0]), float(self.r[1])
         if self.loop_spec is not None:
             loop = narx.hysteresis_loop(model, *self.loop_spec)
-            return comp.init_hysteresis(model, loop, r0, r1)
-        return comp.init_dynamic(model, r0)
-
-    def __call__(self, model):
-        session = comp.CompensationSession(model, list(self._seed(model)))
+            seed = comp.init_hysteresis(model, loop, r0, r1)
+        else:
+            seed = comp.init_dynamic(model, r0)
+        session = comp.CompensationSession(model, list(seed))
         return self.plant_factory().simulate(comp.run(session, self.r))
-
-    def batch(self, model, coefs):
-        """Seeds (loop traces included) run by run, then every seeded run's
-        compensation in lockstep, then the plant: one lockstep free run for
-        a :class:`ModelPlant`, a fresh plant per run otherwise."""
-        results = [None] * len(coefs)
-        models, seeds, live = [], [], []
-        for i, row in enumerate(coefs):
-            pm = narx.with_coefficients(model, row)
-            try:
-                seeds.append(self._seed(pm))
-            except Exception as e:
-                results[i] = e
-                continue
-            models.append(pm)
-            live.append(i)
-        if not live:
-            return results
-        m, errors = comp.run_lockstep(models, coefs[live], seeds, self.r)
-        plant = self.plant_factory()
-        lockstep = plant.simulate_runs(m) if isinstance(plant, ModelPlant) else None
-        for j, i in enumerate(live):
-            if j in errors:
-                results[i] = errors[j]
-            elif lockstep is not None:
-                results[i] = lockstep[j]
-            else:
-                try:
-                    results[i] = self.plant_factory().simulate(m[j])
-                except Exception as e:
-                    results[i] = e
-        return results
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +251,6 @@ class ModelPlant:
             self.model, u_ext, [self.r_start] * self.model.n_y
         )
         return y[1:]
-
-    def simulate_runs(self, u_rows):
-        """:meth:`simulate` on every row of ``u_rows`` in lockstep; a run
-        that diverges yields the :class:`NonFinite` ``simulate`` raises."""
-        u_rows = np.asarray(u_rows, dtype=float)
-        u_ext = np.hstack([np.full((len(u_rows), 1), self.seed_value), u_rows])
-        ys = narx.simulate_free_runs(self.model, u_ext, [self.r_start] * self.model.n_y)
-        return [y if isinstance(y, Exception) else y[1:] for y in ys]
 
 
 def compensation_experiment(model, plant_factory, r, *, loop_spec=None,

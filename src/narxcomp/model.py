@@ -399,53 +399,6 @@ def _power(x, power):
     return x ** power
 
 
-def term_values(value, factors, y_hist, u_hist):
-    """``value`` times the product of ``factors``, (kind, lag, power)
-    entries of a compiled table, for many runs at once: ``value`` and the
-    history entries may be arrays with one element per run.  Products round
-    as in :func:`one_step`; the histories must be finite (phi2 of a NaN
-    increment is NaN here)."""
-    for kind, lag, power in factors:
-        if kind == "y":
-            x = y_hist[lag - 1]
-        else:
-            x = u_hist[lag - 1]
-            if kind != "u":
-                x = x - u_hist[lag]
-                if kind == "phi2":
-                    x = np.sign(x)
-        value = value * _power(x, power)
-    return value
-
-
-@np.errstate(all="ignore")
-def simulate_free_runs(model, u_rows, y_init):
-    """:func:`simulate_free_run` on every row of ``u_rows``, in lockstep.
-
-    Returns one entry per row: its outputs, bit for bit those of
-    :func:`simulate_free_run`, or the :class:`NonFinite` that it raises.
-    """
-    u_cols = np.asarray(u_rows, dtype=float).T
-    n, runs = u_cols.shape
-    y_hist = [float(v) for v in y_init]
-    u_hist = [u_cols[0]] * model.u_depth
-    y = np.empty((runs, n))
-    for k in range(n):
-        acc = np.zeros(runs)
-        for coefficient, factors in model.table:
-            acc += term_values(coefficient, factors, y_hist, u_hist)
-        y[:, k] = acc
-        y_hist.insert(0, acc)
-        y_hist.pop()
-        u_hist.insert(0, u_cols[k])
-        u_hist.pop()
-    finite = np.isfinite(y)
-    return [
-        row if ok.all() else NonFinite("output diverged at sample %d" % np.argmin(ok))
-        for row, ok in zip(y, finite)
-    ]
-
-
 def static_polynomial(model, u_bar, branch_sign=0):
     """Steady-state polynomial in y_bar for a constant input u_bar.
 

@@ -315,7 +315,7 @@ def test_criterion_10_monte_carlo_static_sweep(heater_model, capsys):
     grid = 0.05 + 0.05 * np.arange(9)
     bands = [
         ev.monte_carlo(
-            heater_model, 0.005, 1000, ev.heater_static_sweep(grid), SEED,
+            heater_model, 0.005, 1000, ev.HeaterStaticSweep(grid), SEED,
             grid=grid,
         )
         for _ in range(2)
@@ -327,7 +327,7 @@ def test_criterion_10_monte_carlo_static_sweep(heater_model, capsys):
         and band.n_skipped == 0
     )
 
-    nominal = ev.heater_static_sweep(grid)(heater_model)
+    nominal = ev.HeaterStaticSweep(grid)(heater_model)
     std_err = band.std / np.sqrt(band.n_runs - band.n_skipped)
     shift = np.abs(band.mean - nominal) / std_err
     low = band.grid < 0.3

@@ -1,8 +1,10 @@
 """Compensator construction, root selection, initialization, tracking runs."""
 
 import ast
+import cmath
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -782,3 +784,40 @@ def test_run_holds_on_nearly_real_roots():
     assert np.array_equal(comp.run(s, r), want)
     assert (s.steps, s.hold_count, s.max_residual) == (ref.steps, ref.hold_count, ref.max_residual)
     assert s.hold_count == 1 and want[0] == 0.0 and want[1] != 0.0
+
+
+def complex_quadratic_roots(a0, a1, a2):
+    """The real roots of a0 + a1 x + a2 x^2 through cmath's square root and
+    complex/float division, filtered by the DEFAULT_IM_TOL realness test."""
+    s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
+    xs = []
+    for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)):
+        if r.imag == 0.0 or abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real)):
+            xs.append(r.real)
+    return xs
+
+
+def roots_or_error(solve, *coefficients):
+    try:
+        return repr(list(solve(*coefficients)))
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+# with a1 = 0 and a2 = -1/4 the discriminant is exactly a0
+@example(a0=1.0, a1=2.0, a2=1.0)  # discriminant exactly 0
+@example(a0=1e-300, a1=0.0, a2=-0.25)
+@example(a0=math.nextafter(1e-300, 1.0), a1=0.0, a2=-0.25)
+@example(a0=math.nextafter(1e-300, 0.0), a1=0.0, a2=-0.25)
+@example(a0=math.nextafter(8 * sys.float_info.min, 0.0), a1=0.0, a2=-0.25)  # cmath rounds apart
+@example(a0=5e-324, a1=0.0, a2=-0.25)  # subnormal
+@example(a0=1.0, a1=1e200, a2=1.0)  # a1 * a1 overflows to inf
+@example(a0=0.0, a1=1.0, a2=-1.0)  # -a1 + s rounds to +0.0, the root is -0.0
+@example(a0=-math.inf, a1=1.0, a2=1.0)
+@example(a0=1.0, a1=math.inf, a2=1.0)
+@example(a0=1.0, a1=1.0, a2=math.inf)
+@example(a0=1.0, a1=1.0, a2=1e308)  # 2 * a2 overflows to inf
+@given(a0=st.floats(), a1=st.floats(), a2=st.floats())
+def test_closed_roots_equal_the_complex_solve(a0, a1, a2):
+    assert (roots_or_error(comp._closed_roots, 2, a0, a1, a2)
+            == roots_or_error(complex_quadratic_roots, a0, a1, a2))

@@ -116,9 +116,9 @@ def test_perturbed_model_scales_relative_to_magnitude():
 def test_monte_carlo_zero_spread_collapses_band(heater_model):
     grid = np.array([0.1, 0.2, 0.3])
     band = ev.monte_carlo(
-        heater_model, 0.0, 8, ev.heater_static_sweep(grid), SEED, grid=grid
+        heater_model, 0.0, 8, ev.HeaterStaticSweep(grid), SEED, grid=grid
     )
-    nominal = ev.heater_static_sweep(grid)(heater_model)
+    nominal = ev.HeaterStaticSweep(grid)(heater_model)
     assert np.allclose(band.mean, nominal)
     # All runs are bitwise identical; the residual std is reduction-order
     # rounding in the column mean, a few ulp at most.
@@ -133,21 +133,21 @@ def test_monte_carlo_bit_reproducible(heater_model):
     grid = np.array([0.1, 0.25])
     runs = [
         ev.monte_carlo(
-            heater_model, 0.005, 50, ev.heater_static_sweep(grid), SEED, grid=grid
+            heater_model, 0.005, 50, ev.HeaterStaticSweep(grid), SEED, grid=grid
         )
         for _ in range(2)
     ]
     assert np.array_equal(runs[0].mean, runs[1].mean)
     assert np.array_equal(runs[0].std, runs[1].std)
     other = ev.monte_carlo(
-        heater_model, 0.005, 50, ev.heater_static_sweep(grid), SEED + 1, grid=grid
+        heater_model, 0.005, 50, ev.HeaterStaticSweep(grid), SEED + 1, grid=grid
     )
     assert not np.array_equal(runs[0].mean, other.mean)
 
 
 def test_monte_carlo_static_batch_matches_per_run(heater_model):
     grid = np.array([0.15, 0.3])
-    sweep = ev.heater_static_sweep(grid)
+    sweep = ev.HeaterStaticSweep(grid)
     batch = ev.monte_carlo(heater_model, 0.005, 40, sweep, SEED, grid=grid)
     per_run = ev.monte_carlo(heater_model, 0.005, 40, _plain(sweep), SEED, grid=grid)
     assert _same_band(batch, per_run)
@@ -180,7 +180,7 @@ def test_monte_carlo_raises_when_every_run_fails(heater_model):
 def test_monte_carlo_band_is_mean_plus_minus_two_std(heater_model):
     grid = np.array([0.2])
     band = ev.monte_carlo(
-        heater_model, 0.005, 60, ev.heater_static_sweep(grid), SEED, grid=grid
+        heater_model, 0.005, 60, ev.HeaterStaticSweep(grid), SEED, grid=grid
     )
     assert np.allclose(band.lo, band.mean - 2.0 * band.std)
     assert np.allclose(band.hi, band.mean + 2.0 * band.std)
@@ -217,10 +217,10 @@ def test_monte_carlo_batch_gets_the_perturbed_coefficient_matrix(bouc_wen_model)
         ]
 
 
-def test_heater_static_sweep_experiment(heater_model):
+def test_static_sweep_experiment(heater_model):
     t1, t2, t3 = 0.8958185, 0.06393347, -0.01746750
     grid = np.array([0.2, 0.3])
-    out = ev.heater_static_sweep(grid)(heater_model)
+    out = ev.HeaterStaticSweep(grid)(heater_model)
     for i, r_bar in enumerate(grid):
         m_bar = np.sqrt(r_bar * (1.0 - t1 - t3) / t2)
         assert out[i] == pytest.approx(
@@ -408,7 +408,8 @@ def test_monte_carlo_tracking_band_covers_reference(bouc_wen_model):
 
 
 # ---------------------------------------------------------------------------
-# Lockstep Monte Carlo: the batch forms give the per-run band bit for bit
+# Lockstep Monte Carlo: the static sweep's batch form gives the per-run band
+# bit for bit
 
 
 def _plain(experiment):
@@ -425,12 +426,9 @@ def _same_band(a, b):
     )
 
 
-def _self_plant(model, r, loop_spec=None):
-    """Plant factory running the model itself from its nominal seed."""
-    if loop_spec is None:
-        seed = comp.init_dynamic(model, r[0])
-    else:
-        seed = comp.init_hysteresis(model, narx.hysteresis_loop(model, *loop_spec), r[0], r[1])
+def _self_plant(model, r, loop_spec):
+    """Plant factory running the model itself from its nominal loop seed."""
+    seed = comp.init_hysteresis(model, narx.hysteresis_loop(model, *loop_spec), r[0], r[1])
     return lambda: ev.ModelPlant(model, seed[0], r[0])
 
 
@@ -439,82 +437,32 @@ def _with_term(model, coefficient, *factors):
     return replace(model, terms=model.terms + (term,), n_u=max(model.n_u, *(f[1] for f in factors)))
 
 
-def _lockstep_case(name, models):
-    """(model, rel_std, n_runs, experiment) of one lockstep scenario."""
-    k = np.arange(200)
-    if name == "bouc_wen":
-        model = models["bouc_wen"]
-        r = 30.0 * np.sin(2 * np.pi * 0.005 * k + np.pi / 2)
-        spec = (80.0, 0.005, 0.0)
-        return model, 0.005, 6, ev.TrackingExperiment(r, _self_plant(model, r, spec), spec)
-    if name == "valve":
-        model = models["valve"]
-        r = 2.5 + np.sin(2 * np.pi * 0.01 * k)
-        spec = (2.0, 0.01, 3.0)
-        return model, 0.02, 6, ev.TrackingExperiment(r, _self_plant(model, r, spec), spec)
-    if name == "heater_known_input":
-        # tau_d = 2 with a u(k-3) term: a known input factor from m_hist
-        model = _with_term(models["heater"], 0.004, ("u", 3, 1))
-        r = 0.25 + 0.1 * np.sin(2 * np.pi * 0.005 * k)
-        return model, 0.01, 6, ev.TrackingExperiment(r, HammersteinHeater)
-    if name == "heater_holds":
-        model = models["heater"]
-        r = 0.25 + 0.2 * np.sin(2 * np.pi * 0.05 * k)
-        return model, 0.01, 6, ev.TrackingExperiment(r, _self_plant(model, r))
-    if name == "cubic_fallback":
-        # phi1(k-1)^2 u(k-1) makes every step's polynomial a cubic
-        model = _with_term(models["bouc_wen"], 2e-4, ("phi1", 1, 2), ("u", 1, 1))
-        r = 30.0 * np.sin(2 * np.pi * 0.005 * k[:60] + np.pi / 2)
-        spec = (80.0, 0.005, 0.0)
-        return model, 0.005, 3, ev.TrackingExperiment(r, _self_plant(model, r, spec), spec)
-    grid = np.array([0.05, 0.2, 0.45])
-    return models["heater"], 0.05, 30, ev.heater_static_sweep(grid)
-
-
-@pytest.fixture(scope="module")
-def lockstep_models(heater_model, bouc_wen_model, valve_model):
-    return {"heater": heater_model, "bouc_wen": bouc_wen_model, "valve": valve_model}
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["bouc_wen", "valve", "heater_known_input", "heater_holds", "cubic_fallback",
-     "heater_static"],
-)
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_lockstep_band_equals_per_run_band(lockstep_models, name, seed):
-    model, rel_std, n_runs, experiment = _lockstep_case(name, lockstep_models)
-    batch = ev.monte_carlo(model, rel_std, n_runs, experiment, seed)
-    per_run = ev.monte_carlo(model, rel_std, n_runs, _plain(experiment), seed)
+def test_static_sweep_band_equals_per_run_band(heater_model, seed):
+    sweep = ev.HeaterStaticSweep(np.array([0.05, 0.2, 0.45]))
+    batch = ev.monte_carlo(heater_model, 0.05, 30, sweep, seed)
+    per_run = ev.monte_carlo(heater_model, 0.05, 30, _plain(sweep), seed)
     assert _same_band(batch, per_run)
     assert batch.n_skipped == sum(batch.skip_reasons.values())
 
 
-def test_lockstep_cases_reach_holds_and_the_scalar_fallback(lockstep_models):
-    model, _, _, experiment = _lockstep_case("heater_holds", lockstep_models)
-    session = comp.CompensationSession(model, comp.init_dynamic(model, experiment.r[0]))
-    comp.run(session, experiment.r)
+def test_lockstep_cases_reach_holds_and_the_scalar_fallback(heater_model, bouc_wen_model):
+    k = np.arange(200)
+    r = 0.25 + 0.2 * np.sin(2 * np.pi * 0.05 * k)
+    session = comp.CompensationSession(heater_model, comp.init_dynamic(heater_model, r[0]))
+    comp.run(session, r)
     assert session.hold_count > 0
-    model, _, _, experiment = _lockstep_case("cubic_fallback", lockstep_models)
-    loop = narx.hysteresis_loop(model, *experiment.loop_spec)
-    r = experiment.r
+    # phi1(k-1)^2 u(k-1) makes every step's polynomial a cubic, which `run`
+    # hands to the general solver instead of the closed form
+    model = _with_term(bouc_wen_model, 2e-4, ("phi1", 1, 2), ("u", 1, 1))
+    r = 30.0 * np.sin(2 * np.pi * 0.005 * k[:60] + np.pi / 2)
+    loop = narx.hysteresis_loop(model, 80.0, 0.005, 0.0)
     session = comp.CompensationSession(model, comp.init_hysteresis(model, loop, r[0], r[1]))
     session.r = r
     assert comp.hysteresis_comp_polys(session, 0).loading.degree() == 3
-    m, errors = comp.run_lockstep([model], [[c for c, _ in model.table]],
-                                  [session.m_hist], r)
-    assert errors == {}
-    assert np.array_equal(m[0], comp.run(session, r))
-
-
-def test_lockstep_free_run_reports_divergence(bouc_wen_model):
-    u = np.vstack([np.zeros(50), np.tile([0.0, 1e300], 25)])
-    y_ok, y_bad = narx.simulate_free_runs(bouc_wen_model, u, [0.0])
-    assert np.array_equal(y_ok, narx.simulate_free_run(bouc_wen_model, u[0], [0.0]))
-    assert isinstance(y_bad, narx.NonFinite)
-    with pytest.raises(narx.NonFinite, match=str(y_bad)):
-        narx.simulate_free_run(bouc_wen_model, u[1], [0.0])
+    assert np.all(np.isfinite(comp.run(session, r)))
+    assert session.steps == len(r)
 
 
 def test_monte_carlo_tracking_band_names_its_skip_reasons(bouc_wen_model):
