@@ -135,15 +135,7 @@ def static_comp_poly(model, r_bar):
             "use a traced loop instead"
         )
     r_bar = float(r_bar)
-    coeffs = [0.0] * (model.ell + 1)
-    for scalar, factors in model.table:
-        xpow = 0
-        for kind, _, power in factors:
-            if kind == "y":
-                scalar *= r_bar ** power
-            else:  # "u"; phi factors excluded above
-                xpow += power
-        coeffs[xpow] += scalar
+    coeffs = static_rows(model, model.coefficients, "u", r_bar, [0.0] * (model.ell + 1))
     coeffs[0] -= r_bar
     p = AlgebraicPolynomial(coeffs)
     if p.degree() == -1:
@@ -201,7 +193,7 @@ def solve_static_lockstep(model, coefs, r_bar):
     r_lo, r_hi = model.output_band()
     if r_lo <= r_bar <= r_hi and not model.is_hysteretic():
         cols = np.asarray(coefs, dtype=float).T
-        p = static_rows(model, cols, "u", float(r_bar), model.ell + 1)
+        p = static_rows(model, cols, "u", float(r_bar), np.zeros((model.ell + 1, n_runs)))
         p[0] -= float(r_bar)
         closed, degree, roots = poly.lockstep_roots(p)
         u_lo, u_hi = model.input_range
@@ -313,43 +305,20 @@ def _step_lines(model, m, branches):
     return [line for pair in signs.values() for line in pair] + body, sorted(slots)
 
 
-def _step_kernel(model):
-    """The model's step-coefficient kernel ``coeffs(r, j, m_hist)``,
-    generated from :func:`_step_lines` and cached on the model.
-
-    It returns the loading and unloading coefficient lists of the step-k
-    equation f(...) - r(k + tau_d) = 0 in x = m(k), equal for a model with
-    no phi2 at lag tau_d; ``r[j]`` is r(k + tau_d) and ``r[j - lag]`` the
-    reference an output lag reads.  r(k + tau_d) comes off the constant
-    last.
-    """
-    kernel = model._step_kernel
-    if kernel is not None:
-        return kernel
-    _, size = _step_plan(model)
-    lines, _ = _step_lines(model, "m[%d]", "LU")
-    lists = ["[%s0 - rn%s]" % (b, "".join(", %s%d" % (b, i) for i in range(1, size))) for b in "LU"]
-    source = "\n".join(
-        ["def kernel(c, r, j, m):", "    mp = m[0]",
-         "    %s = 0.0" % " = ".join(b + str(i) for b in "LU" for i in range(size))]
-        + indented(lines, 1) + ["    rn = r[j]", "    return %s, %s\n" % tuple(lists)]
-    )
-    kernel = bind_kernel(model, source)
-    object.__setattr__(model, "_step_kernel", kernel)
-    return kernel
-
-
 def _run_kernel(model):
-    """The model's compensation loop ``loop(r, j, n, session)``, generated
-    from :func:`_step_lines` and cached on the model.
+    """The model's compensation loop ``loop(r, j, n, session, solve, pick)``,
+    generated from :func:`_step_lines` and cached on the model.
 
     It runs n steps of :func:`run` on ``session``, the first against the
     reference ``r[j]`` = r(k + tau_d), with m(k-1), m(k-2), ... in locals,
-    and returns the inputs as a list.  Each branch sums only the slots some
-    term reaches; the others hold a structural 0.0, which changes neither
-    the degree nor the residual.  Where every coefficient is finite and the
-    degree is 1 or 2, :func:`_closed_pick` solves and selects; otherwise
-    :func:`_pick` takes the full coefficient list.  The session's steps,
+    and returns the inputs as a list.  Per branch, loading first, a step
+    sums the coefficients of f(...) - r(k + tau_d) = 0 in x = m(k), r(k +
+    tau_d) off the constant last, in only the slots some term reaches; the
+    others hold a structural 0.0, which changes neither the degree nor the
+    residual.  ``solve`` (:func:`_closed_pick`) gets m(k-1), the bounds, the
+    branch and the list through its last reachable slot (three at least),
+    and returns (x, residual) or None; on None ``pick`` (:func:`_pick`) gets the full list
+    as ``pick(p, m(k-1), bounds, branch)``.  The session's steps,
     holds, ``max_residual``, ``branch_state`` and ``m_hist`` are written
     back when the loop ends, also when a step raises.
     """
@@ -385,8 +354,8 @@ def _run_kernel(model):
         step += ["if xL is not HOLD:", "    x = xL", "    if eL > res:", "        res = eL"]
     step += ["else:", "    x = mp", "    holds += 1", "append(x)", kernel_shift(ms, "x")]
     source = "\n".join(
-        ["from %s import HOLD, LOADING, UNLOADING, _closed_pick as solve, _pick as pick"
-         % __name__, "def kernel(c, r, j, n, s):"]
+        ["from %s import HOLD, LOADING, UNLOADING, _closed_pick, _pick" % __name__,
+         "def kernel(c, r, j, n, s, solve=_closed_pick, pick=_pick):"]
         + indented(["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)), "bounds = s.bounds",
                     "holds, res, state = 0, s.max_residual, s.branch_state",
                     "out = []", "append = out.append", "try:",
@@ -403,11 +372,22 @@ def _run_kernel(model):
 
 
 def _branch_coeffs(session, k):
-    """The kernel's coefficient lists at step k of ``session``."""
+    """The coefficient lists of step k of ``session``, loading first: one
+    step of :func:`_run_kernel` on a copy of the session, whose solver
+    declines every list and whose picker keeps it and holds."""
     model = session.model
     lags = model.max_y_lag()
     top = k + model.tau_d
-    return _step_kernel(model)(_clamped(session.r, top - lags, top + 1), lags, session.m_hist)
+    lists = []
+
+    def keep(p, m_prev, bounds, branch):
+        lists.append(p)
+        return HOLD, 0.0
+
+    copy = CompensationSession(model, list(session.m_hist), session.bounds)
+    _run_kernel(model)(_clamped(session.r, top - lags, top + 1), lags, 1, copy,
+                       lambda *_: None, keep)
+    return lists
 
 
 def dynamic_comp_poly(session, k):
@@ -518,16 +498,13 @@ def _pick(p, m_prev, bounds, branch):
     """(x, residual): :func:`select_root` over the roots of the coefficient
     list ``p``, and the scaled residual |p(x)| / (1 + max |p_i|) of that
     root, p(x) evaluated as :func:`narxcomp.poly.evaluate` evaluates it;
-    (HOLD, 0.0) when no root is admissible or ``p`` has degree < 1.  Degree
-    1 and 2 are solved here; higher degrees call ``solve_roots``."""
-    d = poly.effective_degree(p)
-    if d < 1:
+    (HOLD, 0.0) when no root is admissible or ``p`` has degree < 1.  The
+    loop hands it the lists :func:`_closed_pick` declines: degree 3 and up,
+    degree below 1, or an inf or NaN coefficient or sum."""
+    q = AlgebraicPolynomial(p)
+    if q.degree() < 1:
         return HOLD, 0.0
-    if d > 2:
-        x = select_root(poly.solve_roots(AlgebraicPolynomial(p)), m_prev, bounds, branch)
-    else:
-        x = _nearest(_closed_roots(d, p[0], p[1], p[2] if d == 2 else 0.0),
-                     m_prev, bounds, branch)
+    x = select_root(poly.solve_roots(q), m_prev, bounds, branch)
     if x is HOLD:
         return HOLD, 0.0
     acc = 0.0

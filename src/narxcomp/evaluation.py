@@ -94,7 +94,7 @@ SKIPPED_RUN = (comp.NoFeasibleRoot, narx.NonFinite, narx.OutOfLoopRange, narx.Lo
 def perturbed_coefficients(model, rel_std, z):
     """The table coefficients c shifted to c + rel_std*|c|*z; ``z`` holds one
     value per term, or one row of them per run."""
-    c = np.array([coef for coef, _ in model.table])
+    c = np.array(model.coefficients)
     return c + rel_std * np.abs(c) * z
 
 
@@ -336,8 +336,7 @@ def table_experiment(model, plant_factory, cells, mode, signal, ts=1.0,
                     loop=loop, eval_window=win, effort_window=period,
                 )
                 rows.append((f_hz, level, rep.mape_comp, rep.mape_uncomp))
-        except (comp.NoFeasibleRoot, narx.NonFinite, narx.OutOfLoopRange,
-                narx.LoopUnsettled, DegenerateRange):
+        except SKIPPED_RUN + (DegenerateRange,):
             rows.append((f_hz, level, float("nan"), float("nan")))
     return rows
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+from math import isfinite
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from enum import Enum
@@ -85,8 +86,9 @@ class NarxModel:
     ``dataclasses.replace``): one entry ``(coefficient, ((kind, lag, power),
     ...))`` per term, ``kind`` being the signal code "y", "u", "phi1" or
     "phi2".  Factors keep the order of ``terms``, so every product rounds the
-    same way however it is evaluated.  ``u_depth`` is the input history the
-    table reads, u(k-1) ... u(k-u_depth).
+    same way however it is evaluated.  ``coefficients`` holds the table's
+    coefficients in term order.  ``u_depth`` is the input history the table
+    reads, u(k-1) ... u(k-u_depth).
     """
 
     terms: tuple
@@ -97,16 +99,15 @@ class NarxModel:
     input_range: tuple
     output_range: tuple
     table: tuple = field(init=False, repr=False, compare=False)
+    coefficients: tuple = field(init=False, repr=False, compare=False)
     u_depth: int = field(init=False, repr=False, compare=False)
     _hysteretic: bool = field(init=False, repr=False, compare=False)
     _max_y_lag: int = field(init=False, repr=False, compare=False)
     _max_phi_lag: int = field(init=False, repr=False, compare=False)
     # Generated kernels (see compile_kernel) and the per-step compensation
     # plan, built on first use and cached; the compensator builds the last
-    # three.
-    _one_step: object = field(default=None, init=False, repr=False, compare=False)
+    # two.
     _free_run: object = field(default=None, init=False, repr=False, compare=False)
-    _step_kernel: object = field(default=None, init=False, repr=False, compare=False)
     _run_kernel: object = field(default=None, init=False, repr=False, compare=False)
     _step_plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -122,6 +123,7 @@ class NarxModel:
         phi = lags["phi1"] + lags["phi2"]
         set_ = object.__setattr__
         set_(self, "table", table)
+        set_(self, "coefficients", tuple(c for c, _ in table))
         set_(self, "u_depth", max([self.n_u] + lags["u"] + [lag + 1 for lag in phi]))
         set_(self, "_hysteretic", bool(phi))
         set_(self, "_max_y_lag", max(lags["y"], default=0))
@@ -129,8 +131,7 @@ class NarxModel:
 
     def __getstate__(self):
         # generated kernels do not pickle; they are rebuilt on first use
-        return dict(self.__dict__, _one_step=None, _free_run=None,
-                    _step_kernel=None, _run_kernel=None)
+        return dict(self.__dict__, _free_run=None, _run_kernel=None)
 
     def is_hysteretic(self):
         return self._hysteretic
@@ -302,32 +303,18 @@ def _output_source(model, y, u):
 def bind_kernel(model, source):
     """The kernel compiled from ``source`` with the model's coefficients
     bound as its first argument."""
-    return partial(compile_kernel(source), tuple(c for c, _ in model.table))
-
-
-def _evaluator(model):
-    """The model's one-step evaluator ``step(y_hist, u_hist)``, generated
-    from its table and cached on the model."""
-    step = model._one_step
-    if step is None:
-        signs, expr = _output_source(model, "y[%d]", "u[%d]")
-        source = "\n".join(
-            ["def kernel(c, y, u):"] + indented(signs, 1) + ["    return " + expr]
-        ) + "\n"
-        step = bind_kernel(model, source)
-        object.__setattr__(model, "_one_step", step)
-    return step
+    return partial(compile_kernel(source), model.coefficients)
 
 
 def _free_run_kernel(model):
     """The model's free-run loop ``run(y_hist, u_hist, inputs)``, generated
-    from the expression of :func:`_evaluator` and cached on the model.
+    from the expression of :func:`_output_source` and cached on the model.
 
     ``y_hist`` holds n_y outputs and ``u_hist`` u_depth inputs,
     most-recent-first; the loop keeps them in locals and writes them back,
     shifted, at the end.  Returns the outputs for the list ``inputs``, each
-    fed back as one_step iterated would feed it, and stops before the first
-    non-finite output.
+    fed back into the output history.  A non-finite output ends the loop as
+    the last element, the histories shifted past the outputs before it.
     """
     run = model._free_run
     if run is None:
@@ -338,8 +325,8 @@ def _free_run_kernel(model):
             ["from math import isfinite", "def kernel(c, y, u, inputs):"]
             + indented(["%s, = y" % ", ".join(ys), "%s, = u" % ", ".join(us), "out = []",
                         "append = out.append", "for uk in inputs:"], 1)
-            + indented(signs + ["v = " + expr, "if not isfinite(v):", "    break",
-                                "append(v)", kernel_shift(ys, "v"), kernel_shift(us, "uk")], 2)
+            + indented(signs + ["v = " + expr, "append(v)", "if not isfinite(v):", "    break",
+                                kernel_shift(ys, "v"), kernel_shift(us, "uk")], 2)
             + indented(["y[:] = [%s]" % ", ".join(ys), "u[:] = [%s]" % ", ".join(us),
                         "return out"], 1)
         ) + "\n"
@@ -355,7 +342,8 @@ def kernel_shift(names, new):
 
 
 def one_step(model, y_hist, u_hist):
-    """One prediction y(k) from histories ordered most-recent-first."""
+    """One prediction y(k) from histories ordered most-recent-first: the
+    first output of a one-sample free run on copies of the histories."""
     if len(y_hist) < model.n_y:
         raise InsufficientHistory(
             "need %d output samples, got %d" % (model.n_y, len(y_hist))
@@ -364,7 +352,8 @@ def one_step(model, y_hist, u_hist):
         raise InsufficientHistory(
             "need %d input samples, got %d" % (model.u_depth, len(u_hist))
         )
-    return _evaluator(model)(y_hist, u_hist)
+    return _free_run_kernel(model)(list(y_hist[:model.n_y]), list(u_hist[:model.u_depth]),
+                                   [0.0])[0]
 
 
 def simulate_free_run(model, u_series, y_init):
@@ -382,8 +371,8 @@ def simulate_free_run(model, u_series, y_init):
     y_hist = [float(v) for v in y_init[:model.n_y]]
     u_hist = [u[0] if u else 0.0] * model.u_depth
     y = _free_run_kernel(model)(y_hist, u_hist, u)
-    if len(y) < len(u):
-        raise NonFinite("output diverged at sample %d" % len(y))
+    if y and not isfinite(y[-1]):
+        raise NonFinite("output diverged at sample %d" % (len(y) - 1))
     return np.array(y, dtype=float)
 
 
@@ -409,25 +398,8 @@ def static_polynomial(model, u_bar, branch_sign=0):
     """
     if branch_sign not in (-1, 0, 1):
         raise ValueError("branch_sign must be -1, 0 or +1")
-    u_bar = float(u_bar)
-    sign = float(branch_sign)
-    coeffs = [0.0] * (model.ell + 2)
-    for scalar, factors in model.table:
-        xpow = 0
-        for kind, _, power in factors:
-            if kind == "y":
-                xpow += power
-            elif kind == "u":
-                scalar *= u_bar ** power
-            elif kind == "phi1":
-                scalar = 0.0
-                break
-            else:
-                scalar *= sign ** power
-                if scalar == 0.0:
-                    break
-        if scalar != 0.0:
-            coeffs[xpow] += scalar
+    coeffs = static_rows(model, model.coefficients, "y", float(u_bar),
+                         [0.0] * (model.ell + 2), float(branch_sign))
     coeffs[1] -= 1.0
     return AlgebraicPolynomial(coeffs)
 
@@ -444,26 +416,8 @@ def jacobian_eigen(model, u_bar, y_bar):
     n_eff = model.max_y_lag()
     if n_eff == 0:
         return []
-    a = [0.0] * (n_eff + 1)  # a[i] = df/dy(k-i)
-    u_bar = float(u_bar)
-    y_bar = float(y_bar)
-    for coef, factors in model.table:
-        for fi, (kind, lag, power) in enumerate(factors):
-            if kind != "y":
-                continue
-            part = coef * power * y_bar ** (power - 1)
-            for gj, (g_kind, _, g_power) in enumerate(factors):
-                if gj == fi:
-                    continue
-                if g_kind == "y":
-                    part *= y_bar ** g_power
-                elif g_kind == "u":
-                    part *= u_bar ** g_power
-                else:
-                    # phi1 and phi2 both vanish at steady state
-                    part = 0.0
-                    break
-            a[lag] += part
+    a = jacobian_rows(model, model.coefficients, float(u_bar), float(y_bar),
+                      [0.0] * (n_eff + 1))
     char = [0.0] * (n_eff + 1)
     char[n_eff] = 1.0
     for i in range(1, n_eff + 1):
@@ -499,24 +453,52 @@ def fixed_points(model, u_bar, branch_sign=0):
     return out
 
 
-def static_rows(model, cols, var, value, size):
-    """Steady-state coefficients in powers of ``var`` for many runs: the
-    terms summed as :func:`narxcomp.compensator.static_comp_poly` (``var``
-    "u", outputs at ``value``) and :func:`static_polynomial` (``var`` "y",
-    inputs at ``value``) sum them, one column per run, the model's
-    coefficients replaced by the rows of ``cols`` (one row per term).
-    Non-hysteretic models only; the constant terms are left to the caller.
+def static_rows(model, coefs, var, value, out, sign=0.0):
+    """Adds each term, its coefficient from ``coefs`` times its other
+    factors at ``value``, into ``out`` at its power of ``var`` and returns
+    ``out``: outputs at ``value`` for :func:`narxcomp.compensator.static_comp_poly`
+    (``var`` "u"), inputs for :func:`static_polynomial` (``var`` "y").
+    ``coefs`` and ``out`` are a float per term and a list, or for many runs
+    an array row per term and per power.  phi1 drops its term; phi2 is
+    ``sign`` (floats only), and a term that reaches zero there drops out
+    before its later factors.  The constant terms are left to the caller.
     """
-    p = np.zeros((size, cols.shape[1]))
-    for (_, factors), c in zip(model.table, cols):
+    for c, (_, factors) in zip(coefs, model.table):
         xpow = 0
         for kind, _, power in factors:
             if kind == var:
                 xpow += power
+            elif kind == "phi1":
+                c = 0.0
+                break
+            elif kind == "phi2":
+                c *= _power(sign, power)
+                if c == 0.0:
+                    break
             else:
                 c = c * _power(value, power)
-        p[xpow] += c
-    return p
+        out[xpow] += c
+    return out
+
+
+def jacobian_rows(model, coefs, u_bar, y_bar, out):
+    """Adds each df/dy(k-i) at the steady state (u_bar, y_bar) into
+    ``out[i]`` and returns ``out``; ``coefs`` and ``out`` as in
+    :func:`static_rows`.  phi1 and phi2 vanish at steady state, so a phi
+    factor ends its term, which then adds nothing."""
+    for c, (_, factors) in zip(coefs, model.table):
+        for fi, (kind, lag, power) in enumerate(factors):
+            if kind != "y":
+                continue
+            part = c * power * _power(y_bar, power - 1)
+            for gj, (g_kind, _, g_power) in enumerate(factors):
+                if g_kind in ("phi1", "phi2"):
+                    break
+                if gj != fi:
+                    part = part * _power(y_bar if g_kind == "y" else u_bar, g_power)
+            else:
+                out[lag] += part
+    return out
 
 
 def _stable_lockstep(model, cols, u_bar, y_bar):
@@ -525,16 +507,7 @@ def _stable_lockstep(model, cols, u_bar, y_bar):
     n_eff = model.max_y_lag()
     if n_eff == 0:
         return True, True
-    a = np.zeros((n_eff + 1, cols.shape[1]))
-    for (_, factors), c in zip(model.table, cols):
-        for fi, (kind, lag, power) in enumerate(factors):
-            if kind != "y":
-                continue
-            part = c * power * _power(y_bar, power - 1)
-            for gj, (g_kind, _, g_power) in enumerate(factors):
-                if gj != fi:
-                    part = part * _power(y_bar if g_kind == "y" else u_bar, g_power)
-            a[lag] += part
+    a = jacobian_rows(model, cols, u_bar, y_bar, np.zeros((n_eff + 1, cols.shape[1])))
     char = np.zeros_like(a)
     char[n_eff] = 1.0
     char[:n_eff] = -a[:0:-1]
@@ -552,7 +525,7 @@ def stable_fixed_point_lockstep(model, cols, u_bar, y_target, tol):
     characteristic polynomials had degree 1 or 2.  Only those are decided
     here; the others need :func:`fixed_points`.
     """
-    q = static_rows(model, cols, "y", u_bar, model.ell + 2)
+    q = static_rows(model, cols, "y", u_bar, np.zeros((model.ell + 2, cols.shape[1])))
     q[1] -= 1.0
     closed, degree, roots = poly.lockstep_roots(q)
     y_lo, y_hi = model.output_band()
@@ -613,7 +586,7 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
         ks = np.arange(p * period, (p + 1) * period, dtype=float)
         u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
         y_p = np.array(free_run(y_hist, u_hist, u_p.tolist()))
-        if len(y_p) < period:
+        if not isfinite(y_p[-1]):
             raise NonFinite("loop trace diverged in period %d" % p)
         if prev_y is not None:
             scale = max(1.0, float(np.ptp(y_p)))

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import narxcomp.compensator as comp
 import narxcomp.evaluation as ev
 import narxcomp.model as narx
+import narxcomp.poly as poly
 from narxcomp.model import Factor, NarxModel, Regime, Signal, Term
+from narxcomp.poly import AlgebraicPolynomial
 
 F = Factor
 SIG = {"y": Signal.OUTPUT_Y, "u": Signal.INPUT_U, "phi1": Signal.PHI1, "phi2": Signal.PHI2}
@@ -220,17 +222,23 @@ def walk_terms(model, y_hist, u_hist):
 FACTORS = st.tuples(
     st.sampled_from(["y", "u", "phi1", "phi2"]), st.integers(1, 4), st.integers(1, 3)
 )
-MODELS = st.lists(
-    st.tuples(st.floats(-0.6, 0.6), st.lists(FACTORS, max_size=3)),
-    min_size=1, max_size=5,
-).map(
-    lambda terms: mk(
+
+
+def model_of(terms):
+    """The model of the (coefficient, factors) ``terms``, its lags and
+    degree as small as they allow."""
+    return mk(
         [term(c, *fs) for c, fs in terms],
         n_y=max([lag for _, fs in terms for s, lag, _ in fs if s == "y"], default=1),
         n_u=max([lag for _, fs in terms for s, lag, _ in fs if s == "u"], default=1),
         ell=max(1, max(sum(p for _, _, p in fs) for _, fs in terms)),
     )
-)
+
+
+MODELS = st.lists(
+    st.tuples(st.floats(-0.6, 0.6), st.lists(FACTORS, max_size=3)),
+    min_size=1, max_size=5,
+).map(model_of)
 # few distinct input values, so that equal neighbours (sign(0) = 0) are common
 INPUTS = st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), min_size=6, max_size=6)
 OUTPUTS = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
@@ -258,7 +266,7 @@ def test_model_pickles_after_its_kernels_are_built(valve_model):
     narx.hysteresis_loop(valve_model, 0.5, 0.1, 3.0)
     comp.run(comp.CompensationSession(valve_model, [3.0]), [3.0, 3.1, 3.2])
     comp.hysteresis_comp_polys(comp.CompensationSession(valve_model, [3.0], r=[3.0, 3.1]), 0)
-    kernels = ("_one_step", "_free_run", "_step_kernel", "_run_kernel")
+    kernels = ("_free_run", "_run_kernel")
     assert all(getattr(valve_model, name) is not None for name in kernels)
     copy = pickle.loads(pickle.dumps(valve_model))
     assert copy == valve_model
@@ -266,16 +274,16 @@ def test_model_pickles_after_its_kernels_are_built(valve_model):
     assert narx.one_step(copy, [3.0, 2.9], [3.2, 3.1]) == want
 
 
-def iterate_one_step(model, u, y_hist, u_hist):
-    """one_step iterated over the inputs ``u`` as a free run feeds it, up to
-    the first non-finite output: (outputs, whether one came, and the
-    histories shifted past the outputs)."""
+def iterate_term_walk(model, u, y_hist, u_hist):
+    """:func:`walk_terms` iterated over the inputs ``u`` as a free run feeds
+    it, up to the first non-finite output, which ends the outputs: (outputs,
+    whether one came, and the histories shifted past the finite outputs)."""
     out = []
     for u_k in u:
-        val = narx.one_step(model, y_hist, u_hist)
+        val = walk_terms(model, y_hist, u_hist)
+        out.append(val)
         if not math.isfinite(val):
             return out, True, y_hist, u_hist
-        out.append(val)
         y_hist = [val] + y_hist[:-1]
         u_hist = [u_k] + u_hist[:-1]
     return out, False, y_hist, u_hist
@@ -290,7 +298,7 @@ U_VALUES = st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]), min_size=1, m
 def test_free_run_equals_iterated_one_step(model, u):
     y_init = [0.3] * model.n_y
     try:
-        want, diverged, *_ = iterate_one_step(model, u, y_init, [u[0]] * model.u_depth)
+        want, diverged, *_ = iterate_term_walk(model, u, y_init, [u[0]] * model.u_depth)
     except OverflowError:
         want, diverged = "OverflowError", False
     try:
@@ -298,22 +306,23 @@ def test_free_run_equals_iterated_one_step(model, u):
     except OverflowError:
         got = "OverflowError"
     except narx.NonFinite as e:
-        assert diverged and str(e) == "output diverged at sample %d" % len(want)
+        assert diverged and str(e) == "output diverged at sample %d" % (len(want) - 1)
         return
     # repr tells signed zeros apart
     assert not diverged and repr(got) == repr(want)
 
 
 @settings(max_examples=200, deadline=None)
+@example(model=mk([term(2.0, ("y", 1, 1))]), u=[0.0] * 1100, cut=1050)  # inf at 1024
 @given(MODELS, U_VALUES, st.integers(0, 30))
 def test_free_run_kernel_carries_histories(model, u, cut):
     # two calls on the same history lists continue one free run, and each
-    # stops before its first non-finite output with the histories shifted
-    # past the outputs it returned
+    # stops at its first non-finite output, returned last, with the
+    # histories shifted past the finite outputs
     y_hist, u_hist = [0.3] * model.n_y, [u[0]] * model.u_depth
     try:
-        want = iterate_one_step(model, u, list(y_hist), list(u_hist))
-        first = iterate_one_step(model, u[:cut], list(y_hist), list(u_hist))
+        want = iterate_term_walk(model, u, list(y_hist), list(u_hist))
+        first = iterate_term_walk(model, u[:cut], list(y_hist), list(u_hist))
     except OverflowError:
         return
     run = narx._free_run_kernel(model)
@@ -325,7 +334,7 @@ def test_free_run_kernel_carries_histories(model, u, cut):
 
 
 def test_loop_equals_one_step_iterated_across_periods(valve_model, valve_loop):
-    # the settled period, found by the loop's own rule, from one_step
+    # the settled period, found by the loop's own rule, from the term walk
     # iterated period after period on carried histories
     period = valve_loop.period
     y_hist, u_hist = [0.0] * valve_model.n_y, [3.0] * valve_model.u_depth
@@ -333,7 +342,7 @@ def test_loop_equals_one_step_iterated_across_periods(valve_model, valve_loop):
     for p in range(64):
         ks = np.arange(p * period, (p + 1) * period, dtype=float)
         u_p = (2.0 * np.sin(2.0 * np.pi * 0.001 * ks) + 3.0).tolist()
-        y_p, _, y_hist, u_hist = iterate_one_step(valve_model, u_p, y_hist, u_hist)
+        y_p, _, y_hist, u_hist = iterate_term_walk(valve_model, u_p, y_hist, u_hist)
         if prev is not None and max(abs(a - b) for a, b in zip(y_p, prev)) < 1e-8 * max(
                 1.0, max(y_p) - min(y_p)):
             break
@@ -390,6 +399,131 @@ def test_jacobian_eigen_nonlinear_term():
 def test_jacobian_eigen_without_output_feedback():
     m = mk([term(1.0, ("u", 1, 1))])
     assert narx.jacobian_eigen(m, 1.0, 1.0) == []
+
+
+def scalar_static_polynomial(model, u_bar, branch_sign=0):
+    """:func:`narx.static_polynomial` as a plain scalar term walk, the
+    reference the shared :func:`narx.static_rows` must match bit for bit."""
+    u_bar = float(u_bar)
+    sign = float(branch_sign)
+    coeffs = [0.0] * (model.ell + 2)
+    for scalar, factors in model.table:
+        xpow = 0
+        for kind, _, power in factors:
+            if kind == "y":
+                xpow += power
+            elif kind == "u":
+                scalar *= u_bar ** power
+            elif kind == "phi1":
+                scalar = 0.0
+                break
+            else:
+                scalar *= sign ** power
+                if scalar == 0.0:
+                    break
+        if scalar != 0.0:
+            coeffs[xpow] += scalar
+    coeffs[1] -= 1.0
+    return AlgebraicPolynomial(coeffs)
+
+
+def scalar_static_comp_poly(model, r_bar):
+    """:func:`comp.static_comp_poly` as a plain scalar term walk."""
+    if model.is_hysteretic():
+        raise ValueError(
+            "static inversion is undefined for hysteretic models; "
+            "use a traced loop instead"
+        )
+    r_bar = float(r_bar)
+    coeffs = [0.0] * (model.ell + 1)
+    for scalar, factors in model.table:
+        xpow = 0
+        for kind, _, power in factors:
+            if kind == "y":
+                scalar *= r_bar ** power
+            else:
+                xpow += power
+        coeffs[xpow] += scalar
+    coeffs[0] -= r_bar
+    p = AlgebraicPolynomial(coeffs)
+    if p.degree() == -1:
+        raise comp.IdenticallyZero("compensation polynomial vanished at r=%g" % r_bar)
+    return p
+
+
+def scalar_jacobian_eigen(model, u_bar, y_bar):
+    """:func:`narx.jacobian_eigen` as a plain scalar term walk."""
+    n_eff = model.max_y_lag()
+    if n_eff == 0:
+        return []
+    a = [0.0] * (n_eff + 1)
+    u_bar = float(u_bar)
+    y_bar = float(y_bar)
+    for coef, factors in model.table:
+        for fi, (kind, lag, power) in enumerate(factors):
+            if kind != "y":
+                continue
+            part = coef * power * y_bar ** (power - 1)
+            for gj, (g_kind, _, g_power) in enumerate(factors):
+                if gj == fi:
+                    continue
+                if g_kind == "y":
+                    part *= y_bar ** g_power
+                elif g_kind == "u":
+                    part *= u_bar ** g_power
+                else:
+                    part = 0.0
+                    break
+            a[lag] += part
+    char = [0.0] * (n_eff + 1)
+    char[n_eff] = 1.0
+    for i in range(1, n_eff + 1):
+        char[n_eff - i] = -a[i]
+    rs = poly.solve_roots(AlgebraicPolynomial(char))
+    return sorted((abs(r) for r in rs.roots), reverse=True)
+
+
+def outcome(f, *args):
+    """repr of ``f(*args)`` (repr tells signed zeros apart), or the type and
+    message of the exception it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+# zero, huge and non-finite values reach the order in which a term's
+# factors are read
+STATIC_COEFS = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
+STATIC_TERMS = st.lists(FACTORS, max_size=3) | st.lists(
+    st.tuples(st.sampled_from(["y", "u"]), st.integers(1, 4), st.integers(1, 3)), max_size=3)
+STATIC_MODELS = st.lists(
+    st.tuples(STATIC_COEFS, STATIC_TERMS), min_size=1, max_size=5).map(model_of)
+LEVELS = st.floats(-3.0, 3.0) | st.sampled_from(
+    [0.0, -0.0, 1e10, -1e10, 1e200, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@example(  # phi2 ahead of a u factor: at sign +-1 the zero term stops there,
+    # before 1e200 ** 2 would overflow
+    model=mk([term(0.0, ("phi2", 1, 1), ("u", 1, 2)), term(0.5, ("y", 1, 1))]),
+    u_bar=1e200, y_bar=0.5)
+@example(  # an inf product ahead of phi2: sign 0 turns it into a NaN the term adds
+    model=mk([term(1e300, ("u", 1, 1), ("phi2", 1, 1)), term(0.5, ("y", 1, 1))]),
+    u_bar=1e10, y_bar=0.5)
+@example(  # a phi factor ends the Jacobian term before 1e120 ** 3 would overflow
+    model=mk([term(0.4, ("y", 1, 1), ("phi1", 1, 1), ("y", 1, 3)), term(0.5, ("y", 1, 1))],
+             ell=5),
+    u_bar=1.0, y_bar=1e120)
+@given(STATIC_MODELS, LEVELS, LEVELS)
+def test_statics_equal_the_scalar_term_walks(model, u_bar, y_bar):
+    for sign in (-1, 0, 1):
+        assert (outcome(narx.static_polynomial, model, u_bar, sign)
+                == outcome(scalar_static_polynomial, model, u_bar, sign))
+    assert (outcome(comp.static_comp_poly, model, y_bar)
+            == outcome(scalar_static_comp_poly, model, y_bar))
+    assert (outcome(narx.jacobian_eigen, model, u_bar, y_bar)
+            == outcome(scalar_jacobian_eigen, model, u_bar, y_bar))
 
 
 def test_fixed_points_heater_oracle(heater_model):
