@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 
@@ -597,8 +598,21 @@ def build_parser():
     return parser
 
 
+def _glued(argv):
+    """``argv`` with each ``--u`` or ``--grid`` value that starts with a
+    minus sign and a digit or '.' attached as ``--u=-10,10``: argparse
+    reads such a value as an option unless it is a single number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--u", "--grid") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glued(sys.argv[1:] if argv is None else argv))
     try:
         header, rows = args.func(args)
         write_rows(args.output, header, rows)

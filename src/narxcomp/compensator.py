@@ -306,7 +306,7 @@ def _step_lines(model, m, branches):
 
 
 def _run_kernel(model):
-    """The model's compensation loop ``loop(r, j, n, session, solve, pick)``,
+    """The model's compensation loop ``loop(r, j, n, session, pick)``,
     generated from :func:`_step_lines` and cached on the model.
 
     It runs n steps of :func:`run` on ``session``, the first against the
@@ -315,17 +315,15 @@ def _run_kernel(model):
     sums the coefficients of f(...) - r(k + tau_d) = 0 in x = m(k), r(k +
     tau_d) off the constant last, in only the slots some term reaches; the
     others hold a structural 0.0, which changes neither the degree nor the
-    residual.  ``solve`` (:func:`_closed_pick`) gets m(k-1), the bounds, the
-    branch and the list through its last reachable slot (three at least),
-    and returns (x, residual) or None; on None ``pick`` (:func:`_pick`) gets the full list
-    as ``pick(p, m(k-1), bounds, branch)``.  The session's steps,
-    holds, ``max_residual``, ``branch_state`` and ``m_hist`` are written
-    back when the loop ends, also when a step raises.
+    residual.  ``pick`` (:func:`_pick`) gets m(k-1), the bounds, the branch
+    and the coefficients through the last reachable slot (three at least),
+    and returns (x, residual).  The session's steps, holds,
+    ``max_residual``, ``branch_state`` and ``m_hist`` are written back when
+    the loop ends, also when a step raises.
     """
     kernel = model._run_kernel
     if kernel is not None:
         return kernel
-    _, size = _step_plan(model)
     hysteretic = model.is_hysteretic()
     branches = "LU" if hysteretic else "L"
     lines, slots = _step_lines(model, "m%d", branches)
@@ -334,15 +332,9 @@ def _run_kernel(model):
     step += lines + ["rn = r[j]"]
     regimes = ("LOADING", "UNLOADING") if hysteretic else ("None",)
     for b, regime in zip(branches, regimes):
-        coefs = ["a"] + ["%s%d" % (b, i) if i in slots else "0.0" for i in range(1, size)]
-        closed = (coefs + ["0.0"])[:3] + coefs[3:slots[-1] + 1]
-        step += [
-            "a = %s0 - rn" % b,
-            "x = solve(mp, bounds, %s, %s)" % (regime, ", ".join(closed)),
-            "if x is None:",
-            "    x = pick([%s], mp, bounds, %s)" % (", ".join(coefs), regime),
-            "x%s, e%s = x" % (b, b),
-        ]
+        coefs = ["%s0 - rn" % b] + ["%s%d" % (b, i) if i in slots else "0.0"
+                                    for i in range(1, max(3, slots[-1] + 1))]
+        step.append("x%s, e%s = pick(mp, bounds, %s, %s)" % (b, b, regime, ", ".join(coefs)))
     if hysteretic:  # the nearer admissible root; loading wins ties
         step += [
             "if xL is not HOLD and (xU is HOLD or (abs(xL - mp), xL) <= (abs(xU - mp), xU)):",
@@ -354,8 +346,8 @@ def _run_kernel(model):
         step += ["if xL is not HOLD:", "    x = xL", "    if eL > res:", "        res = eL"]
     step += ["else:", "    x = mp", "    holds += 1", "append(x)", kernel_shift(ms, "x")]
     source = "\n".join(
-        ["from %s import HOLD, LOADING, UNLOADING, _closed_pick, _pick" % __name__,
-         "def kernel(c, r, j, n, s, solve=_closed_pick, pick=_pick):"]
+        ["from %s import HOLD, LOADING, UNLOADING, _pick" % __name__,
+         "def kernel(c, r, j, n, s, pick=_pick):"]
         + indented(["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)), "bounds = s.bounds",
                     "holds, res, state = 0, s.max_residual, s.branch_state",
                     "out = []", "append = out.append", "try:",
@@ -373,20 +365,21 @@ def _run_kernel(model):
 
 def _branch_coeffs(session, k):
     """The coefficient lists of step k of ``session``, loading first: one
-    step of :func:`_run_kernel` on a copy of the session, whose solver
-    declines every list and whose picker keeps it and holds."""
+    step of :func:`_run_kernel` on a copy of the session, whose picker
+    keeps each list, padded with structural zeros to the plan's size, and
+    holds."""
     model = session.model
     lags = model.max_y_lag()
     top = k + model.tau_d
+    _, size = _step_plan(model)
     lists = []
 
-    def keep(p, m_prev, bounds, branch):
-        lists.append(p)
+    def keep(m_prev, bounds, branch, *p):
+        lists.append((list(p) + [0.0] * size)[:size])
         return HOLD, 0.0
 
     copy = CompensationSession(model, list(session.m_hist), session.bounds)
-    _run_kernel(model)(_clamped(session.r, top - lags, top + 1), lags, 1, copy,
-                       lambda *_: None, keep)
+    _run_kernel(model)(_clamped(session.r, top - lags, top + 1), lags, 1, copy, keep)
     return lists
 
 
@@ -467,84 +460,59 @@ def seed_regime(r0, r1):
     return LOADING if r1 >= r0 else UNLOADING
 
 
-def _closed_roots(d, a0, a1, a2):
-    """The real roots of a0 + a1 x + a2 x^2, of effective degree ``d`` (1
-    or 2), as :func:`select_root` reads them from
-    :func:`narxcomp.poly.solve_roots`: rounded as it rounds them, then
-    filtered by the ``DEFAULT_IM_TOL`` realness test.
+def _pick(m_prev, bounds, branch, a0, a1, a2, *high):
+    """(x, residual) for the step polynomial a0 + a1 x + a2 x^2 + ...:
+    :func:`select_root` over its roots, and the scaled residual |p(x)| /
+    (1 + max |p_i|) of that root, p(x) by Horner from the top coefficient;
+    (HOLD, 0.0) when no root is admissible or the degree is below 1.
 
-    A finite discriminant above 1e-300 takes ``math.sqrt`` and float
-    division, which give the same floats: there ``cmath.sqrt`` scales by
-    powers of 4 only, exactly so far above 8 * DBL_MIN, and the complex
-    division adds a zero to a numerator that is never -0.0 and leaves a
-    zero imaginary part."""
-    if d == 1:
-        # complex(-a0 / a1) has no imaginary part, so the root is real
-        return (-a0 / a1,)
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if 1e-300 < disc < math.inf:
-        s = math.sqrt(disc)
-        return ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
-    s = cmath.sqrt(complex(disc))
-    xs = []
-    for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)):
-        # a zero imaginary part passes the test below for any real part
-        if r.imag == 0.0 or abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real)):
-            xs.append(r.real)
-    return xs
-
-
-def _pick(p, m_prev, bounds, branch):
-    """(x, residual): :func:`select_root` over the roots of the coefficient
-    list ``p``, and the scaled residual |p(x)| / (1 + max |p_i|) of that
-    root, p(x) evaluated as :func:`narxcomp.poly.evaluate` evaluates it;
-    (HOLD, 0.0) when no root is admissible or ``p`` has degree < 1.  The
-    loop hands it the lists :func:`_closed_pick` declines: degree 3 and up,
-    degree below 1, or an inf or NaN coefficient or sum."""
-    q = AlgebraicPolynomial(p)
-    if q.degree() < 1:
-        return HOLD, 0.0
-    x = select_root(poly.solve_roots(q), m_prev, bounds, branch)
-    if x is HOLD:
-        return HOLD, 0.0
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return x, abs(acc) / (1.0 + max(map(abs, p)))
-
-
-def _closed_pick(m_prev, bounds, branch, a0, a1, a2, *high):
-    """:func:`_pick` of the list [a0, a1, a2, *high] when all of it is finite
-    and its degree is 1 or 2, else None.
-
-    Bit for bit as :func:`_pick`: the ``LEADING_ZERO_RTOL`` degree rule,
-    :func:`_closed_roots` and Horner from the top coefficient.  A list that
-    :func:`_pick` would get with more zeros on top gives the same result:
-    the zeros change neither the largest magnitude nor, for a finite
-    root, the Horner sum.
+    A finite list of degree 1 or 2 under the ``LEADING_ZERO_RTOL`` rule is
+    solved here, rounded as :func:`narxcomp.poly.solve_roots` rounds it: a
+    finite discriminant of at least ``_TINY_DISC`` takes ``math.sqrt`` and
+    float division, which give the same floats, since there ``cmath.sqrt``
+    scales by powers of 4 only and the complex division adds a zero to a
+    numerator that is never -0.0.  Every other list (an inf or NaN
+    coefficient or sum, degree 3 and up) goes to
+    :func:`narxcomp.poly.solve_roots`.  Zeros on top of the list change
+    neither the root nor the residual.
     """
     t = a0 + a1 + a2
     for h in high:
         t += h
-    if t - t != 0.0:  # an inf or NaN coefficient (or an overflowing sum)
-        return None
-    b1, b2 = abs(a1), abs(a2)
-    big = abs(a0)
-    if b1 > big:
-        big = b1
-    if b2 > big:
-        big = b2
-    tol = poly.LEADING_ZERO_RTOL * big
-    for h in high:
-        if abs(h) > tol:
-            return None
-    if b2 > tol:
-        d = 2
-    elif b1 > tol:
-        d = 1
+    d = None  # the degree, where the closed form applies
+    if t - t == 0.0:  # no inf or NaN coefficient, and no overflowing sum
+        b1, b2 = abs(a1), abs(a2)
+        big = abs(a0)
+        if b1 > big:
+            big = b1
+        if b2 > big:
+            big = b2
+        tol = poly.LEADING_ZERO_RTOL * big
+        d = 2 if b2 > tol else 1 if b1 > tol else 0
+        for h in high:
+            if abs(h) > tol:
+                d = None
+    if d is None:
+        p = (a0, a1, a2) + high
+        q = AlgebraicPolynomial(p)
+        if q.degree() < 1:
+            return HOLD, 0.0
+        x = select_root(poly.solve_roots(q), m_prev, bounds, branch)
+        big = max(map(abs, p))
+    elif d == 0:
+        return HOLD, 0.0
+    elif d == 1:
+        x = _nearest((-a0 / a1,), m_prev, bounds, branch)
     else:
-        return None
-    x = _nearest(_closed_roots(d, a0, a1, a2), m_prev, bounds, branch)
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if poly._TINY_DISC <= disc < math.inf:
+            s = math.sqrt(disc)
+            xs = ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
+        else:
+            s = cmath.sqrt(complex(disc))
+            xs = [r.real for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
+                  if abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real))]
+        x = _nearest(xs, m_prev, bounds, branch)
     if x is HOLD:
         return HOLD, 0.0
     acc = 0.0

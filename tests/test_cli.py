@@ -256,6 +256,21 @@ def test_montecarlo_argument_exclusivity(capsys):
     assert code == 2
 
 
+def test_fixed_points_levels_may_start_with_a_minus_sign(capsys):
+    # argparse alone reads -10,10 as an option and exits 2
+    glued = run_cli(["fixed-points", "-m", "bouc_wen", "--u=-10,10"], capsys)
+    assert glued[0] == 0 and len(glued[1].strip().split("\n")) == 3
+    assert run_cli(["fixed-points", "-m", "bouc_wen", "--u", "-10,10"], capsys) == glued
+
+
+def test_montecarlo_grid_may_start_with_a_minus_sign(capsys):
+    base = ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "5"]
+    glued = run_cli(base + ["--grid=-0.04,0.2"], capsys)
+    assert glued[0] == 3  # NoFeasibleRoot
+    assert run_cli(base + ["--grid", "-0.04,0.2"], capsys) == glued
+    assert run_cli(base + ["--grid", "-.04:0.2:0.02"], capsys)[0] == 3
+
+
 def test_montecarlo_negative_seed_is_config_error(capsys, tmp_path):
     out_file = tmp_path / "mc.csv"
     code, _, err = run_cli(

@@ -1,7 +1,6 @@
 """Compensator construction, root selection, initialization, tracking runs."""
 
 import ast
-import cmath
 import math
 import sys
 
@@ -683,18 +682,28 @@ def test_run_equals_select_root_loop_on_random_models(model, seeds, r):
     assert_run_equals_reference(model, seeds[:comp.hist_depth(model)], r)
 
 
-@pytest.mark.parametrize("case", ["bouc_wen", "slot1"])
+@pytest.mark.parametrize("case", ["bouc_wen", "phi1_squared", "slot1"])
 def test_run_takes_the_full_list_on_non_finite_coefficients(case, bouc_wen_model, bouc_wen_loop):
     if case == "bouc_wen":
         # r(20) = NaN and r(40) = inf reach the coefficients at steps 19 and
         # 39 (as r(k + tau_d)) and 20 and 40 (through the y(k-1) terms): at
-        # each of those steps both branches hand their five-slot list to _pick
+        # each of those steps both branches hand the general solve their
+        # three reachable slots (of the plan's five)
         model = bouc_wen_model
         k = np.arange(60)
         r = 30.0 * np.sin(2 * np.pi * k / 60.0 + np.pi / 2)
         r[20], r[40] = np.nan, np.inf
         seeds = comp.init_hysteresis(model, bouc_wen_loop, r[0], r[1])
-        full = [5] * 8
+        full = [3] * 8
+    elif case == "phi1_squared":
+        # slot 3 is reachable: r(10) = NaN and r(15) = inf reach steps 9,
+        # 10, 14 and 15, and both branches solve all four slots there, as
+        # they do on every finite step
+        model = phi1_squared_model()
+        r = 2.0 * np.sin(2 * np.pi * np.arange(20) / 20.0)
+        r[10], r[15] = np.nan, np.inf
+        seeds = [0.0]
+        full = [4] * 40
     else:
         # x^2 + 0.2 r(k) x - r(k + 1): at steps 2 and 4 only the x coefficient
         # is non-finite, at steps 1 and 3 only the constant
@@ -754,6 +763,8 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
         # coefficients are arguments: only the expansion's constants are literals
         assert float_literals(ka.func.source) <= {0.0, 1.0}
         assert ka.args == (a.coefficients,)
+    source = comp._run_kernel(a).func.source  # one solve per branch
+    assert source.count("pick(") == 2 and "is None" not in source
 
 
 def test_run_keeps_roots_within_the_realness_tolerance():
@@ -781,38 +792,55 @@ def test_run_holds_on_nearly_real_roots():
     assert s.hold_count == 1 and want[0] == 0.0 and want[1] != 0.0
 
 
-def complex_quadratic_roots(a0, a1, a2):
-    """The real roots of a0 + a1 x + a2 x^2 through cmath's square root and
-    complex/float division, filtered by the DEFAULT_IM_TOL realness test."""
-    s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
-    xs = []
-    for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)):
-        if r.imag == 0.0 or abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real)):
-            xs.append(r.real)
-    return xs
-
-
-def roots_or_error(solve, *coefficients):
+def reference_pick(m_prev, bounds, branch, *p):
+    """(x, residual) for the coefficients ``p`` through AlgebraicPolynomial,
+    solve_roots, select_root and Horner over ``p``, holding below degree 1;
+    an exception's type name where one is raised."""
     try:
-        return repr(list(solve(*coefficients)))
-    except ZeroDivisionError:
-        return "ZeroDivisionError"
+        q = poly.AlgebraicPolynomial(p)
+        if q.degree() < 1:
+            return repr((comp.HOLD, 0.0))
+        x = comp.select_root(poly.solve_roots(q), m_prev, bounds, branch)
+        if x is comp.HOLD:
+            return repr((comp.HOLD, 0.0))
+        return repr((x, abs(poly.evaluate(q, x)) / (1.0 + max(map(abs, p)))))
+    except Exception as e:
+        return type(e).__name__
 
 
-# with a1 = 0 and a2 = -1/4 the discriminant is exactly a0
-@example(a0=1.0, a1=2.0, a2=1.0)  # discriminant exactly 0
-@example(a0=1e-300, a1=0.0, a2=-0.25)
-@example(a0=math.nextafter(1e-300, 1.0), a1=0.0, a2=-0.25)
-@example(a0=math.nextafter(1e-300, 0.0), a1=0.0, a2=-0.25)
-@example(a0=math.nextafter(8 * sys.float_info.min, 0.0), a1=0.0, a2=-0.25)  # cmath rounds apart
-@example(a0=5e-324, a1=0.0, a2=-0.25)  # subnormal
-@example(a0=1.0, a1=1e200, a2=1.0)  # a1 * a1 overflows to inf
-@example(a0=0.0, a1=1.0, a2=-1.0)  # -a1 + s rounds to +0.0, the root is -0.0
-@example(a0=-math.inf, a1=1.0, a2=1.0)
-@example(a0=1.0, a1=math.inf, a2=1.0)
-@example(a0=1.0, a1=1.0, a2=math.inf)
-@example(a0=1.0, a1=1.0, a2=1e308)  # 2 * a2 overflows to inf
-@given(a0=st.floats(), a1=st.floats(), a2=st.floats())
-def test_closed_roots_equal_the_complex_solve(a0, a1, a2):
-    assert (roots_or_error(comp._closed_roots, 2, a0, a1, a2)
-            == roots_or_error(complex_quadratic_roots, a0, a1, a2))
+def pick_or_error(*args):
+    try:
+        return repr(comp._pick(*args))
+    except Exception as e:
+        return type(e).__name__
+
+
+# with a1 = 0 and a2 = -1/4 the discriminant is exactly a0; at m(k-1) = 0
+# without a branch, a root in (-2, 2) is taken
+ROOT_AT = dict(high=[], branch=None, m_prev=0.0)
+
+
+@example(a0=1.0, a1=2.0, a2=1.0, **ROOT_AT)  # discriminant exactly 0
+@example(a0=1e-300, a1=0.0, a2=-0.25, **ROOT_AT)
+@example(a0=math.nextafter(1e-300, 1.0), a1=0.0, a2=-0.25, **ROOT_AT)
+@example(a0=math.nextafter(1e-300, 0.0), a1=0.0, a2=-0.25, **ROOT_AT)
+@example(a0=math.nextafter(8 * sys.float_info.min, 1.0), a1=0.0, a2=-0.25, **ROOT_AT)
+@example(a0=8 * sys.float_info.min, a1=0.0, a2=-0.25, **ROOT_AT)  # math.sqrt from here up
+@example(a0=math.nextafter(8 * sys.float_info.min, 0.0), a1=0.0, a2=-0.25,
+         **ROOT_AT)  # cmath rounds apart
+@example(a0=5e-324, a1=0.0, a2=-0.25, **ROOT_AT)  # subnormal
+@example(a0=1.0, a1=1e200, a2=1.0, **ROOT_AT)  # a1 * a1 overflows to inf
+@example(a0=0.0, a1=1.0, a2=-1.0, **ROOT_AT)  # -a1 + s rounds to +0.0, the root is -0.0
+@example(a0=-math.inf, a1=1.0, a2=1.0, **ROOT_AT)
+@example(a0=1.0, a1=math.inf, a2=1.0, **ROOT_AT)
+@example(a0=1.0, a1=1.0, a2=math.inf, **ROOT_AT)
+@example(a0=1.0, a1=1.0, a2=1e308, **ROOT_AT)  # 2 * a2 overflows to inf
+@example(a0=-1.0, a1=0.5, a2=1.0, high=[3e-13, -2e-14], branch=None,
+         m_prev=0.0)  # a quadratic whose residual reads the slots under the rule
+@given(a0=st.floats(), a1=st.floats(), a2=st.floats(),
+       high=st.lists(st.floats() | st.floats(-1e-12, 1e-12), max_size=2),
+       branch=st.sampled_from([None, Regime.LOADING, Regime.UNLOADING]),
+       m_prev=st.floats(-3.0, 3.0))
+def test_pick_equals_the_general_solve(a0, a1, a2, high, branch, m_prev):
+    args = (m_prev, (-2.0, 2.0), branch, a0, a1, a2, *high)
+    assert pick_or_error(*args) == reference_pick(*args)
