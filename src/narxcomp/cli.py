@@ -1,16 +1,19 @@
 """Command line front end: batch experiments on NARX models, written as CSV.
 
 Every command loads a model (a JSON file or the name of a bundled model),
-runs one experiment and writes one CSV file with a header row.  Floats are
-formatted with 12 significant digits, so rerunning the same configuration
-produces a byte-identical file.  Exit codes: 0 success, 2 configuration
-error (the message names the offending option), 3 numeric failure.
+runs one experiment and writes one CSV file with a header row.  Each file is
+written from typed columns: ints as ``%d``, floats with 12 significant
+digits (``%.12g``, which prints ``nan`` and ``inf``), strings as they are,
+so rerunning the same configuration produces a byte-identical file.  Exit
+codes: 0 success, 2 configuration error (the message names the offending
+option), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -133,6 +136,8 @@ def parse_signal(text):
                 raise ConfigError("signal", "unknown parameter %r" % item.split("=")[0].strip())
             try:
                 fields[key] = int(val) if key == "hold_at" else float(val)
+                if not math.isfinite(fields[key]):
+                    raise ValueError
             except ValueError:
                 raise ConfigError("signal", "bad value in %r" % item.strip())
     return benchmarks.SignalSpec(kind, **fields)
@@ -162,8 +167,8 @@ def parse_grid(text):
 
 def pick_ts(ts_arg, model_name):
     if ts_arg is not None:
-        if ts_arg <= 0:
-            raise ConfigError("ts", "sampling time must be positive")
+        if not 0 < ts_arg < math.inf:
+            raise ConfigError("ts", "sampling time must be positive and finite")
         return float(ts_arg)
     return DEFAULT_TS.get(model_name, 1.0)
 
@@ -238,6 +243,24 @@ def check_reachable(key, model, r, loop=None):
             )
 
 
+def check_loop(prefix, amplitude, f_cps, center):
+    """(amplitude, f_cps, center) if :func:`narxcomp.model.hysteresis_loop`
+    can trace that loop, else a ConfigError naming the option: ``prefix``
+    plus ``amplitude``, ``f`` or ``center``.  ``f_cps`` is in cycles per
+    sample."""
+    if not math.isfinite(center):
+        raise ConfigError(prefix + "center", "loop center must be finite")
+    if not 0 < amplitude < math.inf:
+        raise ConfigError(prefix + "amplitude", "loop amplitude must be positive and finite")
+    if not f_cps > 0:
+        raise ConfigError(prefix + "f", "loop frequency must be positive")
+    if int(round(1.0 / f_cps)) < 8:
+        raise ConfigError(
+            prefix + "f", "loop period of %g samples is too coarse" % (1.0 / f_cps)
+        )
+    return amplitude, f_cps, center
+
+
 def loop_params(args, model, spec, ts, n):
     """(amplitude, f_cps, center) for the seeding loop, with defaults.
 
@@ -251,40 +274,37 @@ def loop_params(args, model, spec, ts, n):
         center = 0.5 * (lo + hi)
     if amp is None:
         amp = hi - center
-    if amp <= 0:
-        raise ConfigError("loop-amplitude", "loop amplitude must be positive")
     if args.loop_f is not None:
-        if args.loop_f <= 0:
-            raise ConfigError("loop-f", "loop frequency must be positive")
         f_cps = args.loop_f * ts
     elif spec is not None and spec.frequency > 0:
         f_cps = spec.frequency * ts
     else:
         f_cps = 1.0 / max(n, 64)
-    if int(round(1.0 / f_cps)) < 8:
-        raise ConfigError(
-            "loop-f", "loop period of %g samples is too coarse" % (1.0 / f_cps)
-        )
-    return amp, f_cps, center
+    return check_loop("loop-", amp, f_cps, center)
 
 
 # ---------------------------------------------------------------------------
 # Output
 
 
-def format_value(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return "%d" % v
-    return "%.12g" % v
+def _format(column):
+    """The %-format of a column whose cells share one type."""
+    first = column[0]
+    if isinstance(first, str):
+        return "%s"
+    return "%d" if isinstance(first, int) else "%.12g"
 
 
-def write_rows(path, header, rows):
-    """Write one CSV; nothing is left behind if writing fails."""
-    lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def write_rows(path, header, columns):
+    """Write one CSV from equal-length columns, one per header field.
+
+    The cells of a column share one type: int (written ``%d``), float
+    (``%.12g``) or str.  Nothing is left behind if writing fails.
+    """
+    text = ",".join(header) + "\n"
+    if len(columns[0]):
+        template = ",".join(map(_format, columns))
+        text += "\n".join(map(template.__mod__, zip(*columns))) + "\n"
     if path == "-":
         sys.stdout.write(text)
         return
@@ -301,7 +321,7 @@ def write_rows(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# Commands (each returns (header, rows))
+# Commands (each returns (header, columns))
 
 
 def cmd_simulate(args):
@@ -311,27 +331,28 @@ def cmd_simulate(args):
     n = choose_n(args.n, spec, ts)
     u = build_signal(spec, n, ts)
     y = narx.simulate_free_run(model, u, [0.0] * model.n_y)
-    return ("k", "u", "y"), [(k, u[k], y[k]) for k in range(n)]
+    return ("k", "u", "y"), (range(n), u.tolist(), y.tolist())
 
 
 def cmd_fixed_points(args):
     model, _ = resolve_model(args.model)
     try:
         levels = [float(p) for p in args.u.split(",")]
+        if not all(map(math.isfinite, levels)):
+            raise ValueError
     except ValueError:
-        raise ConfigError("u", "expected comma-separated input levels, got %r" % args.u)
+        raise ConfigError("u", "expected comma-separated finite input levels, got %r" % args.u)
     branch_sign = {"steady": 0, "loading": 1, "unloading": -1}[args.branch]
     n_lam = model.max_y_lag()
     header = ("u", "y") + tuple("lambda%d" % (i + 1) for i in range(n_lam)) + ("stable",)
-    rows = []
-    for u_bar in levels:
-        for fp in narx.fixed_points(model, u_bar, branch_sign):
-            rows.append(
-                (fp.u_bar, fp.y_bar)
-                + fp.eigen_mags
-                + ("stable" if fp.stable else "unstable",)
-            )
-    return header, rows
+    fps = [fp for u_bar in levels for fp in narx.fixed_points(model, u_bar, branch_sign)]
+    columns = (
+        [fp.u_bar for fp in fps],
+        [fp.y_bar for fp in fps],
+        *([fp.eigen_mags[i] for fp in fps] for i in range(n_lam)),
+        ["stable" if fp.stable else "unstable" for fp in fps],
+    )
+    return header, columns
 
 
 def cmd_loop(args):
@@ -339,12 +360,15 @@ def cmd_loop(args):
     if not model.is_hysteretic():
         raise ConfigError("model", "model has no phi regressors; no loop to trace")
     ts = pick_ts(args.ts, name)
-    if args.f <= 0:
-        raise ConfigError("f", "loop frequency must be positive")
-    loop = narx.hysteresis_loop(model, args.amplitude, args.f * ts, args.center)
-    rows = [(u, y, "loading") for u, y in loop.loading]
-    rows += [(u, y, "unloading") for u, y in loop.unloading]
-    return ("u", "y", "branch"), rows
+    loop = narx.hysteresis_loop(
+        model, *check_loop("", args.amplitude, args.f * ts, args.center)
+    )
+    load, unload = loop.loading, loop.unloading
+    return ("u", "y", "branch"), (
+        load[:, 0].tolist() + unload[:, 0].tolist(),
+        load[:, 1].tolist() + unload[:, 1].tolist(),
+        ["loading"] * len(load) + ["unloading"] * len(unload),
+    )
 
 
 def cmd_compensate(args):
@@ -398,13 +422,13 @@ def cmd_compensate(args):
         "mape_comp=%.4g%% mape_uncomp=%.4g%% holds=%d" % (mape_c, mape_u, holds),
         file=sys.stderr,
     )
-    return RUN_HEADER, [(k, r[k], m[k], y_c[k], y_u[k]) for k in range(n)]
+    return RUN_HEADER, (range(n), r.tolist(), m.tolist(), y_c.tolist(), y_u.tolist())
 
 
 def cmd_montecarlo(args):
     model, name = resolve_model(args.model)
-    if args.rel_std < 0:
-        raise ConfigError("rel-std", "relative std must be >= 0")
+    if not 0 <= args.rel_std < math.inf:
+        raise ConfigError("rel-std", "relative std must be >= 0 and finite")
     if args.runs < 1:
         raise ConfigError("runs", "need at least one run")
     if args.seed < 0:
@@ -457,8 +481,7 @@ def cmd_montecarlo(args):
             % ", ".join("%s=%d" % item for item in band.skip_reasons.items()),
             file=sys.stderr,
         )
-    rows = list(zip(band.grid, band.mean, band.std, band.lo, band.hi))
-    return header, rows
+    return header, [a.tolist() for a in (band.grid, band.mean, band.std, band.lo, band.hi)]
 
 
 def _bundled(name):
@@ -468,18 +491,20 @@ def _bundled(name):
 def cmd_reproduce(args):
     target = args.target
     if target == "table1":
-        return TABLE_HEADER, ev.heater_validation_table(_bundled("heater"))
-    if target == "table3":
-        return TABLE_HEADER, ev.heater_compensation_table(_bundled("heater"))
-    if target == "table-bw-model":
-        return TABLE_HEADER, ev.bouc_wen_validation_table(_bundled("bouc_wen"))
-    if target == "table-bw-comp":
-        return TABLE_HEADER, ev.bouc_wen_compensation_table(_bundled("bouc_wen"))
-    # fig8: response of both Bouc-Wen variants to a sine frozen mid-cycle
-    u, y_free = ev.drift_hold_run(_bundled("bouc_wen"))
-    _, y_cns = ev.drift_hold_run(_bundled("bouc_wen_sigma1"))
-    header = ("k", "u", "y_unconstrained", "y_constrained")
-    return header, [(k, u[k], y_free[k], y_cns[k]) for k in range(len(u))]
+        rows = ev.heater_validation_table(_bundled("heater"))
+    elif target == "table3":
+        rows = ev.heater_compensation_table(_bundled("heater"))
+    elif target == "table-bw-model":
+        rows = ev.bouc_wen_validation_table(_bundled("bouc_wen"))
+    elif target == "table-bw-comp":
+        rows = ev.bouc_wen_compensation_table(_bundled("bouc_wen"))
+    else:
+        # fig8: response of both Bouc-Wen variants to a sine frozen mid-cycle
+        u, y_free = ev.drift_hold_run(_bundled("bouc_wen"))
+        _, y_cns = ev.drift_hold_run(_bundled("bouc_wen_sigma1"))
+        header = ("k", "u", "y_unconstrained", "y_constrained")
+        return header, (range(len(u)), u.tolist(), y_free.tolist(), y_cns.tolist())
+    return TABLE_HEADER, tuple(zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +639,8 @@ def _glued(argv):
 def main(argv=None):
     args = build_parser().parse_args(_glued(sys.argv[1:] if argv is None else argv))
     try:
-        header, rows = args.func(args)
-        write_rows(args.output, header, rows)
+        header, columns = args.func(args)
+        write_rows(args.output, header, columns)
     except ConfigError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG

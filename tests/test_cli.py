@@ -1,7 +1,15 @@
 """Command-line interface: parsing, exit codes, CSV output, reproducibility."""
 
+import contextlib
+import io
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import narxcomp.cli as cli
 
@@ -91,12 +99,71 @@ def test_choose_n_five_periods():
         cli.choose_n(None, cli.parse_signal("steps:a=1"), 1.0)
 
 
-def test_format_value():
-    assert cli.format_value(3) == "3"
-    assert cli.format_value(np.int64(7)) == "7"
-    assert cli.format_value("stable") == "stable"
-    assert cli.format_value(0.1313892222714) == "0.131389222271"
-    assert cli.format_value(1e-17) == "1e-17"
+def per_cell_csv(header, rows):
+    """The CSV text of the writer that formatted each cell on its own."""
+    def format_value(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return "%d" % v
+        return "%.12g" % v
+
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+#: One cell strategy per column type.  Ints reach 1e12 and beyond, where
+#: %d and %.12g differ; floats include NaN, +-inf, -0.0 and subnormals, and
+#: numpy float64 cells mixed with float ones, as the table MAPEs come.
+CELLS = {
+    "int": st.integers() | st.integers(min_value=10**12),
+    "float": st.floats() | st.floats().map(np.float64),
+    "str": st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                 blacklist_characters=",")),
+}
+
+
+@st.composite
+def typed_columns(draw):
+    n_rows = draw(st.integers(0, 50))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    return [draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows))
+            for kind in kinds]
+
+
+def written(columns, to_file):
+    header = ["c%d" % i for i in range(len(columns))]
+    if to_file:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            cli.write_rows(path, header, columns)
+            with open(path, "rb") as fh:
+                return fh.read().decode()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.write_rows("-", header, columns)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@example(columns=[[10**12, -(10**15)], [-0.0, 5e-324], [math.nan, -math.inf], ["", "%d"]],
+         to_file=True)
+@example(columns=[[], []], to_file=True)
+@given(columns=typed_columns(), to_file=st.booleans())
+def test_write_rows_equals_the_per_cell_writer(columns, to_file):
+    header = ["c%d" % i for i in range(len(columns))]
+    expected = per_cell_csv(header, list(zip(*columns)))
+    assert written(columns, to_file) == expected
+
+
+def test_write_rows_cell_formats():
+    assert written([[3], [7], ["stable"], [0.1313892222714], [1e-17]], False) == (
+        "c0,c1,c2,c3,c4\n3,7,stable,0.131389222271,1e-17\n"
+    )
+    assert written([[10**12], [1e12], [math.nan]], True) == (
+        "c0,c1,c2\n1000000000000,1e+12,nan\n"
+    )
+    assert written([[], []], False) == "c0,c1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +310,48 @@ def test_unwritable_output_is_config_error(capsys, tmp_path):
     )
     assert code == 2
     assert "output" in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["--amplitude", "30", "--f", "100"], "f"),  # a 2-sample period
+    (["--amplitude", "30", "--f", "1", "--ts", "inf"], "ts"),
+    (["--amplitude", "0", "--f", "1"], "amplitude"),
+    (["--amplitude", "-5", "--f", "1"], "amplitude"),
+    (["--amplitude", "nan", "--f", "1"], "amplitude"),
+    (["--amplitude", "30", "--f", "nan"], "f"),
+    (["--amplitude", "30", "--f", "1", "--center", "inf"], "center"),
+])
+def test_loop_rejects_a_loop_it_cannot_trace(capsys, argv, key):
+    code, out, err = run_cli(["loop", "-m", "bouc_wen"] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % key)
+
+
+BW_REFERENCE = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.5",
+      "--n", "50", "--ts", "nan"], "ts"),
+    (["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=inf",
+      "--n", "50"], "signal"),
+    (["fixed-points", "-m", "heater", "--u", "nan"], "u"),
+    (["fixed-points", "-m", "heater", "--u", "0.5,inf"], "u"),
+    (["fixed-points", "-m", "heater", "--u", "1e400"], "u"),
+    (["compensate", "-m", "bouc_wen", "--loop-amplitude", "nan"] + BW_REFERENCE,
+     "loop-amplitude"),
+    (["compensate", "-m", "bouc_wen", "--loop-center", "inf"] + BW_REFERENCE,
+     "loop-center"),
+    (["compensate", "-m", "bouc_wen", "--loop-f", "nan"] + BW_REFERENCE, "loop-f"),
+    (["montecarlo", "-m", "bouc_wen", "--rel-std", "0.005", "--runs", "4",
+      "--loop-amplitude", "inf"] + BW_REFERENCE, "loop-amplitude"),
+    (["montecarlo", "-m", "heater", "--rel-std", "nan", "--runs", "5",
+      "--grid", "0.1,0.2"], "rel-std"),
+])
+def test_non_finite_options_are_config_errors(capsys, argv, key):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % key)
 
 
 def test_montecarlo_argument_exclusivity(capsys):
