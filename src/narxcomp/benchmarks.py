@@ -75,8 +75,9 @@ class HammersteinHeater:
 
     @classmethod
     def static_output(cls, u):
-        """Settled output for a constant input (clamped to the valid range)."""
-        u = min(max(float(u), cls.U_MIN), cls.U_MAX)
+        """Settled output for a constant input (clamped to the valid range),
+        elementwise over an array of inputs."""
+        u = np.minimum(np.maximum(u, cls.U_MIN), cls.U_MAX)
         v = cls.P1 * u * u + cls.P2 * u
         return v * (cls.B2 + cls.B4) / (1.0 - cls.B1 - cls.B3)
 

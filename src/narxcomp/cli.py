@@ -254,6 +254,11 @@ def check_loop(prefix, amplitude, f_cps, center):
         raise ConfigError(prefix + "amplitude", "loop amplitude must be positive and finite")
     if not f_cps > 0:
         raise ConfigError(prefix + "f", "loop frequency must be positive")
+    if 1.0 / f_cps > narx.MAX_LOOP_PERIOD:
+        raise ConfigError(
+            prefix + "f", "loop period of %g samples is longer than %d"
+            % (1.0 / f_cps, narx.MAX_LOOP_PERIOD)
+        )
     if int(round(1.0 / f_cps)) < 8:
         raise ConfigError(
             prefix + "f", "loop period of %g samples is too coarse" % (1.0 / f_cps)

@@ -199,6 +199,8 @@ def solve_static_lockstep(model, coefs, r_bar):
         u_lo, u_hi = model.input_range
         for slot, (x, im) in enumerate(roots):
             cand = poly.lockstep_real(x, im) & (u_lo <= x) & (x <= u_hi) & (degree > slot)
+            if not cand.any():
+                continue
             good, fp_closed = stable_fixed_point_lockstep(model, cols, x, r_bar, 1e-6 * span)
             closed &= fp_closed | ~cand
             good &= cand
@@ -208,13 +210,13 @@ def solve_static_lockstep(model, coefs, r_bar):
             m_bar = np.where(better, x, m_bar)
             found |= good
     errors = {}
-    for i in range(n_runs):
+    for i in np.flatnonzero(~(closed & found)).tolist():
         if not closed[i]:
             try:
                 m_bar[i] = solve_static(with_coefficients(model, coefs[i]), r_bar)
             except Exception as e:
                 errors[i] = e
-        elif not found[i]:
+        else:
             errors[i] = NoFeasibleRoot("no admissible static input for r=%g" % r_bar)
     return m_bar, errors
 

@@ -181,18 +181,18 @@ class HeaterStaticSweep:
         its first failing level, as in the scalar path."""
         m_bar = np.empty((len(coefs), len(self.grid)))
         results = [None] * len(coefs)
-        alive = list(range(len(coefs)))
+        alive = np.arange(len(coefs))
         for g, r_bar in enumerate(self.grid):
-            if not alive:
+            if not alive.size:
                 break
             m, errors = comp.solve_static_lockstep(model, coefs[alive], r_bar)
             m_bar[alive, g] = m
-            for j, e in errors.items():
-                results[alive[j]] = e
-            alive = [i for j, i in enumerate(alive) if j not in errors]
-        static_output = HammersteinHeater.static_output
-        for i in alive:
-            results[i] = np.array([static_output(m) for m in m_bar[i].tolist()])
+            if errors:
+                for j, e in errors.items():
+                    results[alive[j]] = e
+                alive = np.delete(alive, list(errors))
+        for i, row in zip(alive.tolist(), HammersteinHeater.static_output(m_bar[alive])):
+            results[i] = row
         return results
 
 

@@ -532,6 +532,8 @@ def stable_fixed_point_lockstep(model, cols, u_bar, y_target, tol):
     found = np.zeros(cols.shape[1], dtype=bool)
     for slot, (y_bar, im) in enumerate(roots):
         fp = poly.lockstep_real(y_bar, im) & (y_lo <= y_bar) & (y_bar <= y_hi) & (degree > slot)
+        if not fp.any():
+            continue
         stable, eig_closed = _stable_lockstep(model, cols, u_bar, y_bar)
         closed &= eig_closed | ~fp
         found |= fp & stable & (np.abs(y_bar - y_target) < tol)
@@ -555,6 +557,10 @@ def static_curve(model, u_grid):
     return out
 
 
+#: Longest loop period, in samples, that :func:`hysteresis_loop` traces.
+MAX_LOOP_PERIOD = 1_000_000
+
+
 def hysteresis_loop(model, amplitude, f_min, u_center,
                     settle_tol=1e-8, max_periods=64):
     """Trace the settled input-output loop under a sinusoidal excitation.
@@ -572,6 +578,10 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
         raise ValueError("hysteresis loop requires a model with phi regressors")
     if f_min <= 0:
         raise ValueError("f_min must be positive")
+    if 1.0 / f_min > MAX_LOOP_PERIOD:
+        raise ValueError(
+            "period of %g samples is longer than %d" % (1.0 / f_min, MAX_LOOP_PERIOD)
+        )
     period = int(round(1.0 / f_min))
     if period < 8:
         raise ValueError("period of %d samples is too coarse to trace" % period)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narxcomp.benchmarks import (
     BoucWenPlant,
@@ -36,6 +38,24 @@ def test_heater_static_output_formula():
     # Outside the power range the static map clamps.
     assert p.static_output(1.7) == p.static_output(1.0)
     assert p.static_output(-2.0) == 0.0
+
+
+def scalar_static_output(u):
+    """The heater's static map as it was written for one float at a time."""
+    p = HammersteinHeater
+    u = min(max(float(u), p.U_MIN), p.U_MAX)
+    v = p.P1 * u * u + p.P2 * u
+    return v * (p.B2 + p.B4) / (1.0 - p.B1 - p.B3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from([-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-16]),
+                max_size=12))
+def test_heater_static_output_is_elementwise(us):
+    got = HammersteinHeater.static_output(np.array(us, dtype=float))
+    assert [repr(float(y)) for y in got] == [repr(scalar_static_output(u)) for u in us]
+    for u in us:
+        assert repr(float(HammersteinHeater.static_output(u))) == repr(scalar_static_output(u))
 
 
 def test_heater_settles_to_static_output():

@@ -320,6 +320,7 @@ def test_unwritable_output_is_config_error(capsys, tmp_path):
     (["--amplitude", "nan", "--f", "1"], "amplitude"),
     (["--amplitude", "30", "--f", "nan"], "f"),
     (["--amplitude", "30", "--f", "1", "--center", "inf"], "center"),
+    (["--amplitude", "30", "--f", "1e-9"], "f"),  # a 2e11-sample period
 ])
 def test_loop_rejects_a_loop_it_cannot_trace(capsys, argv, key):
     code, out, err = run_cli(["loop", "-m", "bouc_wen"] + argv, capsys)
@@ -328,6 +329,17 @@ def test_loop_rejects_a_loop_it_cannot_trace(capsys, argv, key):
 
 
 BW_REFERENCE = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
+
+
+def test_loop_period_bound_names_the_option(capsys):
+    # the seeding loop of compensate; `loop` itself is a case above
+    code, out, err = run_cli(["compensate", "-m", "bouc_wen", "--signal", "sine:G0=30,f=1",
+                              "--loop-f", "1e-9"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: loop-f: loop period of 2e+11 samples is longer than 1000000\n"
+    assert cli.check_loop("", 30.0, 1e-6, 0.0) == (30.0, 1e-6, 0.0)
+    with pytest.raises(cli.ConfigError, match="^f: loop period of 1e\\+06 samples"):
+        cli.check_loop("", 30.0, 1.0 / 1_000_001, 0.0)
 
 
 @pytest.mark.parametrize("argv,key", [

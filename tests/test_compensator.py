@@ -119,6 +119,50 @@ def test_solve_static_no_feasible_root(heater_model):
         comp.solve_static(heater_model, 0.54)
 
 
+@st.composite
+def static_models(draw):
+    """A non-hysteretic model: y(k-1) with a coefficient in [0.3, 0.9]; maybe
+    y(k-2), y(k-1)^2, y(k-1) u(k-1) and a constant; one to three input
+    powers; input range [0, 1] or [-1, 1], output range [-2, 2]."""
+    terms = [term(draw(st.floats(0.3, 0.9)), ("y", 1, 1))]
+    n_y = 1
+    for factors in ([("y", 2, 1)], [("y", 1, 2)], [("y", 1, 1), ("u", 1, 1)], []):
+        if draw(st.booleans()):
+            terms.append(term(draw(st.floats(-0.5, 0.5)), *factors))
+            n_y = max([n_y] + [lag for s, lag, _ in factors if s == "y"])
+    powers = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    gain = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+    terms += [term(draw(gain), ("u", 1, p)) for p in powers]
+    inp = draw(st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]))
+    return mk(terms, n_y=n_y, ell=3, inp=inp, out=(-2.0, 2.0))
+
+
+def solve_static_outcome(solve, *args):
+    """``repr`` of the solved input, or the type and message of the error."""
+    try:
+        return repr(float(solve(*args)))
+    except Exception as e:
+        return (type(e), str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(static_models(), st.sampled_from([0.01, 0.1, 0.5]), st.integers(0, 2**32 - 1),
+       st.floats(-2.6, 2.6) | st.sampled_from([-2.4, 0.0, 2.4]))
+def test_solve_static_lockstep_equals_per_run_solve(model, rel_std, seed, r_bar):
+    # the output band is [-2.4, 2.4], so some levels lie outside it
+    z = np.random.default_rng(seed).standard_normal((15, len(model.terms)))
+    coefs = ev.perturbed_coefficients(model, rel_std, z)
+    m_bar, errors = comp.solve_static_lockstep(model, coefs, r_bar)
+    assert list(errors) == sorted(errors)
+    for i, row in enumerate(coefs):
+        want = solve_static_outcome(comp.solve_static, narx.with_coefficients(model, row), r_bar)
+        if i in errors:
+            got = (type(errors[i]), str(errors[i]))
+        else:
+            got = repr(float(m_bar[i]))
+        assert got == want, i
+
+
 # ---------------------------------------------------------------------------
 # Dynamic (non-hysteretic) per-step polynomial
 

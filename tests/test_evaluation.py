@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import narxcomp.compensator as comp
@@ -438,11 +438,12 @@ def _with_term(model, coefficient, *factors):
 
 
 @settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_static_sweep_band_equals_per_run_band(heater_model, seed):
+@example(seed=7, rel_std=0.3)  # 4, 7 and 12 of 30 runs end at the three levels
+@given(seed=st.integers(0, 2**32 - 1), rel_std=st.just(0.05))
+def test_static_sweep_band_equals_per_run_band(heater_model, seed, rel_std):
     sweep = ev.HeaterStaticSweep(np.array([0.05, 0.2, 0.45]))
-    batch = ev.monte_carlo(heater_model, 0.05, 30, sweep, seed)
-    per_run = ev.monte_carlo(heater_model, 0.05, 30, _plain(sweep), seed)
+    batch = ev.monte_carlo(heater_model, rel_std, 30, sweep, seed)
+    per_run = ev.monte_carlo(heater_model, rel_std, 30, _plain(sweep), seed)
     assert _same_band(batch, per_run)
     assert batch.n_skipped == sum(batch.skip_reasons.values())
 

@@ -589,6 +589,14 @@ def test_loop_rejects_bad_frequency(valve_model):
         narx.hysteresis_loop(valve_model, 2.0, 0.5, 3.0)
 
 
+def test_loop_rejects_a_period_beyond_the_bound(valve_model):
+    # a 1e12-sample period would be one array of 8 TB
+    with pytest.raises(ValueError, match="period of 1e\\+12 samples is longer than 1000000"):
+        narx.hysteresis_loop(valve_model, 2.0, 1e-12, 3.0)
+    with pytest.raises(ValueError, match="longer than"):
+        narx.hysteresis_loop(valve_model, 2.0, 5e-324, 3.0)
+
+
 def test_loop_unsettled_raised(valve_model):
     with pytest.raises(narx.LoopUnsettled):
         narx.hysteresis_loop(valve_model, 2.0, 0.01, 3.0,
