@@ -252,6 +252,11 @@ def check_loop(prefix, amplitude, f_cps, center):
         raise ConfigError(prefix + "center", "loop center must be finite")
     if not 0 < amplitude < math.inf:
         raise ConfigError(prefix + "amplitude", "loop amplitude must be positive and finite")
+    if center + amplitude == center or center - amplitude == center:
+        raise ConfigError(
+            prefix + "amplitude", "loop amplitude %g does not move the input off its "
+            "center %g" % (amplitude, center)
+        )
     if not f_cps > 0:
         raise ConfigError(prefix + "f", "loop frequency must be positive")
     if 1.0 / f_cps > narx.MAX_LOOP_PERIOD:
@@ -264,6 +269,16 @@ def check_loop(prefix, amplitude, f_cps, center):
             prefix + "f", "loop period of %g samples is too coarse" % (1.0 / f_cps)
         )
     return amplitude, f_cps, center
+
+
+def trace_loop(prefix, model, params):
+    """:func:`narxcomp.model.hysteresis_loop` of ``model`` under ``params``
+    from :func:`check_loop`; a branch that comes out empty is a ConfigError
+    naming ``prefix`` plus ``amplitude``."""
+    try:
+        return narx.hysteresis_loop(model, *params)
+    except narx.EmptyLoopBranch as e:
+        raise ConfigError(prefix + "amplitude", str(e)) from None
 
 
 def loop_params(args, model, spec, ts, n):
@@ -365,9 +380,7 @@ def cmd_loop(args):
     if not model.is_hysteretic():
         raise ConfigError("model", "model has no phi regressors; no loop to trace")
     ts = pick_ts(args.ts, name)
-    loop = narx.hysteresis_loop(
-        model, *check_loop("", args.amplitude, args.f * ts, args.center)
-    )
+    loop = trace_loop("", model, check_loop("", args.amplitude, args.f * ts, args.center))
     load, unload = loop.loading, loop.unloading
     return ("u", "y", "branch"), (
         load[:, 0].tolist() + unload[:, 0].tolist(),
@@ -394,7 +407,7 @@ def cmd_compensate(args):
     check_reachable("signal", model, r)
     loop = None
     if mode == "hysteresis":
-        loop = narx.hysteresis_loop(model, *loop_params(args, model, spec, ts, n))
+        loop = trace_loop("loop-", model, loop_params(args, model, spec, ts, n))
         check_reachable("signal", model, r, loop)
         seed = comp.init_hysteresis(model, loop, float(r[0]), float(r[1]))
     elif mode == "dynamic":
@@ -464,7 +477,7 @@ def cmd_montecarlo(args):
         lp = None
         if model.is_hysteretic():
             lp = loop_params(args, model, spec, ts, n)
-            loop = narx.hysteresis_loop(model, *lp)
+            loop = trace_loop("loop-", model, lp)
             check_reachable("signal", model, r, loop)
             seed = comp.init_hysteresis(model, loop, float(r[0]), float(r[1]))
         else:

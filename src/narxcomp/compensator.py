@@ -14,13 +14,13 @@ held.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
+from math import inf, sqrt
 
 import numpy as np
 
 from . import poly
-from .poly import AlgebraicPolynomial
+from .poly import AlgebraicPolynomial, LEADING_ZERO_RTOL, _TINY_DISC
 from .model import (
     Regime,
     fixed_points,
@@ -62,7 +62,8 @@ class _HoldType:
 HOLD = _HoldType()
 
 # Regime members as module globals: reading them off the class costs about
-# ten times as much, and the step loop tests them on every root
+# ten times as much, and the step loop tests them on every root (likewise
+# the constants that _pick imports from poly and math)
 LOADING, UNLOADING = Regime.LOADING, Regime.UNLOADING
 
 
@@ -120,7 +121,8 @@ def _clamped(r, start, stop):
     """r(start) ... r(stop - 1) as a list, indices past either end of ``r``
     clamped to the nearest sample."""
     n = len(r)
-    return [float(r[min(max(i, 0), n - 1)]) for i in range(start, stop)] if n else []
+    idx = np.clip(np.arange(start, stop), 0, n - 1)
+    return np.asarray(r, dtype=float)[idx].tolist() if n else []
 
 
 def static_comp_poly(model, r_bar):
@@ -479,8 +481,9 @@ def _pick(m_prev, bounds, branch, a0, a1, a2, *high):
     neither the root nor the residual.
     """
     t = a0 + a1 + a2
-    for h in high:
-        t += h
+    if high:
+        for h in high:
+            t += h
     d = None  # the degree, where the closed form applies
     if t - t == 0.0:  # no inf or NaN coefficient, and no overflowing sum
         b1, b2 = abs(a1), abs(a2)
@@ -489,11 +492,12 @@ def _pick(m_prev, bounds, branch, a0, a1, a2, *high):
             big = b1
         if b2 > big:
             big = b2
-        tol = poly.LEADING_ZERO_RTOL * big
+        tol = LEADING_ZERO_RTOL * big
         d = 2 if b2 > tol else 1 if b1 > tol else 0
-        for h in high:
-            if abs(h) > tol:
-                d = None
+        if high:
+            for h in high:
+                if abs(h) > tol:
+                    d = None
     if d is None:
         p = (a0, a1, a2) + high
         q = AlgebraicPolynomial(p)
@@ -507,8 +511,8 @@ def _pick(m_prev, bounds, branch, a0, a1, a2, *high):
         x = _nearest((-a0 / a1,), m_prev, bounds, branch)
     else:
         disc = a1 * a1 - 4.0 * a2 * a0
-        if poly._TINY_DISC <= disc < math.inf:
-            s = math.sqrt(disc)
+        if _TINY_DISC <= disc < inf:
+            s = sqrt(disc)
             xs = ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
         else:
             s = cmath.sqrt(complex(disc))
@@ -518,8 +522,9 @@ def _pick(m_prev, bounds, branch, a0, a1, a2, *high):
     if x is HOLD:
         return HOLD, 0.0
     acc = 0.0
-    for h in reversed(high):
-        acc = acc * x + h
+    if high:
+        for h in reversed(high):
+            acc = acc * x + h
     return x, abs(((acc * x + a2) * x + a1) * x + a0) / (1.0 + big)
 
 

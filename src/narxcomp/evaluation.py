@@ -137,7 +137,7 @@ def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None):
     reasons = Counter()
     for res in results:
         if not isinstance(res, Exception):
-            kept.append(np.asarray(res))
+            kept.append(res)
         elif isinstance(res, SKIPPED_RUN):
             reasons[type(res).__name__] += 1
             # its frames would keep the whole batch alive in a reference cycle
@@ -147,7 +147,9 @@ def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None):
     n_skipped = n_runs - len(kept)
     if not kept:
         raise comp.NoFeasibleRoot("every Monte Carlo run failed")
-    vals = np.vstack(kept)
+    vals = np.array(kept)  # one row per kept run
+    if vals.ndim == 1:  # a 0-d result per run: one column
+        vals = vals[:, None]
     mean = vals.mean(axis=0)
     std = vals.std(axis=0)
     g = np.arange(vals.shape[1]) if grid is None else np.asarray(grid, dtype=float)

@@ -65,6 +65,10 @@ class LoopUnsettled(RuntimeError):
     """Periodic excitation never converged onto a repeating loop."""
 
 
+class EmptyLoopBranch(ValueError):
+    """The settled period has no rising or no falling input sample."""
+
+
 @dataclass(frozen=True)
 class Factor:
     signal: Signal
@@ -569,7 +573,9 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     per sample) period by period until two consecutive periods agree to
     ``settle_tol`` (relative to the period's output span), then splits the
     settled period into loading (input rising) and unloading (input falling)
-    branches.  Raises :class:`LoopUnsettled` if agreement is never reached;
+    branches.  Raises :class:`EmptyLoopBranch` if a branch comes out empty
+    (an amplitude too small to move the input off its center) and
+    :class:`LoopUnsettled` if agreement is never reached;
     models whose output-coefficient sum exceeds one carry a slowly growing
     drift mode, so a run that contracts onto its loop still stops long
     before the drift resurfaces.
@@ -599,8 +605,8 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
         if not isfinite(y_p[-1]):
             raise NonFinite("loop trace diverged in period %d" % p)
         if prev_y is not None:
-            scale = max(1.0, float(np.ptp(y_p)))
-            if float(np.max(np.abs(y_p - prev_y))) < settle_tol * scale:
+            scale = max(1.0, float(y_p.max() - y_p.min()))
+            if float(np.abs(y_p - prev_y).max()) < settle_tol * scale:
                 settled = (u_p, y_p)
                 settled_start = p * period
                 break
@@ -624,6 +630,9 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
         regime[i] = cur
     loading = np.column_stack([u_p[regime > 0], y_p[regime > 0]])
     unloading = np.column_stack([u_p[regime < 0], y_p[regime < 0]])
+    if not (len(loading) and len(unloading)):
+        raise EmptyLoopBranch("loop of amplitude %g around %g has an empty branch"
+                              % (amplitude, u_center))
     loading = loading[np.argsort(loading[:, 0], kind="stable")]
     unloading = unloading[np.argsort(unloading[:, 0], kind="stable")[::-1]]
     return HysteresisLoop(loading=loading, unloading=unloading, period=period)
@@ -635,11 +644,9 @@ def loop_inverse(loop, y_target, regime):
     Linear interpolation between adjacent traced points; raises
     :class:`OutOfLoopRange` if no branch segment brackets the target.
     """
-    branch = loop.branch(regime)
+    branch = loop.branch(regime).tolist()
     t = float(y_target)
-    for i in range(len(branch) - 1):
-        u0, y0 = branch[i]
-        u1, y1 = branch[i + 1]
+    for (u0, y0), (u1, y1) in zip(branch, branch[1:]):
         if (y0 - t) * (y1 - t) <= 0.0:
             if y1 == y0:
                 return float(u0)

@@ -329,6 +329,35 @@ def test_loop_rejects_a_loop_it_cannot_trace(capsys, argv, key):
 
 
 BW_REFERENCE = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
+TINY_LOOP = ["--signal", "sine:G0=30,f=1", "--loop-amplitude", "1e-300", "--loop-center", "1"]
+TINY_MOVE = "loop amplitude 1e-300 does not move the input off its center 1"
+# 2.23e-16 moves 3 by one ulp, but no sample of an 8.4-sample period gets
+# near enough to the peak to move it
+NO_SAMPLE_MOVES = "loop of amplitude 2.23e-16 around 3 has an empty branch"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["loop", "-m", "bouc_wen", "--amplitude", "1e-300", "--center", "1", "--f", "1"],
+     "amplitude: " + TINY_MOVE),
+    (["compensate", "-m", "bouc_wen"] + TINY_LOOP, "loop-amplitude: " + TINY_MOVE),
+    (["montecarlo", "-m", "bouc_wen", "--rel-std", "0.005", "--runs", "4"] + TINY_LOOP,
+     "loop-amplitude: " + TINY_MOVE),
+    (["loop", "-m", "bouc_wen", "--amplitude", "2.23e-16", "--center", "3", "--f", "23.8"],
+     "amplitude: " + NO_SAMPLE_MOVES),
+    (["compensate", "-m", "bouc_wen", "--signal", "sine:G0=30,f=1", "--loop-amplitude",
+      "2.23e-16", "--loop-center", "3", "--loop-f", "23.8"], "loop-amplitude: " + NO_SAMPLE_MOVES),
+], ids=["loop", "compensate", "montecarlo", "loop-no-sample-moves", "compensate-no-sample-moves"])
+def test_loop_amplitude_must_move_the_input(capsys, argv, message):
+    # the traced loop would have empty branches
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_check_loop_needs_the_input_moved_both_ways():
+    # 1 - 1e-16 rounds below 1, but 1 + 1e-16 rounds back to 1
+    with pytest.raises(cli.ConfigError, match="^amplitude: "):
+        cli.check_loop("", 1e-16, 0.005, 1.0)
+    assert cli.check_loop("", 1e-15, 0.005, 1.0) == (1e-15, 0.005, 1.0)
 
 
 def test_loop_period_bound_names_the_option(capsys):

@@ -189,6 +189,25 @@ def test_dynamic_comp_poly_clamps_reference_ends(heater_model):
     )
 
 
+def per_sample_clamped(r, start, stop):
+    """compensator._clamped as it was written one sample at a time."""
+    n = len(r)
+    return [float(r[min(max(i, 0), n - 1)]) for i in range(start, stop)] if n else []
+
+
+@settings(max_examples=300, deadline=None)
+@example(r=[], start=-2, stop=3)
+@example(r=[-0.0], start=-3, stop=4)
+@example(r=[math.nan, math.inf, -math.inf], start=-1, stop=5)
+@example(r=[1.0, 2.0], start=5, stop=2)
+@given(r=st.lists(st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+                  max_size=6),
+       start=st.integers(-8, 10), stop=st.integers(-8, 10))
+def test_clamped_equals_the_per_sample_window(r, start, stop):
+    for ref in (r, np.array(r, dtype=float)):
+        assert repr(comp._clamped(ref, start, stop)) == repr(per_sample_clamped(ref, start, stop))
+
+
 def test_dynamic_comp_poly_uses_past_inputs():
     # y(k) = 0.5 u(k-1) + 0.25 u(k-2), dead time 1: u(k-2) is m(k-1), known.
     m = mk([term(0.5, ("u", 1, 1)), term(0.25, ("u", 2, 1))], n_u=2, tau_d=1, ell=1)

@@ -169,6 +169,22 @@ def test_monte_carlo_counts_skipped_runs(heater_model):
     assert band.n_runs == 40
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (3,)])
+def test_monte_carlo_stacks_runs_as_vstack(heater_model, shape):
+    seen = []
+    size = int(np.prod(shape))
+
+    def experiment(model):
+        seen.append(model.terms[0].coefficient * np.arange(1.0, size + 1.0).reshape(shape))
+        return seen[-1]
+
+    band = ev.monte_carlo(heater_model, 0.01, 7, experiment, SEED)
+    vals = np.vstack(seen)  # a 0-d result stacks to one column
+    assert repr((band.mean.tolist(), band.std.tolist())) == repr(
+        (vals.mean(axis=0).tolist(), vals.std(axis=0).tolist()))
+    assert np.array_equal(band.grid, np.arange(vals.shape[1]))
+
+
 def test_monte_carlo_raises_when_every_run_fails(heater_model):
     def broken(model):
         raise comp.NoFeasibleRoot("nope")

@@ -597,6 +597,13 @@ def test_loop_rejects_a_period_beyond_the_bound(valve_model):
         narx.hysteresis_loop(valve_model, 2.0, 5e-324, 3.0)
 
 
+def test_loop_with_an_empty_branch_is_rejected(bouc_wen_model):
+    # 1e-300 does not move an input centered at 1 in floating point: the
+    # trace settles at once on a flat period with neither branch
+    with pytest.raises(narx.EmptyLoopBranch, match="^loop of amplitude 1e-300 around 1 has an"):
+        narx.hysteresis_loop(bouc_wen_model, 1e-300, 0.005, 1.0)
+
+
 def test_loop_unsettled_raised(valve_model):
     with pytest.raises(narx.LoopUnsettled):
         narx.hysteresis_loop(valve_model, 2.0, 0.01, 3.0,
@@ -669,6 +676,57 @@ def test_loop_inverse_out_of_range(valve_loop):
         narx.loop_inverse(valve_loop, hi + 1.0, Regime.LOADING)
     with pytest.raises(narx.OutOfLoopRange):
         narx.loop_inverse(valve_loop, lo - 1.0, Regime.UNLOADING)
+
+
+def row_walk_loop_inverse(loop, y_target, regime):
+    """narx.loop_inverse as it was written over numpy rows."""
+    branch = loop.branch(regime)
+    t = float(y_target)
+    for i in range(len(branch) - 1):
+        u0, y0 = branch[i]
+        u1, y1 = branch[i + 1]
+        if (y0 - t) * (y1 - t) <= 0.0:
+            if y1 == y0:
+                return float(u0)
+            return float(u0 + (t - y0) * (u1 - u0) / (y1 - y0))
+    raise narx.OutOfLoopRange(
+        "target %g outside the traced %s branch" % (t, regime.name.lower())
+    )
+
+
+def inverse_outcome(inverse, loop, y_target, regime):
+    try:
+        with np.errstate(all="ignore"):
+            return repr(inverse(loop, y_target, regime))
+    except narx.OutOfLoopRange as e:
+        return "OutOfLoopRange: %s" % e
+
+
+@st.composite
+def branches_and_targets(draw):
+    """(rows, target): up to six (u, y) rows, their outputs drawn from a few
+    levels so that flat segments occur, and a target at either end, NaN or
+    anywhere."""
+    level = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats()
+    rows = draw(st.lists(st.tuples(st.floats(), level), max_size=6))
+    ends = [y for _, y in rows[:1] + rows[-1:]]
+    target = draw(st.sampled_from(ends + [math.nan, -0.0]) | st.floats())
+    return rows, target
+
+
+@settings(max_examples=300, deadline=None)
+@example(([], 0.0))
+@example(([(1.0, 2.0)], 2.0))
+@example(([(1.0, 0.5), (3.0, 0.5), (4.0, 2.0)], 0.5))  # a flat first segment
+@example(([(1.0, -1.0), (3.0, 2.0)], math.nan))
+@given(branches_and_targets())
+def test_loop_inverse_equals_the_row_walk(case):
+    rows, target = case
+    branch = np.array(rows, dtype=float).reshape(-1, 2)
+    loop = narx.HysteresisLoop(loading=branch, unloading=branch[::-1], period=8)
+    for regime in (Regime.LOADING, Regime.UNLOADING):
+        assert (inverse_outcome(narx.loop_inverse, loop, target, regime)
+                == inverse_outcome(row_walk_loop_inverse, loop, target, regime))
 
 
 # ---------------------------------------------------------------------------
