@@ -57,6 +57,7 @@ class ConfigError(Exception):
     def __init__(self, key, message):
         super().__init__("%s: %s" % (key, message))
         self.key = key
+        self.message = message
 
 
 class NumericFailure(RuntimeError):
@@ -144,7 +145,8 @@ def parse_signal(text):
 
 
 def parse_grid(text):
-    """Parse ``start:stop:step`` (inclusive) or a comma-separated list."""
+    """Parse ``start:stop:step`` (inclusive) or a comma-separated list, all
+    finite."""
     try:
         if ":" in text:
             parts = [float(p) for p in text.split(":")]
@@ -153,10 +155,12 @@ def parse_grid(text):
             start, stop, step = parts
             if step <= 0 or stop < start:
                 raise ValueError
-            count = int(round((stop - start) / step)) + 1
-            return start + step * np.arange(count)
+            steps = (stop - start) / step  # inf when finite ends overflow it
+            if not all(map(math.isfinite, parts + [steps])):
+                raise ValueError
+            return start + step * np.arange(int(round(steps)) + 1)
         vals = [float(p) for p in text.split(",")]
-        if not vals:
+        if not all(map(math.isfinite, vals)):
             raise ValueError
         return np.asarray(vals)
     except ValueError:
@@ -209,7 +213,10 @@ def resolve_plant(text, model, seed_value, r_start):
         return benchmarks.BoucWenPlant
     if text == "model_as_plant" or text.startswith("model_as_plant:"):
         _, _, path = text.partition(":")
-        plant_model = model if not path else resolve_model(path)[0]
+        try:
+            plant_model = model if not path else resolve_model(path)[0]
+        except ConfigError as e:
+            raise ConfigError("plant", e.message) from None
         return lambda: ev.ModelPlant(plant_model, seed_value, r_start)
     raise ConfigError(
         "plant",

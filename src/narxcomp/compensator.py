@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import inf, sqrt
 
 import numpy as np
@@ -27,7 +28,7 @@ from .model import (
     loop_inverse,
     stable_fixed_point_lockstep,
     static_rows,
-    bind_kernel,
+    compile_kernel,
     indented,
     kernel_factor,
     kernel_shift,
@@ -178,7 +179,7 @@ def solve_static(model, r_bar):
 @np.errstate(all="ignore")
 def solve_static_lockstep(model, coefs, r_bar):
     """:func:`solve_static` of ``r_bar`` for copies of ``model`` carrying the
-    table coefficients ``coefs``, one row per run.
+    coefficients ``coefs``, one row per run.
 
     Where the compensation, static and characteristic polynomials all have
     degree 1 or 2 the runs are solved together in closed form, bit for bit
@@ -223,31 +224,26 @@ def solve_static_lockstep(model, coefs, r_bar):
     return m_bar, errors
 
 
-def _step_plan(model):
-    """The model's table recast for solving in m(k), cached on the model.
+@lru_cache(maxsize=256)
+def _step_plan(factors, tau):
+    """A term structure recast for solving in m(k).
 
-    After the forward shift by tau_d, a term is its coefficient times known
-    factors -- outputs become references r(k + tau_d - lag), deeper inputs
-    and increments become past compensation inputs -- times the unknown
-    part x^xpow (x - m(k-1))^d, where x = m(k) and d = m(k) - m(k-1) comes
-    from phi1 at lag tau_d.  An odd power of phi2 at lag tau_d is sign(d):
-    +1 on the loading branch and -1 on the unloading branch, so it only
-    flips the term's sign there.  Returns (terms, size): per term
-    (coefficient, known, xpow, d, flip), ``known`` holding (kind, lag,
-    power) entries whose lags index the reference window and ``m_hist``
-    the way :func:`narxcomp.model.one_step` reads its histories.
+    After the forward shift by the dead time ``tau``, a term is its
+    coefficient times known factors -- outputs become references r(k + tau
+    - lag), deeper inputs and increments become past compensation inputs --
+    times the unknown part x^xpow (x - m(k-1))^d, where x = m(k) and d =
+    m(k) - m(k-1) comes from phi1 at lag tau.  An odd power of phi2 at lag
+    tau is sign(d): +1 on the loading branch and -1 on the unloading
+    branch, so it only flips the term's sign there.  Returns per term
+    (known, xpow, d, flip), ``known`` holding (kind, lag, power) entries
+    whose lags index the reference window and ``m_hist`` the way
+    :func:`narxcomp.model.one_step` reads its histories.
     """
-    plan = model._step_plan
-    if plan is not None:
-        return plan
-    tau = model.tau_d
     terms = []
-    # degree <= ell; branch polynomials carry one trailing zero (criterion 9 reads it)
-    size = model.ell + 1 + model.is_hysteretic()
-    for coef, factors in model.table:
+    for term in factors:
         known = []
         xpow = d = flip = 0
-        for kind, lag, power in factors:
+        for kind, lag, power in term:
             if kind == "y":
                 known.append((kind, lag, power))
             elif lag < tau:
@@ -266,30 +262,27 @@ def _step_plan(model):
                 d += power
             else:
                 flip = (flip + power) % 2
-        terms.append((coef, tuple(known), xpow, d, flip))
-        size = max(size, xpow + d + 1)
-    plan = (tuple(terms), size)
-    object.__setattr__(model, "_step_plan", plan)
-    return plan
+        terms.append((tuple(known), xpow, d, flip))
+    return tuple(terms)
 
 
-def _step_lines(model, m, branches):
+def _step_lines(terms, m, branches):
     """Unindented source adding each term of the step-k equation into the
     sums ``L<i>`` (loading) and ``U<i>`` (unloading) of the powers x^i,
     x = m(k), and the slots i that some term reaches.
 
-    ``m % i`` is the source of m(k-1-i), ``r[j]`` is r(k + tau_d), and the
-    local ``mp`` must hold m(k-1); ``branches`` is "LU", or "L" for the
-    loading sums alone.  Per term in table order the known factors multiply
-    the coefficient, a zero product is skipped, the rest is expanded times
-    (x - m(k-1))^d as [0.0] + part and part + [0.0] combine, and added to
-    each sum, negated on the unloading branch where the term flips.
+    ``terms`` are those of :func:`_step_plan`, ``m % i`` is the source of
+    m(k-1-i), ``r[j]`` is r(k + tau_d), and the local ``mp`` must hold
+    m(k-1); ``branches`` is "LU", or "L" for the loading sums alone.  Per
+    term in order the known factors multiply the coefficient, a zero
+    product is skipped, the rest is expanded times (x - m(k-1))^d as [0.0]
+    + part and part + [0.0] combine, and added to each sum, negated on the
+    unloading branch where the term flips.
     """
-    terms, _ = _step_plan(model)
     signs = {}
     body = []
     slots = {0}
-    for i, (_, known, xpow, d, flip) in enumerate(terms):
+    for i, (known, xpow, d, flip) in enumerate(terms):
         t = ["c[%d]" % i] + [
             kernel_factor(kind, lag, power, "r[j - %d]" % lag, m, signs)
             for kind, lag, power in known
@@ -309,9 +302,11 @@ def _step_lines(model, m, branches):
     return [line for pair in signs.values() for line in pair] + body, sorted(slots)
 
 
-def _run_kernel(model):
-    """The model's compensation loop ``loop(r, j, n, session, pick)``,
-    generated from :func:`_step_lines` and cached on the model.
+@lru_cache(maxsize=256)
+def _run_loop(factors, tau, hysteretic, depth):
+    """The compensation loop ``kernel(c, r, j, n, session, pick)`` of a term
+    structure, generated from :func:`_step_lines`; ``depth`` is
+    :func:`hist_depth`.
 
     It runs n steps of :func:`run` on ``session``, the first against the
     reference ``r[j]`` = r(k + tau_d), with m(k-1), m(k-2), ... in locals,
@@ -325,13 +320,9 @@ def _run_kernel(model):
     ``max_residual``, ``branch_state`` and ``m_hist`` are written back when
     the loop ends, also when a step raises.
     """
-    kernel = model._run_kernel
-    if kernel is not None:
-        return kernel
-    hysteretic = model.is_hysteretic()
     branches = "LU" if hysteretic else "L"
-    lines, slots = _step_lines(model, "m%d", branches)
-    ms = ["m%d" % i for i in range(hist_depth(model))]
+    lines, slots = _step_lines(_step_plan(factors, tau), "m%d", branches)
+    ms = ["m%d" % i for i in range(depth)]
     step = ["mp = m0", "%s = 0.0" % " = ".join(b + str(i) for b in branches for i in slots)]
     step += lines + ["rn = r[j]"]
     regimes = ("LOADING", "UNLOADING") if hysteretic else ("None",)
@@ -349,7 +340,7 @@ def _run_kernel(model):
     else:
         step += ["if xL is not HOLD:", "    x = xL", "    if eL > res:", "        res = eL"]
     step += ["else:", "    x = mp", "    holds += 1", "append(x)", kernel_shift(ms, "x")]
-    source = "\n".join(
+    return compile_kernel("\n".join(
         ["from %s import HOLD, LOADING, UNLOADING, _pick" % __name__,
          "def kernel(c, r, j, n, s, pick=_pick):"]
         + indented(["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)), "bounds = s.bounds",
@@ -361,21 +352,27 @@ def _run_kernel(model):
                     "    s.max_residual = res", "    s.branch_state = state",
                     "    s.m_hist[:] = (out[::-1] + s.m_hist)[:len(s.m_hist)]",
                     "return out\n"], 1)
-    )
-    kernel = bind_kernel(model, source)
-    object.__setattr__(model, "_run_kernel", kernel)
-    return kernel
+    ))
+
+
+def _run_kernel(model):
+    """The model's compensation loop ``loop(r, j, n, session, pick)``: the
+    loop of :func:`_run_loop` with the model's coefficients bound."""
+    return partial(_run_loop(model.factors, model.tau_d, model.is_hysteretic(),
+                             hist_depth(model)), model.coefficients)
 
 
 def _branch_coeffs(session, k):
     """The coefficient lists of step k of ``session``, loading first: one
     step of :func:`_run_kernel` on a copy of the session, whose picker
-    keeps each list, padded with structural zeros to the plan's size, and
+    keeps each list, padded with structural zeros to a common size, and
     holds."""
     model = session.model
     lags = model.max_y_lag()
     top = k + model.tau_d
-    _, size = _step_plan(model)
+    # degree <= ell; branch polynomials carry one trailing zero (criterion 9 reads it)
+    size = max([model.ell + 1 + model.is_hysteretic()]
+               + [xpow + d + 1 for _, xpow, d, _ in _step_plan(model.factors, model.tau_d)])
     lists = []
 
     def keep(m_prev, bounds, branch, *p):

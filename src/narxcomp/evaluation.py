@@ -92,7 +92,7 @@ SKIPPED_RUN = (comp.NoFeasibleRoot, narx.NonFinite, narx.OutOfLoopRange, narx.Lo
 
 
 def perturbed_coefficients(model, rel_std, z):
-    """The table coefficients c shifted to c + rel_std*|c|*z; ``z`` holds one
+    """The model's coefficients c shifted to c + rel_std*|c|*z; ``z`` holds one
     value per term, or one row of them per run."""
     c = np.array(model.coefficients)
     return c + rel_std * np.abs(c) * z

@@ -86,13 +86,13 @@ class Term:
 class NarxModel:
     """A polynomial NARX model.
 
-    ``table`` is the terms compiled once at construction (and again by
-    ``dataclasses.replace``): one entry ``(coefficient, ((kind, lag, power),
-    ...))`` per term, ``kind`` being the signal code "y", "u", "phi1" or
-    "phi2".  Factors keep the order of ``terms``, so every product rounds the
-    same way however it is evaluated.  ``coefficients`` holds the table's
-    coefficients in term order.  ``u_depth`` is the input history the table
-    reads, u(k-1) ... u(k-u_depth).
+    ``factors`` is the term structure compiled at construction (and again
+    by ``dataclasses.replace``): per term, a tuple of ``(kind, lag, power)``
+    with ``kind`` the signal code "y", "u", "phi1" or "phi2", and lags and
+    powers integers.  Factors keep the order of ``terms``, so every product
+    rounds the same way however it is evaluated.  ``coefficients`` holds the
+    coefficients in term order.  ``u_depth`` is the input history the terms
+    read, u(k-1) ... u(k-u_depth).
     """
 
     terms: tuple
@@ -102,40 +102,31 @@ class NarxModel:
     ell: int
     input_range: tuple
     output_range: tuple
-    table: tuple = field(init=False, repr=False, compare=False)
+    factors: tuple = field(init=False, repr=False, compare=False)
     coefficients: tuple = field(init=False, repr=False, compare=False)
     u_depth: int = field(init=False, repr=False, compare=False)
     _hysteretic: bool = field(init=False, repr=False, compare=False)
     _max_y_lag: int = field(init=False, repr=False, compare=False)
     _max_phi_lag: int = field(init=False, repr=False, compare=False)
-    # Generated kernels (see compile_kernel) and the per-step compensation
-    # plan, built on first use and cached; the compensator builds the last
-    # two.
-    _free_run: object = field(default=None, init=False, repr=False, compare=False)
-    _run_kernel: object = field(default=None, init=False, repr=False, compare=False)
-    _step_plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = tuple(
-            (float(t.coefficient), tuple((f.signal.value, f.lag, f.power) for f in t.factors))
+        index = operator.index
+        factors = tuple(
+            tuple((f.signal.value, index(f.lag), index(f.power)) for f in t.factors)
             for t in self.terms
         )
         lags = {kind: [] for kind in ("y", "u", "phi1", "phi2")}
-        for _, factors in table:
-            for kind, lag, _ in factors:
+        for term in factors:
+            for kind, lag, _ in term:
                 lags[kind].append(lag)
         phi = lags["phi1"] + lags["phi2"]
         set_ = object.__setattr__
-        set_(self, "table", table)
-        set_(self, "coefficients", tuple(c for c, _ in table))
+        set_(self, "factors", factors)
+        set_(self, "coefficients", tuple(float(t.coefficient) for t in self.terms))
         set_(self, "u_depth", max([self.n_u] + lags["u"] + [lag + 1 for lag in phi]))
         set_(self, "_hysteretic", bool(phi))
         set_(self, "_max_y_lag", max(lags["y"], default=0))
         set_(self, "_max_phi_lag", max(phi, default=0))
-
-    def __getstate__(self):
-        # generated kernels do not pickle; they are rebuilt on first use
-        return dict(self.__dict__, _free_run=None, _run_kernel=None)
 
     def is_hysteretic(self):
         return self._hysteretic
@@ -148,7 +139,7 @@ class NarxModel:
         hysteresis model.
         """
         s = 0.0
-        for coef, factors in self.table:
+        for coef, factors in zip(self.coefficients, self.factors):
             if len(factors) == 1 and factors[0][0] == "y" and factors[0][2] == 1:
                 s += coef
         return s
@@ -213,13 +204,15 @@ def validate(model):
         problems.append("n_u (%d) must be >= tau_d (%d)" % (model.n_u, model.tau_d))
     if model.n_y < 1:
         problems.append("n_y must be >= 1, got %d" % model.n_y)
-    lo, hi = model.input_range
-    if not lo < hi:
-        problems.append("input_range must satisfy min < max")
-    lo, hi = model.output_range
-    if not lo < hi:
-        problems.append("output_range must satisfy min < max")
+    for name in ("input_range", "output_range"):
+        lo, hi = getattr(model, name)
+        if not (isfinite(lo) and isfinite(hi)):
+            problems.append("%s ends must be finite" % name)
+        elif not lo < hi:
+            problems.append("%s must satisfy min < max" % name)
     for ti, t in enumerate(model.terms):
+        if not isfinite(t.coefficient):
+            problems.append("term %d: coefficient must be finite" % ti)
         total = 0
         for f in t.factors:
             if f.power < 1:
@@ -243,13 +236,12 @@ def validate(model):
     return problems
 
 
-@lru_cache(maxsize=256)
 def compile_kernel(source):
     """The function ``kernel`` defined by the generated ``source``.
 
-    Compiled once per distinct text, so once per term structure: kernels
-    take the coefficients as an argument and never hold them as literals.
-    The function's ``source`` attribute keeps the text for reading.
+    Kernels take the coefficients as an argument and never hold them as
+    literals, so their generators cache one kernel per term structure.  The
+    function's ``source`` attribute keeps the text for reading.
     """
     namespace = {}
     exec(compile(source, "<narxcomp kernel>", "exec"), namespace)
@@ -259,12 +251,11 @@ def compile_kernel(source):
 
 
 def kernel_factor(kind, lag, power, y_read, u, signs):
-    """Source of one (kind, lag, power) table factor, read as :func:`one_step`
+    """Source of one (kind, lag, power) factor, read as :func:`one_step`
     reads it: ``y_read`` is the source of the output read at this lag, and
     ``u % i`` the source of the input i + 1 samples back.  A phi2 factor
     names a variable whose two unindented lines, added to ``signs`` once
-    per lag, compute sign(0) = 0.  Lags and powers must be integers."""
-    lag, power = operator.index(lag), operator.index(power)
+    per lag, compute sign(0) = 0."""
     if kind == "y":
         x = y_read
     elif kind == "u":
@@ -288,31 +279,26 @@ def indented(lines, depth):
     return ["    " * depth + line for line in lines]
 
 
-def _output_source(model, y, u):
+def _output_source(factors, y, u):
     """The sign lines and the expression of y(k): per term, the coefficient
-    ``c[i]`` times its factors in table order, summed from 0.0 in table
-    order; ``y % i`` and ``u % i`` are the sources of the output and input
-    i + 1 samples back."""
+    ``c[i]`` times its ``factors`` in order, summed from 0.0 in term order;
+    ``y % i`` and ``u % i`` are the sources of the output and input i + 1
+    samples back."""
     signs = {}
     terms = [
         " * ".join(["c[%d]" % i] + [
             kernel_factor(kind, lag, power, y % (lag - 1), u, signs)
-            for kind, lag, power in factors
+            for kind, lag, power in term
         ])
-        for i, (_, factors) in enumerate(model.table)
+        for i, term in enumerate(factors)
     ]
     return [line for pair in signs.values() for line in pair], " + ".join(["0.0"] + terms)
 
 
-def bind_kernel(model, source):
-    """The kernel compiled from ``source`` with the model's coefficients
-    bound as its first argument."""
-    return partial(compile_kernel(source), model.coefficients)
-
-
-def _free_run_kernel(model):
-    """The model's free-run loop ``run(y_hist, u_hist, inputs)``, generated
-    from the expression of :func:`_output_source` and cached on the model.
+@lru_cache(maxsize=256)
+def _free_run_loop(factors, n_y, u_depth):
+    """The free-run loop ``kernel(c, y_hist, u_hist, inputs)`` of a term
+    structure, generated from the expression of :func:`_output_source`.
 
     ``y_hist`` holds n_y outputs and ``u_hist`` u_depth inputs,
     most-recent-first; the loop keeps them in locals and writes them back,
@@ -320,23 +306,25 @@ def _free_run_kernel(model):
     fed back into the output history.  A non-finite output ends the loop as
     the last element, the histories shifted past the outputs before it.
     """
-    run = model._free_run
-    if run is None:
-        ys = ["y%d" % i for i in range(model.n_y)]
-        us = ["u%d" % i for i in range(model.u_depth)]
-        signs, expr = _output_source(model, "y%d", "u%d")
-        source = "\n".join(
-            ["from math import isfinite", "def kernel(c, y, u, inputs):"]
-            + indented(["%s, = y" % ", ".join(ys), "%s, = u" % ", ".join(us), "out = []",
-                        "append = out.append", "for uk in inputs:"], 1)
-            + indented(signs + ["v = " + expr, "append(v)", "if not isfinite(v):", "    break",
-                                kernel_shift(ys, "v"), kernel_shift(us, "uk")], 2)
-            + indented(["y[:] = [%s]" % ", ".join(ys), "u[:] = [%s]" % ", ".join(us),
-                        "return out"], 1)
-        ) + "\n"
-        run = bind_kernel(model, source)
-        object.__setattr__(model, "_free_run", run)
-    return run
+    ys = ["y%d" % i for i in range(n_y)]
+    us = ["u%d" % i for i in range(u_depth)]
+    signs, expr = _output_source(factors, "y%d", "u%d")
+    return compile_kernel("\n".join(
+        ["from math import isfinite", "def kernel(c, y, u, inputs):"]
+        + indented(["%s, = y" % ", ".join(ys), "%s, = u" % ", ".join(us), "out = []",
+                    "append = out.append", "for uk in inputs:"], 1)
+        + indented(signs + ["v = " + expr, "append(v)", "if not isfinite(v):", "    break",
+                            kernel_shift(ys, "v"), kernel_shift(us, "uk")], 2)
+        + indented(["y[:] = [%s]" % ", ".join(ys), "u[:] = [%s]" % ", ".join(us),
+                    "return out"], 1)
+    ) + "\n")
+
+
+def _free_run_kernel(model):
+    """The model's free-run loop ``run(y_hist, u_hist, inputs)``: the loop
+    of :func:`_free_run_loop` with the model's coefficients bound."""
+    return partial(_free_run_loop(model.factors, model.n_y, model.u_depth),
+                   model.coefficients)
 
 
 def kernel_shift(names, new):
@@ -467,7 +455,7 @@ def static_rows(model, coefs, var, value, out, sign=0.0):
     ``sign`` (floats only), and a term that reaches zero there drops out
     before its later factors.  The constant terms are left to the caller.
     """
-    for c, (_, factors) in zip(coefs, model.table):
+    for c, factors in zip(coefs, model.factors):
         xpow = 0
         for kind, _, power in factors:
             if kind == var:
@@ -490,7 +478,7 @@ def jacobian_rows(model, coefs, u_bar, y_bar, out):
     ``out[i]`` and returns ``out``; ``coefs`` and ``out`` as in
     :func:`static_rows`.  phi1 and phi2 vanish at steady state, so a phi
     factor ends its term, which then adds nothing."""
-    for c, (_, factors) in zip(coefs, model.table):
+    for c, factors in zip(coefs, model.factors):
         for fi, (kind, lag, power) in enumerate(factors):
             if kind != "y":
                 continue

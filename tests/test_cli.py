@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 import os
 import tempfile
@@ -70,7 +71,9 @@ def test_parse_grid_list():
 
 
 def test_parse_grid_errors():
-    for text in ("1:2", "5:1:1", "1:5:0", "a,b"):
+    for text in ("1:2", "5:1:1", "1:5:0", "a,b", "0:inf:0.1", "0.05:0.45:inf",
+                 "nan:1:0.1", "-inf:1:0.1", "0:1e300:1e-10", "-1e308:1e308:1", "0.1,inf",
+                 "nan"):
         with pytest.raises(cli.ConfigError) as e:
             cli.parse_grid(text)
         assert "grid" in str(e.value)
@@ -490,6 +493,67 @@ def test_montecarlo_grid_outside_output_range_is_config_error(capsys):
     )
     assert code == 2
     assert err.startswith("error: grid:")
+
+
+@pytest.mark.parametrize("grid", ["0:inf:0.1", "0.05:0.45:inf", "0:1e300:1e-10"])
+def test_montecarlo_non_finite_grid_is_config_error(capsys, grid):
+    code, out, err = run_cli(
+        ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "5", "--grid", grid],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: grid: expected start:stop:step or comma-separated values, "
+                   "got %r\n" % grid)
+
+
+HEATER_REFERENCE = ["--signal", "sine:a=0.1,f=0.001,off=0.2"]
+
+
+def bundled_model_file(name):
+    return os.path.join(os.path.dirname(cli.__file__), "models", name + ".json")
+
+
+def test_plant_model_file_runs_like_the_model_itself(capsys, tmp_path):
+    argv = ["compensate", "-m", "heater"] + HEATER_REFERENCE
+    code, _, err = run_cli(argv + ["-o", str(tmp_path / "self.csv")], capsys)
+    assert (code, err) == (0, "mape_comp=0.05162% mape_uncomp=86.48% holds=0\n")
+    plant = "model_as_plant:" + bundled_model_file("heater")
+    code, _, path_err = run_cli(argv + ["--plant", plant, "-o", str(tmp_path / "path.csv")],
+                                capsys)
+    assert (code, path_err) == (0, err)
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "self.csv").read_bytes()
+
+
+def test_plant_model_file_errors_name_the_plant(capsys, tmp_path):
+    no_terms = tmp_path / "no_terms.json"
+    no_terms.write_text('{"n_y": 1}')
+    missing = tmp_path / "missing.json"
+    for path, message in ((missing, "%r is neither a file" % str(missing)),
+                          (no_terms, "cannot load %r: 'terms'" % str(no_terms))):
+        code, out, err = run_cli(["compensate", "-m", "heater", "--plant",
+                                  "model_as_plant:%s" % path] + HEATER_REFERENCE, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: plant: " + message)
+
+
+@pytest.mark.parametrize("name,edit,argv", [
+    ("heater", lambda d: d["terms"][1].update(coeff=math.nan),
+     ["fixed-points", "--u", "0.5"]),
+    ("heater", lambda d: d["terms"][1].update(coeff=math.nan),
+     ["compensate"] + HEATER_REFERENCE),
+    ("bouc_wen", lambda d: d.update(input_range=[-80.0, math.inf]),
+     ["compensate", "--ts", "0.005"] + BW_REFERENCE),
+])
+def test_model_file_with_non_finite_values_is_config_error(capsys, tmp_path, name, edit, argv):
+    with open(bundled_model_file(name)) as fh:
+        d = json.load(fh)
+    edit(d)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli(argv[:1] + ["-m", str(path)] + argv[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: model: cannot load %r: invalid model: " % str(path))
+    assert "must be finite" in err
 
 
 def test_montecarlo_prints_skip_reasons(capsys):

@@ -818,7 +818,7 @@ def float_literals(source):
 def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
     a = ev.perturbed_model(bouc_wen_model, 0.01, [0.3, -1.2, 0.8, 2.0])
     b = ev.perturbed_model(bouc_wen_model, 0.01, [-0.7, 0.1, 1.5, -0.4])
-    assert a.table != b.table
+    assert a.coefficients != b.coefficients
     for kernel in (narx._free_run_kernel, comp._run_kernel):
         ka, kb = kernel(a), kernel(b)
         assert ka.func.__code__ is kb.func.__code__
@@ -828,6 +828,32 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
         assert ka.args == (a.coefficients,)
     source = comp._run_kernel(a).func.source  # one solve per branch
     assert source.count("pick(") == 2 and "is None" not in source
+
+
+def test_perturbed_copy_builds_no_kernel_source(bouc_wen_model, monkeypatch):
+    # the kernels belong to the term structure: once the nominal model has
+    # run, a copy with other coefficients generates and compiles nothing
+    r = 30.0 * np.sin(2 * np.pi * np.arange(40) / 40.0)
+    comp.run(comp.CompensationSession(bouc_wen_model, [0.0]), r)
+    narx.simulate_free_run(bouc_wen_model, r, [0.0] * bouc_wen_model.n_y)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel_factor(*args)
+
+    kernel_factor = narx.kernel_factor
+    monkeypatch.setattr(narx, "kernel_factor", counting)
+    monkeypatch.setattr(comp, "kernel_factor", counting)
+    copy = ev.perturbed_model(bouc_wen_model, 0.01, [0.3, -1.2, 0.8, 2.0])
+    m = comp.run(comp.CompensationSession(copy, [0.0]), r)
+    y = narx.simulate_free_run(copy, r, [0.0] * copy.n_y)
+    assert calls == []
+    assert comp._run_kernel(copy).func is comp._run_kernel(bouc_wen_model).func
+    assert narx._free_run_kernel(copy).func is narx._free_run_kernel(bouc_wen_model).func
+    # the copy runs its own coefficients
+    assert len(m) == len(y) == len(r)
+    assert y.tolist() != narx.simulate_free_run(bouc_wen_model, r, [0.0] * copy.n_y).tolist()
 
 
 def test_run_keeps_roots_within_the_realness_tolerance():

@@ -225,9 +225,9 @@ def test_monte_carlo_batch_gets_the_perturbed_coefficient_matrix(bouc_wen_model)
     z = np.random.default_rng(SEED).standard_normal((6, len(bouc_wen_model.terms)))
     assert coefs.shape == (6, len(bouc_wen_model.terms))
     for row, zi in zip(coefs, z):
-        table = [c for c, _ in ev.perturbed_model(bouc_wen_model, 0.005, zi).table]
-        assert row.tolist() == table
-        assert table == [
+        perturbed = list(ev.perturbed_model(bouc_wen_model, 0.005, zi).coefficients)
+        assert row.tolist() == perturbed
+        assert perturbed == [
             t.coefficient + 0.005 * abs(t.coefficient) * float(v)
             for t, v in zip(bouc_wen_model.terms, zi)
         ]

@@ -66,13 +66,23 @@ def test_validate_reports_each_violation():
     )
     msgs = narx.validate(bad)
     joined = "\n".join(msgs)
-    assert "input_range" in joined
-    assert "output_range" in joined
+    assert "input_range must satisfy min < max" in joined
+    assert "output_range must satisfy min < max" in joined
     assert "y lag 3" in joined
     assert "u lag 1" in joined
     assert "degree 4 exceeds ell=3" in joined
     assert "power must be >= 1" in joined
     assert "phi lag must be >= 1" in joined
+    assert "finite" not in joined
+    # non-finite coefficients and range ends, which the file format admits
+    bad = mk([term(0.5, ("y", 1, 1)), term(math.nan, ("u", 1, 1)), term(-math.inf)],
+             inp=(-80.0, math.inf), out=(math.nan, 1.0))
+    assert narx.validate(bad) == [
+        "input_range ends must be finite",
+        "output_range ends must be finite",
+        "term 1: coefficient must be finite",
+        "term 2: coefficient must be finite",
+    ]
 
 
 def test_validate_flags_bad_orders():
@@ -255,9 +265,18 @@ def test_one_step_equals_term_walk(model, y_hist, u_hist, z):
 
 def test_one_step_rejects_non_integer_lag():
     # lags and powers reach the generated evaluator only as integers
-    m = mk([term(1.0, ("y", 1.5, 1))])
     with pytest.raises(TypeError):
+        m = mk([term(1.0, ("y", 1.5, 1))])
         narx.one_step(m, [1.0, 2.0], [0.0, 0.0])
+
+
+def test_float_lag_is_rejected_after_an_int_lag_warmed_the_kernel_cache():
+    # 1.0 == 1 and both hash alike, so a cache keyed on the term structure
+    # would hand the float-lag model the int-lag model's kernel
+    assert narx.one_step(mk([term(0.5, ("y", 1, 1))]), [2.0], [0.0]) == 1.0
+    for factor in (("y", 1.0, 1), ("y", 1, 1.0)):
+        with pytest.raises(TypeError):
+            narx.one_step(mk([term(0.5, factor)]), [2.0], [0.0])
 
 
 def test_model_pickles_after_its_kernels_are_built(valve_model):
@@ -266,11 +285,8 @@ def test_model_pickles_after_its_kernels_are_built(valve_model):
     narx.hysteresis_loop(valve_model, 0.5, 0.1, 3.0)
     comp.run(comp.CompensationSession(valve_model, [3.0]), [3.0, 3.1, 3.2])
     comp.hysteresis_comp_polys(comp.CompensationSession(valve_model, [3.0], r=[3.0, 3.1]), 0)
-    kernels = ("_free_run", "_run_kernel")
-    assert all(getattr(valve_model, name) is not None for name in kernels)
     copy = pickle.loads(pickle.dumps(valve_model))
     assert copy == valve_model
-    assert all(getattr(copy, name) is None for name in kernels)
     assert narx.one_step(copy, [3.0, 2.9], [3.2, 3.1]) == want
 
 
@@ -407,7 +423,7 @@ def scalar_static_polynomial(model, u_bar, branch_sign=0):
     u_bar = float(u_bar)
     sign = float(branch_sign)
     coeffs = [0.0] * (model.ell + 2)
-    for scalar, factors in model.table:
+    for scalar, factors in zip(model.coefficients, model.factors):
         xpow = 0
         for kind, _, power in factors:
             if kind == "y":
@@ -436,7 +452,7 @@ def scalar_static_comp_poly(model, r_bar):
         )
     r_bar = float(r_bar)
     coeffs = [0.0] * (model.ell + 1)
-    for scalar, factors in model.table:
+    for scalar, factors in zip(model.coefficients, model.factors):
         xpow = 0
         for kind, _, power in factors:
             if kind == "y":
@@ -459,7 +475,7 @@ def scalar_jacobian_eigen(model, u_bar, y_bar):
     a = [0.0] * (n_eff + 1)
     u_bar = float(u_bar)
     y_bar = float(y_bar)
-    for coef, factors in model.table:
+    for coef, factors in zip(model.coefficients, model.factors):
         for fi, (kind, lag, power) in enumerate(factors):
             if kind != "y":
                 continue
