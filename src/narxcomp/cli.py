@@ -46,6 +46,9 @@ DEFAULT_TS = {
 
 DEFAULT_SEED = 20260817
 
+#: Most reference levels a ``start:stop:step`` grid may ask for.
+MAX_GRID_LEVELS = 1_000_000
+
 REPRODUCE_TARGETS = (
     "table1", "table3", "table-bw-model", "table-bw-comp", "fig8",
 )
@@ -145,8 +148,8 @@ def parse_signal(text):
 
 
 def parse_grid(text):
-    """Parse ``start:stop:step`` (inclusive) or a comma-separated list, all
-    finite."""
+    """Parse ``start:stop:step`` (inclusive, at most ``MAX_GRID_LEVELS``
+    levels) or a comma-separated list, all finite."""
     try:
         if ":" in text:
             parts = [float(p) for p in text.split(":")]
@@ -158,7 +161,10 @@ def parse_grid(text):
             steps = (stop - start) / step  # inf when finite ends overflow it
             if not all(map(math.isfinite, parts + [steps])):
                 raise ValueError
-            return start + step * np.arange(int(round(steps)) + 1)
+            levels = int(round(steps)) + 1
+            if levels > MAX_GRID_LEVELS:
+                raise ConfigError("grid", "%g levels is more than %d" % (levels, MAX_GRID_LEVELS))
+            return start + step * np.arange(levels)
         vals = [float(p) for p in text.split(",")]
         if not all(map(math.isfinite, vals)):
             raise ValueError

@@ -13,15 +13,13 @@ held.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import inf, sqrt
 
 import numpy as np
 
 from . import poly
-from .poly import AlgebraicPolynomial, LEADING_ZERO_RTOL, _TINY_DISC
+from .poly import AlgebraicPolynomial
 from .model import (
     Regime,
     fixed_points,
@@ -63,8 +61,7 @@ class _HoldType:
 HOLD = _HoldType()
 
 # Regime members as module globals: reading them off the class costs about
-# ten times as much, and the step loop tests them on every root (likewise
-# the constants that _pick imports from poly and math)
+# ten times as much, and the step loop tests them on every step
 LOADING, UNLOADING = Regime.LOADING, Regime.UNLOADING
 
 
@@ -302,34 +299,117 @@ def _step_lines(terms, m, branches):
     return [line for pair in signs.values() for line in pair] + body, sorted(slots)
 
 
-@lru_cache(maxsize=256)
-def _run_loop(factors, tau, hysteretic, depth):
-    """The compensation loop ``kernel(c, r, j, n, session, pick)`` of a term
-    structure, generated from :func:`_step_lines`; ``depth`` is
-    :func:`hist_depth`.
+#: Where a branch's root must lie against m(k-1): C3 loading, C4 unloading.
+_SIDE = {"LOADING": " and {0} > mp", "UNLOADING": " and {0} < mp", "None": ""}
 
-    It runs n steps of :func:`run` on ``session``, the first against the
-    reference ``r[j]`` = r(k + tau_d), with m(k-1), m(k-2), ... in locals,
-    and returns the inputs as a list.  Per branch, loading first, a step
-    sums the coefficients of f(...) - r(k + tau_d) = 0 in x = m(k), r(k +
-    tau_d) off the constant last, in only the slots some term reaches; the
-    others hold a structural 0.0, which changes neither the degree nor the
-    residual.  ``pick`` (:func:`_pick`) gets m(k-1), the bounds, the branch
-    and the coefficients through the last reachable slot (three at least),
-    and returns (x, residual).  The session's steps, holds,
-    ``max_residual``, ``branch_state`` and ``m_hist`` are written back when
-    the loop ends, also when a step raises.
+
+def _pick_lines(p, branch, x, e):
+    """Unindented source setting ``x`` to the root :func:`_solve` picks for
+    the step polynomial with coefficient sources ``p`` (constant first,
+    "0.0" in the slots no term reaches) and ``e`` to its residual; ``x`` is
+    HOLD when no root is admissible, and ``e`` is then not to be read.
+
+    ``branch`` is the source of the Regime, or "None"; the locals ``mp``,
+    ``bounds``, ``lo`` and ``hi`` must hold m(k-1) and the input range.  A
+    finite list whose degree under the ``LEADING_ZERO_RTOL`` rule is 1 or 2
+    is solved here, with the degree rule unrolled over the reachable slots,
+    rounded as :func:`narxcomp.poly.solve_roots` rounds it: a finite
+    discriminant of at least ``_TINY_DISC`` takes ``math.sqrt`` and float
+    division, which give the same floats, since there ``cmath.sqrt`` scales
+    by powers of 4 only and the complex division adds a zero to a numerator
+    that is never -0.0; any other discriminant takes ``cmath.sqrt`` as
+    :func:`narxcomp.poly.solve_quadratic` does, and a root that
+    :func:`narxcomp.poly.real_roots` would drop becomes NaN, which no range
+    admits.  The nearer of two admissible roots wins by (|x - m(k-1)|, x),
+    the first on a tie, as in :func:`select_root`.  The residual is Horner's
+    from the top reachable slot; starting from 0.0, as :func:`_solve` does,
+    changes only the sign of a zero, which ``abs`` drops.  Every other list
+    (an inf or NaN coefficient or sum, degree 3 and up) makes one
+    :func:`_solve` call.
+    """
+    c = ["a"] + list(p[1:])
+    live = [i for i, ci in enumerate(c) if ci != "0.0"]
+    admit = ("lo <= {0} <= hi" + _SIDE[branch]).format
+    horner = c[live[-1]]
+    for ci in reversed(c[:live[-1]]):
+        horner = "(%s) * %s + %s" % (horner, x, ci)
+    residual = "%s = abs(%s) / (1.0 + big)" % (e, horner)
+    lines = ["a = " + p[0], "t = " + " + ".join(c[i] for i in live),
+             "if t - t == 0.0:", "    big = abs(a)"]
+    for i in live[1:]:
+        lines += ["    b%d = abs(%s)" % (i, c[i]), "    if b%d > big:" % i, "        big = b%d" % i]
+    lines += ["    tol = LEADING_ZERO_RTOL * big", "%s = HOLD" % x,
+              "if t - t != 0.0%s:" % "".join(" or b%d > tol" % i for i in live if i > 2),
+              "    %s, %s = _solve(mp, bounds, %s, %s)" % (x, e, branch, ", ".join(c))]
+    if 2 in live:
+        roots = [("x%d" % n, "(-%s %s sq) / (2.0 * %s)" % (c[1], sign, c[2]))
+                 for n, sign in ((1, "+"), (2, "-"))]
+        lines += ["elif b2 > tol:", "    disc = %s * %s - 4.0 * %s * a" % (c[1], c[1], c[2]),
+                  "    if _TINY_DISC <= disc < inf:", "        sq = sqrt(disc)"]
+        lines += ["        %s = %s" % root for root in roots]
+        lines += ["    else:", "        sq = csqrt(complex(disc))"]
+        for name, root in roots:
+            lines += ["        z = " + root, "        %s = z.real if abs(z.imag) <= "
+                      "DEFAULT_IM_TOL * max(1.0, abs(z.real)) else nan" % name]
+        lines += ["    if %s:" % admit("x1"), "        %s = x1" % x,
+                  "    if %s and (%s is HOLD or (abs(x2 - mp), x2) < (abs(x1 - mp), x1)):"
+                  % (admit("x2"), x), "        %s = x2" % x,
+                  "    if %s is not HOLD:" % x, "        " + residual]
+    if 1 in live:
+        lines += ["elif b1 > tol:", "    x1 = -a / %s" % c[1], "    if %s:" % admit("x1"),
+                  "        %s = x1" % x, "        " + residual]
+    return lines
+
+
+#: The names the generated compensation source reads besides its arguments.
+_KERNEL_IMPORTS = [
+    "from cmath import sqrt as csqrt",
+    "from math import inf, nan, sqrt",
+    "from %s import DEFAULT_IM_TOL, LEADING_ZERO_RTOL, _TINY_DISC" % poly.__name__,
+    "from %s import HOLD, LOADING, UNLOADING, _solve" % __name__,
+]
+
+
+def _step_source(factors, tau, hysteretic, depth):
+    """The locals ``ms`` holding m(k-1), m(k-2), ..., the unindented source
+    of one step's coefficient sums from :func:`_step_lines`, and per branch,
+    loading first, the sources of the coefficients of f(...) - r(k + tau_d)
+    = 0 in x = m(k) through the last reachable slot, three at least.
+
+    The step reads ``r[j]`` = r(k + tau_d) and the locals ``ms``; it sets
+    ``mp`` to m(k-1) and ``rn`` to r(k + tau_d), which comes off the
+    constant last.  Only the slots some term reaches are summed; the
+    others hold a structural "0.0", which changes neither the degree nor
+    the residual.  ``depth`` is :func:`hist_depth`.
     """
     branches = "LU" if hysteretic else "L"
     lines, slots = _step_lines(_step_plan(factors, tau), "m%d", branches)
     ms = ["m%d" % i for i in range(depth)]
     step = ["mp = m0", "%s = 0.0" % " = ".join(b + str(i) for b in branches for i in slots)]
-    step += lines + ["rn = r[j]"]
+    coefs = [["%s0 - rn" % b] + ["%s%d" % (b, i) if i in slots else "0.0"
+                                 for i in range(1, max(3, slots[-1] + 1))] for b in branches]
+    return ms, step + lines + ["rn = r[j]"], coefs
+
+
+@lru_cache(maxsize=256)
+def _run_loop(factors, tau, hysteretic, depth):
+    """The compensation loop ``kernel(c, r, j, n, session)`` of a term
+    structure, generated from :func:`_step_source`; ``depth`` is
+    :func:`hist_depth`.
+
+    It runs n steps of :func:`run` on ``session``, the first against the
+    reference ``r[j]`` = r(k + tau_d), with m(k-1), m(k-2), ... in locals,
+    and returns the inputs as a list.  Per branch, loading first, a step
+    sums the coefficients in locals and solves them in the same generated
+    source (:func:`_pick_lines`): closed form for degree 1 and 2, one
+    :func:`_solve` call for the rest.  The session's steps, holds,
+    ``max_residual``, ``branch_state`` and ``m_hist`` are written back when
+    the loop ends, also when a step raises.
+    """
+    ms, step, coefs = _step_source(factors, tau, hysteretic, depth)
     regimes = ("LOADING", "UNLOADING") if hysteretic else ("None",)
-    for b, regime in zip(branches, regimes):
-        coefs = ["%s0 - rn" % b] + ["%s%d" % (b, i) if i in slots else "0.0"
-                                    for i in range(1, max(3, slots[-1] + 1))]
-        step.append("x%s, e%s = pick(mp, bounds, %s, %s)" % (b, b, regime, ", ".join(coefs)))
+    for p, regime, b in zip(coefs, regimes, "LU"):
+        step += _pick_lines(p, regime, "x" + b, "e" + b)
     if hysteretic:  # the nearer admissible root; loading wins ties
         step += [
             "if xL is not HOLD and (xU is HOLD or (abs(xL - mp), xL) <= (abs(xU - mp), xU)):",
@@ -341,9 +421,9 @@ def _run_loop(factors, tau, hysteretic, depth):
         step += ["if xL is not HOLD:", "    x = xL", "    if eL > res:", "        res = eL"]
     step += ["else:", "    x = mp", "    holds += 1", "append(x)", kernel_shift(ms, "x")]
     return compile_kernel("\n".join(
-        ["from %s import HOLD, LOADING, UNLOADING, _pick" % __name__,
-         "def kernel(c, r, j, n, s, pick=_pick):"]
-        + indented(["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)), "bounds = s.bounds",
+        _KERNEL_IMPORTS + ["def kernel(c, r, j, n, s):"]
+        + indented(["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)),
+                    "bounds = s.bounds", "lo, hi = bounds",
                     "holds, res, state = 0, s.max_residual, s.branch_state",
                     "out = []", "append = out.append", "try:",
                     "    for j in range(j, j + n):"], 1)
@@ -355,33 +435,40 @@ def _run_loop(factors, tau, hysteretic, depth):
     ))
 
 
+@lru_cache(maxsize=256)
+def _coeff_step(factors, tau, hysteretic, depth):
+    """``kernel(c, r, j, m_hist)``: the coefficient lists of
+    :func:`_step_source` that one step of :func:`_run_loop` solves, loading
+    first, with m(k-1), m(k-2), ... read from ``m_hist``."""
+    ms, step, coefs = _step_source(factors, tau, hysteretic, depth)
+    return compile_kernel("\n".join(
+        ["def kernel(c, r, j, m_hist):"]
+        + indented(["%s, = m_hist[:%d]" % (", ".join(ms), len(ms))] + step
+                   + ["return [%s]\n" % ", ".join("[%s]" % ", ".join(p) for p in coefs)], 1)
+    ))
+
+
 def _run_kernel(model):
-    """The model's compensation loop ``loop(r, j, n, session, pick)``: the
-    loop of :func:`_run_loop` with the model's coefficients bound."""
+    """The model's compensation loop ``loop(r, j, n, session)``: the loop
+    of :func:`_run_loop` with the model's coefficients bound."""
     return partial(_run_loop(model.factors, model.tau_d, model.is_hysteretic(),
                              hist_depth(model)), model.coefficients)
 
 
 def _branch_coeffs(session, k):
-    """The coefficient lists of step k of ``session``, loading first: one
-    step of :func:`_run_kernel` on a copy of the session, whose picker
-    keeps each list, padded with structural zeros to a common size, and
-    holds."""
+    """The coefficient lists of step k of ``session``, loading first, as
+    :func:`_coeff_step` gives them, padded with structural zeros to a
+    common size."""
     model = session.model
     lags = model.max_y_lag()
     top = k + model.tau_d
     # degree <= ell; branch polynomials carry one trailing zero (criterion 9 reads it)
     size = max([model.ell + 1 + model.is_hysteretic()]
                + [xpow + d + 1 for _, xpow, d, _ in _step_plan(model.factors, model.tau_d)])
-    lists = []
-
-    def keep(m_prev, bounds, branch, *p):
-        lists.append((list(p) + [0.0] * size)[:size])
-        return HOLD, 0.0
-
-    copy = CompensationSession(model, list(session.m_hist), session.bounds)
-    _run_kernel(model)(_clamped(session.r, top - lags, top + 1), lags, 1, copy, keep)
-    return lists
+    step = _coeff_step(model.factors, model.tau_d, model.is_hysteretic(), hist_depth(model))
+    lists = step(model.coefficients, _clamped(session.r, top - lags, top + 1), lags,
+                 session.m_hist)
+    return [(p + [0.0] * size)[:size] for p in lists]
 
 
 def dynamic_comp_poly(session, k):
@@ -420,17 +507,12 @@ def select_root(candidates, m_prev, bounds, branch=None, im_tol=poly.DEFAULT_IM_
 
     Admissible means real (C1) and within ``bounds`` (C2); with
     ``branch=Regime.LOADING`` the root must exceed ``m_prev`` strictly (C3),
-    with ``Regime.UNLOADING`` it must lie strictly below (C4).
+    with ``Regime.UNLOADING`` it must lie strictly below (C4).  The first
+    root with the least (|x - m_prev|, x) wins.
     """
-    return _nearest(poly.real_roots(candidates, im_tol), m_prev, bounds, branch)
-
-
-def _nearest(xs, m_prev, bounds, branch):
-    """The first of the reals ``xs`` admissible under C2-C4 with the least
-    (|x - m_prev|, x), or HOLD."""
     lo, hi = bounds
     best = HOLD
-    for x in xs:
+    for x in poly.real_roots(candidates, im_tol):
         if not lo <= x <= hi:
             continue
         if branch is LOADING and not x > m_prev:
@@ -461,68 +543,20 @@ def seed_regime(r0, r1):
     return LOADING if r1 >= r0 else UNLOADING
 
 
-def _pick(m_prev, bounds, branch, a0, a1, a2, *high):
-    """(x, residual) for the step polynomial a0 + a1 x + a2 x^2 + ...:
-    :func:`select_root` over its roots, and the scaled residual |p(x)| /
-    (1 + max |p_i|) of that root, p(x) by Horner from the top coefficient;
-    (HOLD, 0.0) when no root is admissible or the degree is below 1.
-
-    A finite list of degree 1 or 2 under the ``LEADING_ZERO_RTOL`` rule is
-    solved here, rounded as :func:`narxcomp.poly.solve_roots` rounds it: a
-    finite discriminant of at least ``_TINY_DISC`` takes ``math.sqrt`` and
-    float division, which give the same floats, since there ``cmath.sqrt``
-    scales by powers of 4 only and the complex division adds a zero to a
-    numerator that is never -0.0.  Every other list (an inf or NaN
-    coefficient or sum, degree 3 and up) goes to
-    :func:`narxcomp.poly.solve_roots`.  Zeros on top of the list change
-    neither the root nor the residual.
-    """
-    t = a0 + a1 + a2
-    if high:
-        for h in high:
-            t += h
-    d = None  # the degree, where the closed form applies
-    if t - t == 0.0:  # no inf or NaN coefficient, and no overflowing sum
-        b1, b2 = abs(a1), abs(a2)
-        big = abs(a0)
-        if b1 > big:
-            big = b1
-        if b2 > big:
-            big = b2
-        tol = LEADING_ZERO_RTOL * big
-        d = 2 if b2 > tol else 1 if b1 > tol else 0
-        if high:
-            for h in high:
-                if abs(h) > tol:
-                    d = None
-    if d is None:
-        p = (a0, a1, a2) + high
-        q = AlgebraicPolynomial(p)
-        if q.degree() < 1:
-            return HOLD, 0.0
-        x = select_root(poly.solve_roots(q), m_prev, bounds, branch)
-        big = max(map(abs, p))
-    elif d == 0:
+def _solve(m_prev, bounds, branch, *p):
+    """(x, residual) for the step polynomial p[0] + p[1] x + ... through
+    :func:`narxcomp.poly.solve_roots` and :func:`select_root`, with the
+    scaled residual |p(x)| / (1 + max |p_i|) of that root by Horner;
+    (HOLD, 0.0) when no root is admissible or the degree is below 1.  The
+    generated loop calls it for the lists it does not solve in closed form
+    (:func:`_pick_lines`)."""
+    q = AlgebraicPolynomial(p)
+    if q.degree() < 1:
         return HOLD, 0.0
-    elif d == 1:
-        x = _nearest((-a0 / a1,), m_prev, bounds, branch)
-    else:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if _TINY_DISC <= disc < inf:
-            s = sqrt(disc)
-            xs = ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
-        else:
-            s = cmath.sqrt(complex(disc))
-            xs = [r.real for r in ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
-                  if abs(r.imag) <= poly.DEFAULT_IM_TOL * max(1.0, abs(r.real))]
-        x = _nearest(xs, m_prev, bounds, branch)
+    x = select_root(poly.solve_roots(q), m_prev, bounds, branch)
     if x is HOLD:
         return HOLD, 0.0
-    acc = 0.0
-    if high:
-        for h in reversed(high):
-            acc = acc * x + h
-    return x, abs(((acc * x + a2) * x + a1) * x + a0) / (1.0 + big)
+    return x, abs(poly.evaluate(q, x)) / (1.0 + max(map(abs, p)))
 
 
 def _reference(r, model):

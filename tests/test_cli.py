@@ -506,6 +506,24 @@ def test_montecarlo_non_finite_grid_is_config_error(capsys, grid):
                    "got %r\n" % grid)
 
 
+def test_montecarlo_grid_level_bound_allocates_nothing(capsys, monkeypatch):
+    def arange(*args, **kwargs):
+        raise AssertionError("np.arange%r ran before the level bound" % (args,))
+
+    assert len(cli.parse_grid("0:%d:1" % (cli.MAX_GRID_LEVELS - 1))) == cli.MAX_GRID_LEVELS
+    monkeypatch.setattr(cli.np, "arange", arange)
+    for grid in ("0:1e12:1", "0:%d:1" % cli.MAX_GRID_LEVELS):
+        with pytest.raises(cli.ConfigError, match="^grid: "):
+            cli.parse_grid(grid)
+    code, out, err = run_cli(
+        ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "5",
+         "--grid", "0:1e12:1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: grid: 1e+12 levels is more than 1000000\n"
+
+
 HEATER_REFERENCE = ["--signal", "sine:a=0.1,f=0.001,off=0.2"]
 
 

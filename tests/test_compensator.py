@@ -1,6 +1,7 @@
 """Compensator construction, root selection, initialization, tracking runs."""
 
 import ast
+import functools
 import math
 import sys
 
@@ -739,6 +740,39 @@ REFERENCE = HIST | st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -
     seeds=[0.5] * 6,
     r=[0.3, 0.7, 1.1, -0.2, 2.0, 0.9],
 )
+@example(  # degree 1, with a root out of range at r = 25
+    model=mk([term(0.5, ("y", 1, 1)), term(2.0, ("u", 1, 1))], ell=1),
+    seeds=[0.5] * 6,
+    r=[0.3, 1.0, -2.0, 25.0, 0.0],
+)
+@example(  # degree 2 with two real roots in range: x^2 - 0.5 x - 1 = 0 at steps 0 and 1
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-0.5, ("u", 1, 1))], ell=2),
+    seeds=[0.5] * 6,
+    r=[0.0, 1.0, 1.5, 5.0, -0.2, 0.3],
+)
+@example(  # x^2 - 2 x + 1 = 0 at steps 0-2 (a discriminant of exactly 0, below
+    # _TINY_DISC), x^2 - 2 x + 2 = 0 at step 3 (a discriminant of -4: a hold)
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-2.0, ("u", 1, 1))], ell=2),
+    seeds=[0.5] * 6,
+    r=[0.0, -1.0, -1.5, -1.75, -2.875, 0.5],
+)
+@example(  # NaN and inf coefficients on a quadratic
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-0.5, ("u", 1, 1))], ell=2),
+    seeds=[0.5] * 6,
+    r=[0.2, math.nan, 0.7, math.inf, -math.inf, 0.4],
+)
+@example(  # degree 0 at steps 1 and 2, where the x coefficient is under
+    # LEADING_ZERO_RTOL times the constant (holds); degree 1 at steps 0 and 3
+    model=mk([term(0.5, ("y", 1, 1)), term(1e-13, ("u", 1, 1))], ell=1),
+    seeds=[0.5] * 6,
+    r=[1.0, 0.5, 0.9, 0.1],
+)
+@example(  # x - sign(x - m(k-1)) = r(k+1): at steps 0 and 1 the loading and the
+    # unloading root lie exactly 1.0 from m(k-1), and the smaller one wins
+    model=mk([term(1.0, ("u", 1, 1)), term(-1.0, ("phi2", 1, 1))], ell=1),
+    seeds=[0.5] * 6,
+    r=[0.5, 0.5, -0.5, 2.0],
+)
 @given(step_models(RUN_TERMS, st.integers(1, 2)), st.lists(HIST, min_size=6, max_size=6),
        st.lists(REFERENCE, min_size=1, max_size=12))
 def test_run_equals_select_root_loop_on_random_models(model, seeds, r):
@@ -823,11 +857,15 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
         ka, kb = kernel(a), kernel(b)
         assert ka.func.__code__ is kb.func.__code__
         assert kernel(valve_model).func.__code__ is not ka.func.__code__
-        # coefficients are arguments: only the expansion's constants are literals
-        assert float_literals(ka.func.source) <= {0.0, 1.0}
+        # coefficients are arguments: only the expansion's constants (and the
+        # closed form's 2.0 and 4.0) are literals
+        literals = float_literals(ka.func.source)
+        assert literals <= {0.0, 1.0, 2.0, 4.0} and not literals & set(a.coefficients)
         assert ka.args == (a.coefficients,)
-    source = comp._run_kernel(a).func.source  # one solve per branch
-    assert source.count("pick(") == 2 and "is None" not in source
+    # one root selection per branch: a closed form, and the general solve
+    source = comp._run_kernel(a).func.source
+    assert source.count("disc = ") == 2 and source.count("_solve(") == 2
+    assert "is None" not in source
 
 
 def test_perturbed_copy_builds_no_kernel_source(bouc_wen_model, monkeypatch):
@@ -897,9 +935,22 @@ def reference_pick(m_prev, bounds, branch, *p):
         return type(e).__name__
 
 
-def pick_or_error(*args):
+@functools.lru_cache(maxsize=None)
+def generated_pick(n, branch):
+    """``pick(m_prev, bounds, a0, ..., a<n-1>)``: the source the loop
+    generates to solve a step's n coefficients on ``branch``."""
+    p = ["a%d" % i for i in range(n)]
+    lines = comp._pick_lines(p, branch.name if branch else "None", "x", "e")
+    return narx.compile_kernel("\n".join(
+        comp._KERNEL_IMPORTS + ["def kernel(mp, bounds, %s):" % ", ".join(p)]
+        + narx.indented(["lo, hi = bounds"] + lines
+                        + ["return (HOLD, 0.0) if x is HOLD else (x, e)"], 1)
+    ))
+
+
+def pick_or_error(m_prev, bounds, branch, *p):
     try:
-        return repr(comp._pick(*args))
+        return repr(generated_pick(len(p), branch)(m_prev, bounds, *p))
     except Exception as e:
         return type(e).__name__
 
