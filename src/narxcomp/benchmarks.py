@@ -182,7 +182,12 @@ def generate(spec, n, ts=1.0):
     if kind == "steps":
         if spec.frequency <= 0:
             raise ValueError("frequency must be positive for step ladders")
-        per = max(1, int(round(1.0 / (spec.frequency * ts))))
+        f_cps = spec.frequency * ts
+        # f * ts may underflow to 0, and 1 / (f * ts) overflow to inf
+        if not (f_cps > 0 and 1.0 / f_cps < np.inf):
+            raise ValueError("step length 1 / (f ts) overflows at frequency %g, ts=%g"
+                             % (spec.frequency, ts))
+        per = max(1, int(round(1.0 / f_cps)))
         levels = max(1, -(-n // per))  # ceil
         s = np.empty(n)
         for i in range(levels):

@@ -49,6 +49,12 @@ DEFAULT_SEED = 20260817
 #: Most reference levels a ``start:stop:step`` grid may ask for.
 MAX_GRID_LEVELS = 1_000_000
 
+#: Most samples a signal (``--n``, or five periods of ``--signal``) may have.
+MAX_SAMPLES = 10_000_000
+
+#: Most Monte Carlo runs ``--runs`` may ask for.
+MAX_RUNS = 1_000_000
+
 REPRODUCE_TARGETS = (
     "table1", "table3", "table-bw-model", "table-bw-comp", "fig8",
 )
@@ -63,13 +69,8 @@ class ConfigError(Exception):
         self.message = message
 
 
-class NumericFailure(RuntimeError):
-    """An experiment could not be completed numerically."""
-
-
 #: Exceptions that mean the configuration was fine but the math failed.
 NUMERIC_ERRORS = (
-    NumericFailure,
     comp.NoFeasibleRoot,
     comp.IdenticallyZero,
     narx.NonFinite,
@@ -184,19 +185,26 @@ def pick_ts(ts_arg, model_name):
 
 
 def choose_n(n_arg, spec, ts):
-    """Explicit --n, or five periods of a periodic signal."""
+    """Explicit --n, or five periods of a periodic signal; at most
+    ``MAX_SAMPLES`` either way."""
     if n_arg is not None:
         if n_arg < 2:
             raise ConfigError("n", "need at least 2 samples")
-        return int(n_arg)
-    if spec.frequency > 0:
-        period = int(round(1.0 / (spec.frequency * ts)))
-        if period >= 2:
-            return 5 * period
-    raise ConfigError(
-        "n", "cannot infer a length from signal frequency %g at ts=%g; pass --n"
-        % (spec.frequency, ts)
-    )
+        n = n_arg
+    else:
+        n = 0
+        if spec.frequency > 0:
+            f_cps = spec.frequency * ts  # 0 when it underflows
+            period = 1.0 / f_cps if f_cps else math.inf
+            n = 5 * round(period) if period <= MAX_SAMPLES else 5.0 * period
+        if n < 10:
+            raise ConfigError(
+                "n", "cannot infer a length from signal frequency %g at ts=%g; pass --n"
+                % (spec.frequency, ts)
+            )
+    if n > MAX_SAMPLES:
+        raise ConfigError("n", "%.12g samples is more than %d" % (n, MAX_SAMPLES))
+    return int(n)
 
 
 def build_signal(spec, n, ts):
@@ -402,58 +410,52 @@ def cmd_loop(args):
     )
 
 
-def cmd_compensate(args):
-    model, name = resolve_model(args.model)
+def tracking_setup(args, model, name):
+    """What ``compensate`` and ``montecarlo --signal`` both start from:
+    (r, loop_spec, seed, plant_factory).
+
+    ``r`` is the reference of ``--signal``, checked to be reachable.  A
+    hysteretic model gets a seeding loop, from the loop options, whose
+    branch must cover r(1); ``loop_spec`` is its (amplitude, f_cps, center),
+    None for other models.  ``seed`` is the model's input history from
+    :func:`narxcomp.compensator.init_history`.  ``plant_factory`` builds
+    the ``--plant``; a model plant starts from input seed[0] and output
+    r(0).
+    """
     ts = pick_ts(args.ts, name)
     spec = parse_signal(args.signal)
     n = choose_n(args.n, spec, ts)
     r = build_signal(spec, n, ts)
-
-    mode = args.mode
-    if mode == "auto":
-        mode = "hysteresis" if model.is_hysteretic() else "dynamic"
-    if mode == "hysteresis" and not model.is_hysteretic():
-        raise ConfigError("mode", "hysteresis mode needs phi regressors in the model")
-    if mode in ("dynamic", "static") and model.is_hysteretic():
-        raise ConfigError("mode", "%s mode cannot handle a hysteretic model" % mode)
-
     check_reachable("signal", model, r)
-    loop = None
-    if mode == "hysteresis":
-        loop = trace_loop("loop-", model, loop_params(args, model, spec, ts, n))
+    lp = loop = None
+    if model.is_hysteretic():
+        lp = loop_params(args, model, spec, ts, n)
+        loop = trace_loop("loop-", model, lp)
         check_reachable("signal", model, r, loop)
-        seed = comp.init_hysteresis(model, loop, float(r[0]), float(r[1]))
-    elif mode == "dynamic":
-        try:
-            seed = comp.init_dynamic(model, float(r[0]))
-        except ValueError as e:
-            raise NumericFailure(str(e))
-    else:  # static: settled inversion per sample, no shared state
-        m = np.empty(n)
-        for i in range(n):
-            try:
-                m[i] = comp.solve_static(model, float(r[i]))
-            except ValueError as e:
-                raise NumericFailure(str(e))
-        seed = [m[0]]
+    seed = comp.init_history(model, r, loop)
+    return r, lp, seed, resolve_plant(args.plant, model, seed[0], float(r[0]))
 
-    factory = resolve_plant(args.plant, model, seed[0], float(r[0]))
-    if mode == "static":
-        y_c = factory().simulate(m)
-        y_u = factory().simulate(r)
-        mape_c = ev.mape(r, y_c)
-        mape_u = ev.mape(r, y_u)
+
+def cmd_compensate(args):
+    model, name = resolve_model(args.model)
+    if args.mode == "hysteresis" and not model.is_hysteretic():
+        raise ConfigError("mode", "hysteresis mode needs phi regressors in the model")
+    if args.mode in ("dynamic", "static") and model.is_hysteretic():
+        raise ConfigError("mode", "%s mode cannot handle a hysteretic model" % args.mode)
+    r, _, seed, factory = tracking_setup(args, model, name)
+    if args.mode == "static":  # settled inversion per sample, no shared state
+        m = np.array([comp.solve_static(model, v) for v in r.tolist()])
         holds = 0
     else:
-        rep = ev.compensation_experiment(model, factory, r, loop=loop)
-        m, y_c, y_u = rep.m, rep.y_comp, rep.y_uncomp
-        mape_c, mape_u = rep.mape_comp, rep.mape_uncomp
-        holds = int(round(rep.hold_rate * n))
-    print(
-        "mape_comp=%.4g%% mape_uncomp=%.4g%% holds=%d" % (mape_c, mape_u, holds),
-        file=sys.stderr,
-    )
-    return RUN_HEADER, (range(n), r.tolist(), m.tolist(), y_c.tolist(), y_u.tolist())
+        session = comp.CompensationSession(model, seed)
+        m = comp.run(session, r)
+        holds = session.hold_count
+    y_c = factory().simulate(m)
+    y_u = factory().simulate(r)
+    mape_c, mape_u = ev.mape(r, y_c), ev.mape(r, y_u)
+    print("mape_comp=%.4g%% mape_uncomp=%.4g%% holds=%d" % (mape_c, mape_u, holds),
+          file=sys.stderr)
+    return RUN_HEADER, (range(len(r)), r.tolist(), m.tolist(), y_c.tolist(), y_u.tolist())
 
 
 def cmd_montecarlo(args):
@@ -462,6 +464,8 @@ def cmd_montecarlo(args):
         raise ConfigError("rel-std", "relative std must be >= 0 and finite")
     if args.runs < 1:
         raise ConfigError("runs", "need at least one run")
+    if args.runs > MAX_RUNS:
+        raise ConfigError("runs", "%d runs is more than %d" % (args.runs, MAX_RUNS))
     if args.seed < 0:
         raise ConfigError("seed", "seed must be >= 0, got %d" % args.seed)
     if (args.grid is None) == (args.signal is None):
@@ -482,23 +486,10 @@ def cmd_montecarlo(args):
         )
         header = ("r", "mean", "std", "lo", "hi")
     else:
-        ts = pick_ts(args.ts, name)
-        spec = parse_signal(args.signal)
-        n = choose_n(args.n, spec, ts)
-        r = build_signal(spec, n, ts)
-        check_reachable("signal", model, r)
-        lp = None
-        if model.is_hysteretic():
-            lp = loop_params(args, model, spec, ts, n)
-            loop = trace_loop("loop-", model, lp)
-            check_reachable("signal", model, r, loop)
-            seed = comp.init_hysteresis(model, loop, float(r[0]), float(r[1]))
-        else:
-            seed = comp.init_dynamic(model, float(r[0]))
-        factory = resolve_plant(args.plant, model, seed[0], float(r[0]))
+        r, lp, _, factory = tracking_setup(args, model, name)
         band = ev.monte_carlo(
             model, args.rel_std, args.runs, ev.TrackingExperiment(r, factory, lp),
-            args.seed, grid=np.arange(n),
+            args.seed, grid=np.arange(len(r)),
         )
         header = ("k", "mean", "std", "lo", "hi")
 

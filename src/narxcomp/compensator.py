@@ -79,9 +79,9 @@ class CompensationSession:
     """Mutable state for a step-by-step compensation run.
 
     ``m_hist`` holds past compensation inputs most-recent-first and must be
-    seeded (see :func:`init_dynamic` / :func:`init_hysteresis`) before
-    :func:`run`.  ``r`` is attached by :func:`run`; indices past either end
-    of the reference clamp to the nearest sample, so r(-1) = r(0).
+    seeded (see :func:`init_history`) before :func:`run`.  ``r`` is
+    attached by :func:`run`; indices past either end of the reference clamp
+    to the nearest sample, so r(-1) = r(0).
     """
 
     model: object
@@ -535,6 +535,17 @@ def init_hysteresis(model, loop, r0, r1):
     that would produce r1 on the branch :func:`seed_regime` names."""
     m0 = loop_inverse(loop, r1, seed_regime(r0, r1))
     return [m0] * hist_depth(model)
+
+
+def init_history(model, r, loop=None):
+    """Seed the input history for compensating the reference ``r``: from
+    the traced ``loop`` for a hysteretic model (:func:`init_hysteresis`),
+    else from the static inverse of r(0) (:func:`init_dynamic`)."""
+    if not model.is_hysteretic():
+        return init_dynamic(model, float(r[0]))
+    if loop is None:
+        raise ValueError("a hysteretic model is seeded from a traced loop; none given")
+    return init_hysteresis(model, loop, float(r[0]), float(r[1]))
 
 
 def seed_regime(r0, r1):

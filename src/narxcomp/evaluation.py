@@ -204,7 +204,8 @@ class TrackingExperiment:
 
     Hysteretic models are seeded from their own loop traced with
     ``loop_spec`` = (amplitude, f_min_cycles_per_sample, center), which they
-    then need; others from the static inverse of r(0).
+    need (:func:`narxcomp.compensator.init_history`); others from the
+    static inverse of r(0).
     """
 
     def __init__(self, r, plant_factory, loop_spec=None):
@@ -213,13 +214,9 @@ class TrackingExperiment:
         self.loop_spec = loop_spec
 
     def __call__(self, model):
-        r0, r1 = float(self.r[0]), float(self.r[1])
-        if self.loop_spec is not None:
-            loop = narx.hysteresis_loop(model, *self.loop_spec)
-            seed = comp.init_hysteresis(model, loop, r0, r1)
-        else:
-            seed = comp.init_dynamic(model, r0)
-        session = comp.CompensationSession(model, list(seed))
+        spec = self.loop_spec
+        loop = None if spec is None else narx.hysteresis_loop(model, *spec)
+        session = comp.CompensationSession(model, comp.init_history(model, self.r, loop))
         return self.plant_factory().simulate(comp.run(session, self.r))
 
 
@@ -255,31 +252,24 @@ class ModelPlant:
         return y[1:]
 
 
-def compensation_experiment(model, plant_factory, r, *, loop_spec=None,
-                            loop=None, eval_window=None, effort_window=None):
+def compensation_experiment(model, plant_factory, r, *, loop=None,
+                            eval_window=None, effort_window=None):
     """Run compensated and uncompensated tracking of ``r`` on a plant.
 
     ``plant_factory()`` must return a fresh plant exposing
     ``simulate(u_series)``.  Hysteretic models are seeded from a traced
-    loop; pass one as ``loop`` to reuse it across runs, or give
-    ``loop_spec`` = (amplitude, f_min_cycles_per_sample, center).  The
-    default is a loop spanning the model input range at the reference's
-    fundamental period.  Returns an :class:`ExperimentReport` whose error
-    metrics are computed over ``eval_window`` (a slice; default all).
+    loop; pass one as ``loop`` to reuse it across runs.  The default is a
+    loop spanning the model input range in one period over the whole
+    reference (at least 64 samples).  Returns an :class:`ExperimentReport`
+    whose error metrics are computed over ``eval_window`` (a slice;
+    default all).
     """
     r = np.asarray(r, dtype=float)
-    if model.is_hysteretic():
-        if loop is None:
-            if loop_spec is None:
-                lo, hi = model.input_range
-                center = 0.5 * (lo + hi)
-                loop_spec = (hi - center, 1.0 / max(len(r), 64), center)
-            amp, f_min, center = loop_spec
-            loop = narx.hysteresis_loop(model, amp, f_min, center)
-        seed = comp.init_hysteresis(model, loop, r[0], r[1])
-    else:
-        seed = comp.init_dynamic(model, r[0])
-    session = comp.CompensationSession(model, list(seed))
+    if loop is None and model.is_hysteretic():
+        lo, hi = model.input_range
+        center = 0.5 * (lo + hi)
+        loop = narx.hysteresis_loop(model, hi - center, 1.0 / max(len(r), 64), center)
+    session = comp.CompensationSession(model, comp.init_history(model, r, loop))
     m = comp.run(session, r)
     y_comp = plant_factory().simulate(m)
     y_uncomp = plant_factory().simulate(r)
@@ -301,8 +291,7 @@ def compensation_experiment(model, plant_factory, r, *, loop_spec=None,
 
 
 def table_experiment(model, plant_factory, cells, mode, signal, ts=1.0,
-                     discard_periods=1, eval_periods=2, loop_spec=None,
-                     loop=None):
+                     discard_periods=1, eval_periods=2, loop=None):
     """MAPE grid over (frequency, level) cells.
 
     ``cells`` is an iterable of (f_hz, level); ``signal(level, f_cps, n)``
@@ -334,8 +323,8 @@ def table_experiment(model, plant_factory, cells, mode, signal, ts=1.0,
                 )
             else:
                 rep = compensation_experiment(
-                    model, plant_factory, series, loop_spec=loop_spec,
-                    loop=loop, eval_window=win, effort_window=period,
+                    model, plant_factory, series, loop=loop, eval_window=win,
+                    effort_window=period,
                 )
                 rows.append((f_hz, level, rep.mape_comp, rep.mape_uncomp))
         except SKIPPED_RUN + (DegenerateRange,):

@@ -584,8 +584,6 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
     y_hist = [0.0] * model.n_y
     prev_y = None
-    settled = None
-    settled_start = 0
     for p in range(max_periods):
         ks = np.arange(p * period, (p + 1) * period, dtype=float)
         u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
@@ -595,27 +593,19 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
         if prev_y is not None:
             scale = max(1.0, float(y_p.max() - y_p.min()))
             if float(np.abs(y_p - prev_y).max()) < settle_tol * scale:
-                settled = (u_p, y_p)
-                settled_start = p * period
                 break
         prev_y = y_p
-    if settled is None:
+    else:
         raise LoopUnsettled(
             "hysteresis loop did not settle within %d periods" % max_periods
         )
-    u_p, y_p = settled
-    du = np.empty(period)
-    prev_u = amplitude * np.sin(2.0 * np.pi * f_min * (settled_start - 1)) + u_center
-    du[0] = u_p[0] - prev_u
-    du[1:] = np.diff(u_p)
-    regime = np.zeros(period)
-    cur = 0.0
-    for i in range(period):
-        if du[i] > 0:
-            cur = 1.0
-        elif du[i] < 0:
-            cur = -1.0
-        regime[i] = cur
+    prev_u = amplitude * np.sin(2.0 * np.pi * f_min * (p * period - 1)) + u_center
+    du = np.diff(u_p, prepend=prev_u)
+    # each sample's regime is the sign of the last input step that moved
+    # (0 before the first); a NaN step does not move
+    moved = np.abs(du) > 0
+    last = np.maximum.accumulate(np.where(moved, np.arange(period), -1))
+    regime = np.where(last >= 0, np.sign(du[last]), 0.0)
     loading = np.column_stack([u_p[regime > 0], y_p[regime > 0]])
     unloading = np.column_stack([u_p[regime < 0], y_p[regime < 0]])
     if not (len(loading) and len(unloading)):

@@ -277,6 +277,16 @@ def test_generate_steps_ladder():
     assert np.all(s[20:] == 5.0)
 
 
+@pytest.mark.parametrize("frequency", [1e-320, 1e-310])
+def test_generate_steps_rejects_a_step_length_past_the_float_range(frequency):
+    # f * ts underflows to 0, or 1 / (f * ts) overflows to inf
+    spec = SignalSpec(kind="steps", amplitude=0.1, frequency=frequency, offset=0.2)
+    with pytest.raises(ValueError, match="^step length 1 / \\(f ts\\) overflows"):
+        generate(spec, 10, 1e-10)
+    # a step far longer than the signal is one level
+    assert np.all(generate(spec, 10, 1e100) == 0.2)
+
+
 def test_generate_steps_single_level():
     s = generate(SignalSpec(kind="steps", amplitude=4.0, frequency=0.1, offset=2.0), 8)
     assert np.all(s == 2.0)

@@ -524,6 +524,57 @@ def test_montecarlo_grid_level_bound_allocates_nothing(capsys, monkeypatch):
     assert err == "error: grid: 1e+12 levels is more than 1000000\n"
 
 
+def test_sample_count_bound_allocates_nothing(capsys, monkeypatch):
+    spec = cli.parse_signal("sine:a=1,f=1")
+    assert cli.choose_n(cli.MAX_SAMPLES, spec, 1.0) == cli.MAX_SAMPLES
+    assert cli.choose_n(None, spec, 5.0 / cli.MAX_SAMPLES) == cli.MAX_SAMPLES
+
+    def arange(*args, **kwargs):
+        raise AssertionError("np.arange%r ran before the sample bound" % (args,))
+
+    monkeypatch.setattr(cli.np, "arange", arange)
+    with pytest.raises(cli.ConfigError, match="^n: 10000001 samples is more than 10000000$"):
+        cli.choose_n(cli.MAX_SAMPLES + 1, spec, 1.0)
+    with pytest.raises(cli.ConfigError, match="^n: 10000005 samples is more than"):
+        cli.choose_n(None, spec, 1.0 / (cli.MAX_SAMPLES / 5 + 1))
+    for signal, ts, n, message in (
+            ("sine:a=0.1,f=1e-320,off=0.5", "1e-10", [], "inf samples"),  # f ts underflows
+            ("sine:a=0.1,f=1e-310,off=0.5", "1e-10", [], "inf samples"),  # 1 / (f ts) is inf
+            ("sine:a=0.1,f=1e-12,off=0.5", "10", [], "500000000000 samples"),
+            ("sine:a=0.1,f=0.001,off=0.5", "10", ["--n", "100000000000"],
+             "100000000000 samples")):
+        code, out, err = run_cli(
+            ["simulate", "-m", "heater", "--signal", signal, "--ts", ts, *n], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: n: %s is more than 10000000\n" % message
+
+
+@pytest.mark.parametrize("frequency", ["1e-320", "1e-310"])
+def test_step_ladder_past_the_float_range_is_a_signal_error(capsys, frequency):
+    code, out, err = run_cli(
+        ["simulate", "-m", "heater", "--signal", "steps:a=0.1,f=%s,off=0.2" % frequency,
+         "--ts", "1e-10", "--n", "10"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: signal: step length 1 / (f ts) overflows at frequency ")
+
+
+def test_montecarlo_runs_bound_allocates_nothing(capsys, monkeypatch):
+    def monte_carlo(*args, **kwargs):
+        raise AssertionError("monte_carlo ran before the runs bound")
+
+    monkeypatch.setattr(cli.ev, "monte_carlo", monte_carlo)
+    for runs in (cli.MAX_RUNS + 1, 100000000000):
+        code, out, err = run_cli(
+            ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", str(runs),
+             "--grid", "0.1,0.2"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: runs: %d runs is more than 1000000\n" % runs
+
+
 HEATER_REFERENCE = ["--signal", "sine:a=0.1,f=0.001,off=0.2"]
 
 

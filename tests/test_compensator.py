@@ -442,6 +442,24 @@ def test_init_hysteresis_picks_branch(valve_model, valve_loop):
     assert flat[0] == up[0]
 
 
+def test_init_history_seeds_each_model_kind_as_before(
+        heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model, bouc_wen_loop,
+        valve_loop):
+    r = np.array([0.2, 0.25])
+    want = comp.init_dynamic(heater_model, 0.2)
+    assert repr(comp.init_history(heater_model, r)) == repr(want)
+    assert repr(comp.init_history(heater_model, r, valve_loop)) == repr(want)
+    sigma1_loop = narx.hysteresis_loop(bouc_wen_sigma1_model, 50.0, 0.001, 0.0)
+    for model, loop, r0, r1 in ((bouc_wen_model, bouc_wen_loop, 10.0, 12.0),
+                                (bouc_wen_model, bouc_wen_loop, 12.0, 10.0),
+                                (bouc_wen_sigma1_model, sigma1_loop, 0.0, 0.0),
+                                (valve_model, valve_loop, 3.0, 2.9)):
+        got = comp.init_history(model, np.array([r0, r1, 7.0]), loop)
+        assert repr(got) == repr(comp.init_hysteresis(model, loop, r0, r1))
+    with pytest.raises(ValueError, match="seeded from a traced loop; none given"):
+        comp.init_history(bouc_wen_model, np.array([10.0, 12.0]))
+
+
 # ---------------------------------------------------------------------------
 # Whole-trajectory runs
 

@@ -482,6 +482,13 @@ def test_lockstep_cases_reach_holds_and_the_scalar_fallback(heater_model, bouc_w
     assert session.steps == len(r)
 
 
+def test_tracking_experiment_needs_a_loop_spec_for_a_hysteretic_model(bouc_wen_model):
+    r = 30.0 * np.sin(2 * np.pi * 0.005 * np.arange(50) + 1.5708)
+    experiment = ev.TrackingExperiment(r, BoucWenPlant)
+    with pytest.raises(ValueError, match="seeded from a traced loop; none given"):
+        experiment(bouc_wen_model)
+
+
 def test_monte_carlo_tracking_band_names_its_skip_reasons(bouc_wen_model):
     # the mc-tracking benchmark band: two perturbed loops never settle
     n = 1000

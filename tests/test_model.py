@@ -620,6 +620,70 @@ def test_loop_with_an_empty_branch_is_rejected(bouc_wen_model):
         narx.hysteresis_loop(bouc_wen_model, 1e-300, 0.005, 1.0)
 
 
+def per_sample_loop_rows(model, amplitude, f_min, u_center, settle_tol=1e-8, max_periods=64):
+    """(loading, unloading) of the settled period, split by the per-sample
+    regime loop that :func:`narxcomp.model.hysteresis_loop` ran before it
+    took the regime from numpy; the trace is the same."""
+    period = int(round(1.0 / f_min))
+    free_run = narx._free_run_kernel(model)
+    u_hist = [float(u_center)] * model.u_depth
+    y_hist = [0.0] * model.n_y
+    prev_y = None
+    settled = None
+    settled_start = 0
+    for p in range(max_periods):
+        ks = np.arange(p * period, (p + 1) * period, dtype=float)
+        u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
+        y_p = np.array(free_run(y_hist, u_hist, u_p.tolist()))
+        if prev_y is not None:
+            scale = max(1.0, float(y_p.max() - y_p.min()))
+            if float(np.abs(y_p - prev_y).max()) < settle_tol * scale:
+                settled = (u_p, y_p)
+                settled_start = p * period
+                break
+        prev_y = y_p
+    u_p, y_p = settled
+    du = np.empty(period)
+    prev_u = amplitude * np.sin(2.0 * np.pi * f_min * (settled_start - 1)) + u_center
+    du[0] = u_p[0] - prev_u
+    du[1:] = np.diff(u_p)
+    regime = np.zeros(period)
+    cur = 0.0
+    for i in range(period):
+        if du[i] > 0:
+            cur = 1.0
+        elif du[i] < 0:
+            cur = -1.0
+        regime[i] = cur
+    loading = np.column_stack([u_p[regime > 0], y_p[regime > 0]])
+    unloading = np.column_stack([u_p[regime < 0], y_p[regime < 0]])
+    loading = loading[np.argsort(loading[:, 0], kind="stable")]
+    unloading = unloading[np.argsort(unloading[:, 0], kind="stable")[::-1]]
+    return loading.tolist(), unloading.tolist()
+
+
+@pytest.mark.parametrize("name,spec", [
+    # amplitudes a few ulps of the center: the first step of the settled
+    # period and runs of steps around both peaks leave the input unchanged
+    ("bouc_wen", (5e-15, 0.005, 3.0)),
+    ("valve", (2e-15, 0.005, 3.0)),
+    ("bouc_wen", (1e-13, 0.005, 3.0)),  # flat only around the peaks
+    ("valve", (2e-15, 1 / 20.45, 3.0)),
+    ("bouc_wen", ev.BOUC_WEN_LOOP_SPEC),
+    ("bouc_wen", (80.0, 0.005, 0.0)),  # mc-tracking's seeding loop
+    ("bouc_wen", (30.0, 0.005, 0.0)),
+    ("bouc_wen_sigma1", (80.0, 0.01, 0.0)),
+    ("valve", (2.0, 0.001, 3.0)),
+    ("valve", (2.0, 0.005, 3.0)),
+    ("valve", (2.0, 1e-4, 3.0)),
+])
+def test_loop_regime_equals_the_per_sample_regime_loop(request, name, spec):
+    model = request.getfixturevalue(name + "_model")
+    loop = narx.hysteresis_loop(model, *spec)
+    assert repr((loop.loading.tolist(), loop.unloading.tolist())) == repr(
+        per_sample_loop_rows(model, *spec))
+
+
 def test_loop_unsettled_raised(valve_model):
     with pytest.raises(narx.LoopUnsettled):
         narx.hysteresis_loop(valve_model, 2.0, 0.01, 3.0,

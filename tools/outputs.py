@@ -5,9 +5,10 @@
 Each command of ``COMMANDS`` runs twice, each time in a fresh process
 (``python -m narxcomp.cli`` on the ``src`` next to this script), and
 writes ``rerun-<i>-<label>.csv`` and its stderr ``rerun-<i>-<label>.err``
-into DIR (a temporary directory when ``--out`` is not given).  The script
-prints ``sha256  file`` for every CSV and stderr file of the first run,
-and exits 1 when a command fails or the two runs differ in any file.
+into DIR (created if missing; a temporary directory when ``--out`` is not
+given).  The script prints ``sha256  file`` for every CSV and stderr file
+of the first run, and exits 1 when a command fails or the two runs differ
+in any file.
 
 Digests are per machine (numpy's array power and Python's ``**`` may
 round apart), so compare them only against a run on the same machine,
@@ -99,6 +100,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or tmp
+        os.makedirs(out, exist_ok=True)
         failed = run_all(out, 1) + run_all(out, 2)
         if failed:
             print("failed: " + ", ".join(failed), file=sys.stderr)
