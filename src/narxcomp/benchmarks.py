@@ -9,6 +9,7 @@ compensation experiments see realistic model error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +83,22 @@ class HammersteinHeater:
         return v * (cls.B2 + cls.B4) / (1.0 - cls.B1 - cls.B3)
 
 
+#: Substep rows (at least one sample's) whose input-only stage terms
+#: ``BoucWenPlant.simulate`` computes at a time: nine floats each, so the
+#: memory they take stays bounded however long the input is.
+STAGE_ROWS = 4096
+
+
 class BoucWenPlant:
     """Bouc-Wen hysteresis: h' = a u' - b |u'| h - g u' |h|, y = nu_y u - h.
 
     Integrated with classic RK4 at a fixed 5 ms step; the input derivative
     is estimated by finite differences (forward / central / backward).
-    ``substeps`` subdivides each sampling interval, interpolating the input
-    derivative linearly, which serves as a refinement check.
+    ``substeps``, a positive integer, subdivides each sampling interval,
+    interpolating the input derivative linearly, which serves as a
+    refinement check.  The RK4 loop carries only the state h: every stage
+    term that depends on the input alone is computed with numpy before it,
+    one block of ``STAGE_ROWS`` substeps at a time.
     """
 
     ALPHA = 0.9
@@ -104,42 +114,56 @@ class BoucWenPlant:
         self.h = 0.0
 
     def simulate(self, u_series, substeps=1):
+        substeps = operator.index(substeps)
+        if substeps < 1:
+            raise ValueError("substeps must be >= 1, got %d" % substeps)
         u = np.asarray(u_series, dtype=float)
         n = len(u)
-        y = np.empty(n)
         if n == 0:
-            return y
-        du = np.zeros(n)
-        if n > 1:
-            du[0] = (u[1] - u[0]) / self.DT
-            du[-1] = (u[-1] - u[-2]) / self.DT
-        if n > 2:
-            du[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.DT)
-        A, B, G, nu_y = self.ALPHA, self.BETA, self.GAMMA, self.NU_Y
-        h = self.h
+            return np.empty(0)
+        A, B, G = self.ALPHA, self.BETA, self.GAMMA
+        # inf and NaN propagate without warnings, as in scalar float code
+        with np.errstate(all="ignore"):
+            du = np.zeros(n)
+            if n > 1:
+                du[0] = (u[1] - u[0]) / self.DT
+                du[-1] = (u[-1] - u[-2]) / self.DT
+            if n > 2:
+                du[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.DT)
+        f = np.arange(substeps + 1) / substeps
         step = self.DT / substeps
-        fractions = [(s / substeps, (s + 1) / substeps) for s in range(substeps)]
-        u, du = u.tolist(), du.tolist()
-        for k in range(n):
-            y[k] = nu_y * u[k] - h
-            if k == n - 1:
-                break
-            d0, d1 = du[k], du[k + 1]
-            for f0, f1 in fractions:
-                v0 = d0 + (d1 - d0) * f0
-                v1 = d0 + (d1 - d0) * f1
+        half, sixth = 0.5 * step, step / 6.0
+        per = max(1, STAGE_ROWS // substeps)
+        h = self.h
+        hs = [h]
+        for k in range(0, n - 1, per):
+            # every stage term that does not depend on h, per sample and
+            # substep: A v, B |v| and G v at the stage derivatives v0, vm, v1
+            with np.errstate(all="ignore"):
+                d = du[k:k + per + 1]
+                d0, d1 = d[:-1, None], d[1:, None]
+                v0 = d0 + (d1 - d0) * f[:-1]
+                v1 = d0 + (d1 - d0) * f[1:]
                 vm = 0.5 * (v0 + v1)
-                # h' = A v - B |v| h - G v |h|, at each RK4 stage
-                k1 = A * v0 - B * abs(v0) * h - G * v0 * abs(h)
-                hh = h + 0.5 * step * k1
-                k2 = A * vm - B * abs(vm) * hh - G * vm * abs(hh)
-                hh = h + 0.5 * step * k2
-                k3 = A * vm - B * abs(vm) * hh - G * vm * abs(hh)
+                stages = zip(*[x.ravel().tolist()
+                               for v in (v0, vm, v1) for x in (A * v, B * np.abs(v), G * v)])
+            block = []
+            append = block.append
+            # h' = A v - B |v| h - G v |h|, at each RK4 stage
+            for a0, b0, g0, am, bm, gm, a1, b1, g1 in stages:
+                k1 = a0 - b0 * h - g0 * abs(h)
+                hh = h + half * k1
+                k2 = am - bm * hh - gm * abs(hh)
+                hh = h + half * k2
+                k3 = am - bm * hh - gm * abs(hh)
                 hh = h + step * k3
-                k4 = A * v1 - B * abs(v1) * hh - G * v1 * abs(hh)
-                h += step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k4 = a1 - b1 * hh - g1 * abs(hh)
+                h += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                append(h)
+            hs += block[substeps - 1::substeps]
         self.h = h
-        return y
+        with np.errstate(all="ignore"):
+            return self.NU_Y * u - np.array(hs)
 
 
 @dataclass(frozen=True)

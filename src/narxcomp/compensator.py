@@ -28,6 +28,7 @@ from .model import (
     static_rows,
     compile_kernel,
     indented,
+    kernel_coefficients,
     kernel_factor,
     kernel_shift,
     with_coefficients,
@@ -271,17 +272,17 @@ def _step_lines(terms, m, branches):
     ``terms`` are those of :func:`_step_plan`, ``m % i`` is the source of
     m(k-1-i), ``r[j]`` is r(k + tau_d), and the local ``mp`` must hold
     m(k-1); ``branches`` is "LU", or "L" for the loading sums alone.  Per
-    term in order the known factors multiply the coefficient, a zero
+    term in order the known factors multiply the coefficient ``c<i>``, a zero
     product is skipped, the rest is expanded times (x - m(k-1))^d as [0.0]
     + part and part + [0.0] combine, and added to each sum, negated on the
     unloading branch where the term flips.
     """
-    signs = {}
+    shared = {}
     body = []
     slots = {0}
     for i, (known, xpow, d, flip) in enumerate(terms):
-        t = ["c[%d]" % i] + [
-            kernel_factor(kind, lag, power, "r[j - %d]" % lag, m, signs)
+        t = ["c%d" % i] + [
+            kernel_factor(kind, lag, power, "r[j - %d]" % lag, m, shared)
             for kind, lag, power in known
         ]
         body += ["t = " + " * ".join(t), "if t != 0.0:"]
@@ -296,7 +297,7 @@ def _step_lines(terms, m, branches):
             body.append("    L%d += %s" % (slot, c))
             if "U" in branches:
                 body.append("    U%d += %s%s" % (slot, "-" if flip else "", c))
-    return [line for pair in signs.values() for line in pair] + body, sorted(slots)
+    return list(shared.values()) + body, sorted(slots)
 
 
 #: Where a branch's root must lie against m(k-1): C3 loading, C4 unloading.
@@ -422,7 +423,8 @@ def _run_loop(factors, tau, hysteretic, depth):
     step += ["else:", "    x = mp", "    holds += 1", "append(x)", kernel_shift(ms, "x")]
     return compile_kernel("\n".join(
         _KERNEL_IMPORTS + ["def kernel(c, r, j, n, s):"]
-        + indented(["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)),
+        + indented(kernel_coefficients(factors)
+                   + ["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)),
                     "bounds = s.bounds", "lo, hi = bounds",
                     "holds, res, state = 0, s.max_residual, s.branch_state",
                     "out = []", "append = out.append", "try:",
@@ -443,7 +445,8 @@ def _coeff_step(factors, tau, hysteretic, depth):
     ms, step, coefs = _step_source(factors, tau, hysteretic, depth)
     return compile_kernel("\n".join(
         ["def kernel(c, r, j, m_hist):"]
-        + indented(["%s, = m_hist[:%d]" % (", ".join(ms), len(ms))] + step
+        + indented(kernel_coefficients(factors)
+                   + ["%s, = m_hist[:%d]" % (", ".join(ms), len(ms))] + step
                    + ["return [%s]\n" % ", ".join("[%s]" % ", ".join(p) for p in coefs)], 1)
     ))
 

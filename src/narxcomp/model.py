@@ -250,28 +250,35 @@ def compile_kernel(source):
     return kernel
 
 
-def kernel_factor(kind, lag, power, y_read, u, signs):
+def kernel_factor(kind, lag, power, y_read, u, shared):
     """Source of one (kind, lag, power) factor, read as :func:`one_step`
     reads it: ``y_read`` is the source of the output read at this lag, and
-    ``u % i`` the source of the input i + 1 samples back.  A phi2 factor
-    names a variable whose two unindented lines, added to ``signs`` once
-    per lag, compute sign(0) = 0."""
+    ``u % i`` the source of the input i + 1 samples back.  A phi factor
+    names a variable whose unindented line is added to ``shared`` once per
+    lag: ``p<lag>`` holds the phi1 difference, computed once per sample,
+    and ``s<lag>`` its phi2 sign, with sign(0) = 0."""
     if kind == "y":
         x = y_read
     elif kind == "u":
         x = u % (lag - 1)
-    elif kind == "phi1":
-        x = "(%s - %s)" % (u % (lag - 1), u % lag)
-    elif kind == "phi2":
-        x = "s%d" % lag
-        if x not in signs:
-            signs[x] = [
-                "%s = %s - %s" % (x, u % (lag - 1), u % lag),
-                "%s = 1.0 if %s > 0.0 else -1.0 if %s < 0.0 else 0.0" % (x, x, x),
-            ]
+    elif kind in ("phi1", "phi2"):
+        x = p = "p%d" % lag
+        shared.setdefault(p, "%s = %s - %s" % (p, u % (lag - 1), u % lag))
+        if kind == "phi2":
+            x = "s%d" % lag
+            shared.setdefault(x, "%s = 1.0 if %s > 0.0 else -1.0 if %s < 0.0 else 0.0"
+                              % (x, p, p))
     else:
         raise ValueError("unknown factor kind %r" % (kind,))
     return x if power == 1 else "%s ** %d" % (x, power)
+
+
+def kernel_coefficients(factors):
+    """Source that unpacks the coefficient argument ``c`` into the locals
+    ``c<i>``, one per term of ``factors``, that the kernel sources read;
+    none for a model with no terms."""
+    names = ["c%d" % i for i in range(len(factors))]
+    return ["%s, = c" % ", ".join(names)] if names else []
 
 
 def indented(lines, depth):
@@ -280,19 +287,19 @@ def indented(lines, depth):
 
 
 def _output_source(factors, y, u):
-    """The sign lines and the expression of y(k): per term, the coefficient
-    ``c[i]`` times its ``factors`` in order, summed from 0.0 in term order;
-    ``y % i`` and ``u % i`` are the sources of the output and input i + 1
-    samples back."""
-    signs = {}
+    """The shared phi lines and the expression of y(k): per term, the
+    coefficient ``c<i>`` times its ``factors`` in order, summed from 0.0 in
+    term order; ``y % i`` and ``u % i`` are the sources of the output and
+    input i + 1 samples back."""
+    shared = {}
     terms = [
-        " * ".join(["c[%d]" % i] + [
-            kernel_factor(kind, lag, power, y % (lag - 1), u, signs)
+        " * ".join(["c%d" % i] + [
+            kernel_factor(kind, lag, power, y % (lag - 1), u, shared)
             for kind, lag, power in term
         ])
         for i, term in enumerate(factors)
     ]
-    return [line for pair in signs.values() for line in pair], " + ".join(["0.0"] + terms)
+    return list(shared.values()), " + ".join(["0.0"] + terms)
 
 
 @lru_cache(maxsize=256)
@@ -301,19 +308,21 @@ def _free_run_loop(factors, n_y, u_depth):
     structure, generated from the expression of :func:`_output_source`.
 
     ``y_hist`` holds n_y outputs and ``u_hist`` u_depth inputs,
-    most-recent-first; the loop keeps them in locals and writes them back,
-    shifted, at the end.  Returns the outputs for the list ``inputs``, each
-    fed back into the output history.  A non-finite output ends the loop as
-    the last element, the histories shifted past the outputs before it.
+    most-recent-first; the loop keeps them, and the coefficients ``c``, in
+    locals and writes the histories back, shifted, at the end.  Returns the
+    outputs for the list ``inputs``, each fed back into the output history.
+    A non-finite output ends the loop as the last element, the histories
+    shifted past the outputs before it.
     """
     ys = ["y%d" % i for i in range(n_y)]
     us = ["u%d" % i for i in range(u_depth)]
-    signs, expr = _output_source(factors, "y%d", "u%d")
+    shared, expr = _output_source(factors, "y%d", "u%d")
     return compile_kernel("\n".join(
         ["from math import isfinite", "def kernel(c, y, u, inputs):"]
-        + indented(["%s, = y" % ", ".join(ys), "%s, = u" % ", ".join(us), "out = []",
-                    "append = out.append", "for uk in inputs:"], 1)
-        + indented(signs + ["v = " + expr, "append(v)", "if not isfinite(v):", "    break",
+        + indented(kernel_coefficients(factors)
+                   + ["%s, = y" % ", ".join(ys), "%s, = u" % ", ".join(us), "out = []",
+                      "append = out.append", "for uk in inputs:"], 1)
+        + indented(shared + ["v = " + expr, "append(v)", "if not isfinite(v):", "    break",
                             kernel_shift(ys, "v"), kernel_shift(us, "uk")], 2)
         + indented(["y[:] = [%s]" % ", ".join(ys), "u[:] = [%s]" % ", ".join(us),
                     "return out"], 1)

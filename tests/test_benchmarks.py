@@ -1,5 +1,7 @@
 """Simulated plants and excitation signals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,119 @@ def test_bouc_wen_matches_stagewise_rk4_exactly(substeps, hold_at):
         want = rk4_with_hdot(ref, part, substeps=substeps)
         assert np.array_equal(got, want)
         assert plant.h == ref.h
+
+
+def rk4_scalar_loop(plant, u_series, substeps=1):
+    """The plant's integration as one scalar loop on Python floats, every
+    stage term evaluated in place and each output stored as it goes."""
+    u = np.asarray(u_series, dtype=float)
+    n = len(u)
+    y = np.empty(n)
+    if n == 0:
+        return y
+    du = np.zeros(n)
+    with np.errstate(all="ignore"):
+        if n > 1:
+            du[0] = (u[1] - u[0]) / plant.DT
+            du[-1] = (u[-1] - u[-2]) / plant.DT
+        if n > 2:
+            du[1:-1] = (u[2:] - u[:-2]) / (2.0 * plant.DT)
+    A, B, G, nu_y = plant.ALPHA, plant.BETA, plant.GAMMA, plant.NU_Y
+    h = plant.h
+    step = plant.DT / substeps
+    fractions = [(s / substeps, (s + 1) / substeps) for s in range(substeps)]
+    u, du = u.tolist(), du.tolist()
+    for k in range(n):
+        y[k] = nu_y * u[k] - h
+        if k == n - 1:
+            break
+        d0, d1 = du[k], du[k + 1]
+        for f0, f1 in fractions:
+            v0 = d0 + (d1 - d0) * f0
+            v1 = d0 + (d1 - d0) * f1
+            vm = 0.5 * (v0 + v1)
+            k1 = A * v0 - B * abs(v0) * h - G * v0 * abs(h)
+            hh = h + 0.5 * step * k1
+            k2 = A * vm - B * abs(vm) * hh - G * vm * abs(hh)
+            hh = h + 0.5 * step * k2
+            k3 = A * vm - B * abs(vm) * hh - G * vm * abs(hh)
+            hh = h + step * k3
+            k4 = A * v1 - B * abs(v1) * hh - G * v1 * abs(hh)
+            h += step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    plant.h = h
+    return y
+
+
+INF, NAN = float("inf"), float("nan")
+SCALAR_LOOP_INPUTS = [
+    [], [3.0], [0.0, 2.5], [-1.0, 4.0, 2.0],
+    [0.0, -0.0, -0.0, 0.0, -0.0],
+    [1.0, NAN, 2.0, 3.0, -1.0],
+    [0.0, INF, 1.0, -INF, 2.0, 0.0],
+    [0.0, 0.0, 1e306, 1e306, 0.0, 0.0],
+    (30.0 * np.sin(2.0 * np.pi * 1.3 * np.arange(400) * BoucWenPlant.DT)).tolist(),
+]
+
+
+@pytest.mark.parametrize("substeps", [1, 4, 10])
+@pytest.mark.parametrize("u", SCALAR_LOOP_INPUTS)
+@pytest.mark.parametrize("h0", [0.0, -0.0, 7.5])
+def test_bouc_wen_equals_the_scalar_loop_bit_for_bit(u, substeps, h0):
+    # whole, and split across two calls that carry h, on y and on h
+    for parts in ([u], [u[:len(u) // 2], u[len(u) // 2:]]):
+        plant, ref = BoucWenPlant(), BoucWenPlant()
+        plant.h = ref.h = h0
+        for part in parts:
+            got = plant.simulate(part, substeps=substeps)
+            want = rk4_scalar_loop(ref, part, substeps=substeps)
+            assert got.tobytes() == want.tobytes()
+            assert np.float64(plant.h).tobytes() == np.float64(ref.h).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@pytest.mark.parametrize("substeps", [1, 4, 10])
+def test_bouc_wen_stage_blocks_join_bit_for_bit(monkeypatch, rows, substeps):
+    # the stage terms are computed a block of substep rows at a time; h
+    # carries over from block to block as from substep to substep
+    import narxcomp.benchmarks as benchmarks
+
+    monkeypatch.setattr(benchmarks, "STAGE_ROWS", rows)
+    u = SCALAR_LOOP_INPUTS[-1]
+    plant, ref = BoucWenPlant(), BoucWenPlant()
+    got = plant.simulate(u, substeps=substeps)
+    assert got.tobytes() == rk4_scalar_loop(ref, u, substeps=substeps).tobytes()
+    assert plant.h == ref.h
+
+
+def test_bouc_wen_overflow_is_silent():
+    # the input-only stage terms overflow to inf here; like scalar floats,
+    # the plant propagates inf and NaN without a RuntimeWarning
+    u = [0.0, 0.0, 1e306, 1e306, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = BoucWenPlant().simulate(u)
+    assert y.tobytes() == rk4_scalar_loop(BoucWenPlant(), u).tobytes()
+    assert not np.all(np.isfinite(y))
+
+
+@pytest.mark.parametrize("substeps", [-1, 0])
+def test_bouc_wen_rejects_substeps_below_one(substeps):
+    plant = BoucWenPlant()
+    with pytest.raises(ValueError, match="substeps"):
+        plant.simulate([0.0, 10.0, 20.0, 10.0], substeps=substeps)
+    assert plant.h == 0.0
+
+
+@pytest.mark.parametrize("substeps", [2.5, 1.0, "4"])
+def test_bouc_wen_rejects_non_integer_substeps(substeps):
+    with pytest.raises(TypeError):
+        BoucWenPlant().simulate([0.0, 10.0, 20.0, 10.0], substeps=substeps)
+
+
+def test_bouc_wen_accepts_integer_like_substeps():
+    u = [0.0, 10.0, 20.0, 10.0]
+    want = BoucWenPlant().simulate(u, substeps=4)
+    assert BoucWenPlant().simulate(u, substeps=np.int64(4)).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

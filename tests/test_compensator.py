@@ -886,6 +886,54 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
     assert "is None" not in source
 
 
+def kernel_sources(model):
+    """The sources of the free-run, compensation and coefficient kernels
+    generated for ``model``'s term structure."""
+    step = comp._coeff_step(model.factors, model.tau_d, model.is_hysteretic(),
+                            comp.hist_depth(model))
+    return [narx._free_run_kernel(model).func.source, comp._run_kernel(model).func.source,
+            step.source]
+
+
+def test_kernels_compute_each_phi1_difference_once(
+        heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
+    for model in (bouc_wen_model, valve_model):
+        free_run = kernel_sources(model)[0]
+        assert free_run.count("u0 - u1") == 1
+        assert "p1 = u0 - u1" in free_run and "if p1 > 0.0 else" in free_run
+    # the coefficients are unpacked once per call, never indexed per sample
+    for model in (heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
+        for source in kernel_sources(model):
+            assert "c[" not in source
+            assert source.count(" = c\n") == 1
+    # a phi1 deeper than the dead time is a known factor of the step
+    deep = mk([term(0.5, ("y", 1, 1)), term(2.0, ("phi1", 2, 1)),
+               term(0.3, ("phi1", 2, 1), ("phi2", 2, 1)),
+               term(1.0, ("phi1", 1, 1), ("phi2", 1, 1))], n_u=2, tau_d=1)
+    for source in kernel_sources(deep):
+        assert source.count("m0 - m1") + source.count("u1 - u2") == 1
+
+
+def empty_model():
+    return narx.model_from_dict({"n_y": 2, "n_u": 2, "tau_d": 1, "ell": 2,
+                                 "input_range": [-1.0, 1.0], "output_range": [-1.0, 1.0],
+                                 "terms": []})
+
+
+def test_a_model_with_no_terms_predicts_zero_and_holds_every_step():
+    m = empty_model()
+    assert m.factors == () and not m.is_hysteretic()
+    assert all("c0" not in source for source in kernel_sources(m))
+    y = narx.simulate_free_run(m, [0.5, -0.25, 1.0], [0.3, 0.1])
+    assert y.tolist() == [0.0, 0.0, 0.0]
+    assert narx.one_step(m, [0.3, 0.1], [0.5, 0.2]) == 0.0
+    s = comp.CompensationSession(m, [0.2, 0.1])
+    assert comp.run(s, [0.1, 0.2, 0.3, 0.4]).tolist() == [0.2] * 4
+    assert (s.steps, s.hold_count, s.max_residual, s.m_hist) == (4, 4, 0.0, [0.2, 0.2])
+    assert comp.dynamic_comp_poly(s, 0).coeffs == (-0.2, 0.0, 0.0)
+    assert comp.dynamic_comp_poly(s, 2).coeffs == (-0.4, 0.0, 0.0)
+
+
 def test_perturbed_copy_builds_no_kernel_source(bouc_wen_model, monkeypatch):
     # the kernels belong to the term structure: once the nominal model has
     # run, a copy with other coefficients generates and compiles nothing
