@@ -52,27 +52,28 @@ class HammersteinHeater:
         self._v2 = 0.0
         self.clamp_count = 0
 
-    def step(self, u):
-        u = float(u)
-        if u < self.U_MIN:
-            u = self.U_MIN
-            self.clamp_count += 1
-        elif u > self.U_MAX:
-            u = self.U_MAX
-            self.clamp_count += 1
-        y = (
-            self.B1 * self._y1
-            + self.B2 * self._v1
-            + self.B3 * self._y2
-            + self.B4 * self._v2
-        )
-        v = self.P1 * u * u + self.P2 * u
-        self._y2, self._y1 = self._y1, y
-        self._v2, self._v1 = self._v1, v
-        return y
-
     def simulate(self, u_series):
-        return np.array([self.step(u) for u in u_series])
+        """Outputs for ``u_series``, continuing from the state the previous
+        call left (``reset`` returns to rest)."""
+        b1, b2, b3, b4, p1, p2 = self.B1, self.B2, self.B3, self.B4, self.P1, self.P2
+        lo, hi = self.U_MIN, self.U_MAX
+        y1, y2, v1, v2 = self._y1, self._y2, self._v1, self._v2
+        clamps = 0
+        ys = []
+        for u in np.asarray(u_series, dtype=float).tolist():
+            if u < lo:
+                u = lo
+                clamps += 1
+            elif u > hi:
+                u = hi
+                clamps += 1
+            y = b1 * y1 + b2 * v1 + b3 * y2 + b4 * v2
+            y2, y1 = y1, y
+            v2, v1 = v1, p1 * u * u + p2 * u
+            ys.append(y)
+        self._y1, self._y2, self._v1, self._v2 = y1, y2, v1, v2
+        self.clamp_count += clamps
+        return np.array(ys)
 
     @classmethod
     def static_output(cls, u):

@@ -238,13 +238,11 @@ def resolve_plant(text, model, seed_value, r_start):
     )
 
 
-def check_reachable(key, model, r, loop=None):
+def check_reachable(key, model, r):
     """Reject references the model cannot produce, naming the reachable span.
 
     Every level must lie in the model's ``output_band()``, which
-    :func:`narxcomp.compensator.solve_static` accepts; with a seeding
-    ``loop``, r(1) must also lie within the output span of the branch that
-    :func:`narxcomp.compensator.init_hysteresis` inverts it on.
+    :func:`narxcomp.compensator.solve_static` accepts.
     """
     r = np.asarray(r, dtype=float)
     r_lo, r_hi = model.output_band()
@@ -253,53 +251,17 @@ def check_reachable(key, model, r, loop=None):
             key, "reference levels [%g, %g] outside the reachable output span "
             "[%g, %g] of the model" % (r.min(), r.max(), r_lo, r_hi)
         )
-    if loop is not None:
-        regime = comp.seed_regime(r[0], r[1])
-        ys = loop.branch(regime)[:, 1]
-        y_lo, y_hi = float(ys.min()), float(ys.max())
-        if not y_lo <= r[1] <= y_hi:
-            raise ConfigError(
-                key, "r(1) = %g outside the output span [%g, %g] of the seeding "
-                "loop's %s branch" % (r[1], y_lo, y_hi, regime.name.lower())
-            )
-
-
-def check_loop(prefix, amplitude, f_cps, center):
-    """(amplitude, f_cps, center) if :func:`narxcomp.model.hysteresis_loop`
-    can trace that loop, else a ConfigError naming the option: ``prefix``
-    plus ``amplitude``, ``f`` or ``center``.  ``f_cps`` is in cycles per
-    sample."""
-    if not math.isfinite(center):
-        raise ConfigError(prefix + "center", "loop center must be finite")
-    if not 0 < amplitude < math.inf:
-        raise ConfigError(prefix + "amplitude", "loop amplitude must be positive and finite")
-    if center + amplitude == center or center - amplitude == center:
-        raise ConfigError(
-            prefix + "amplitude", "loop amplitude %g does not move the input off its "
-            "center %g" % (amplitude, center)
-        )
-    if not f_cps > 0:
-        raise ConfigError(prefix + "f", "loop frequency must be positive")
-    if 1.0 / f_cps > narx.MAX_LOOP_PERIOD:
-        raise ConfigError(
-            prefix + "f", "loop period of %g samples is longer than %d"
-            % (1.0 / f_cps, narx.MAX_LOOP_PERIOD)
-        )
-    if int(round(1.0 / f_cps)) < 8:
-        raise ConfigError(
-            prefix + "f", "loop period of %g samples is too coarse" % (1.0 / f_cps)
-        )
-    return amplitude, f_cps, center
 
 
 def trace_loop(prefix, model, params):
-    """:func:`narxcomp.model.hysteresis_loop` of ``model`` under ``params``
-    from :func:`check_loop`; a branch that comes out empty is a ConfigError
-    naming ``prefix`` plus ``amplitude``."""
+    """:func:`narxcomp.model.hysteresis_loop` of ``model`` under ``params``,
+    (amplitude, f_cps, center) with ``f_cps`` in cycles per sample; a loop
+    it cannot trace is a ConfigError naming the option: ``prefix`` plus
+    ``amplitude``, ``f`` or ``center``."""
     try:
         return narx.hysteresis_loop(model, *params)
-    except narx.EmptyLoopBranch as e:
-        raise ConfigError(prefix + "amplitude", str(e)) from None
+    except narx.LoopSpecError as e:
+        raise ConfigError(prefix + e.param, str(e)) from None
 
 
 def loop_params(args, model, spec, ts, n):
@@ -321,7 +283,7 @@ def loop_params(args, model, spec, ts, n):
         f_cps = spec.frequency * ts
     else:
         f_cps = 1.0 / max(n, 64)
-    return check_loop("loop-", amp, f_cps, center)
+    return amp, f_cps, center
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +363,7 @@ def cmd_loop(args):
     if not model.is_hysteretic():
         raise ConfigError("model", "model has no phi regressors; no loop to trace")
     ts = pick_ts(args.ts, name)
-    loop = trace_loop("", model, check_loop("", args.amplitude, args.f * ts, args.center))
+    loop = trace_loop("", model, (args.amplitude, args.f * ts, args.center))
     load, unload = loop.loading, loop.unloading
     return ("u", "y", "branch"), (
         load[:, 0].tolist() + unload[:, 0].tolist(),
@@ -416,8 +378,9 @@ def tracking_setup(args, model, name):
 
     ``r`` is the reference of ``--signal``, checked to be reachable.  A
     hysteretic model gets a seeding loop, from the loop options, whose
-    branch must cover r(1); ``loop_spec`` is its (amplitude, f_cps, center),
-    None for other models.  ``seed`` is the model's input history from
+    branch must cover r(1) (a ConfigError naming ``signal`` otherwise);
+    ``loop_spec`` is its (amplitude, f_cps, center), None for other models.
+    ``seed`` is the model's input history from
     :func:`narxcomp.compensator.init_history`.  ``plant_factory`` builds
     the ``--plant``; a model plant starts from input seed[0] and output
     r(0).
@@ -431,8 +394,10 @@ def tracking_setup(args, model, name):
     if model.is_hysteretic():
         lp = loop_params(args, model, spec, ts, n)
         loop = trace_loop("loop-", model, lp)
-        check_reachable("signal", model, r, loop)
-    seed = comp.init_history(model, r, loop)
+    try:
+        seed = comp.init_history(model, r, loop)
+    except narx.OutOfLoopRange as e:
+        raise ConfigError("signal", "r(1) is off the seeding loop: %s" % e) from None
     return r, lp, seed, resolve_plant(args.plant, model, seed[0], float(r[0]))
 
 

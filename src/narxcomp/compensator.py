@@ -109,11 +109,9 @@ class CompensationSession:
 
 
 def hist_depth(model):
-    """How many past inputs the per-step polynomials can reference."""
-    d = max(model.n_u - model.tau_d, 1)
-    if model.max_phi_lag():
-        d = max(d, model.max_phi_lag() - model.tau_d + 1)
-    return d
+    """How many past inputs the per-step polynomials can reference: the
+    model's input history past the delay, at least one."""
+    return max(model.u_depth - model.tau_d, 1)
 
 
 def _clamped(r, start, stop):

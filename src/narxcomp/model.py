@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
-from math import isfinite
+from math import inf, isfinite
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from enum import Enum
@@ -65,8 +65,20 @@ class LoopUnsettled(RuntimeError):
     """Periodic excitation never converged onto a repeating loop."""
 
 
-class EmptyLoopBranch(ValueError):
+class LoopSpecError(ValueError):
+    """A loop :func:`hysteresis_loop` cannot trace; ``param`` names the
+    offending argument: "center", "amplitude" or "f"."""
+
+    def __init__(self, param, message):
+        super().__init__(message)
+        self.param = param
+
+
+class EmptyLoopBranch(LoopSpecError):
     """The settled period has no rising or no falling input sample."""
+
+    def __init__(self, message):
+        super().__init__("amplitude", message)
 
 
 @dataclass(frozen=True)
@@ -570,8 +582,9 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     per sample) period by period until two consecutive periods agree to
     ``settle_tol`` (relative to the period's output span), then splits the
     settled period into loading (input rising) and unloading (input falling)
-    branches.  Raises :class:`EmptyLoopBranch` if a branch comes out empty
-    (an amplitude too small to move the input off its center) and
+    branches.  Raises :class:`LoopSpecError`, naming the argument, for a
+    loop it cannot trace (the checks below), and its subclass
+    :class:`EmptyLoopBranch` if a branch comes out empty;
     :class:`LoopUnsettled` if agreement is never reached;
     models whose output-coefficient sum exceeds one carry a slowly growing
     drift mode, so a run that contracts onto its loop still stops long
@@ -579,15 +592,21 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     """
     if not model.is_hysteretic():
         raise ValueError("hysteresis loop requires a model with phi regressors")
-    if f_min <= 0:
-        raise ValueError("f_min must be positive")
+    if not isfinite(u_center):
+        raise LoopSpecError("center", "loop center must be finite")
+    if not 0 < amplitude < inf:
+        raise LoopSpecError("amplitude", "loop amplitude must be positive and finite")
+    if u_center + amplitude == u_center or u_center - amplitude == u_center:
+        raise LoopSpecError("amplitude", "loop amplitude %g does not move the input off "
+                            "its center %g" % (amplitude, u_center))
+    if not f_min > 0:
+        raise LoopSpecError("f", "loop frequency must be positive")
     if 1.0 / f_min > MAX_LOOP_PERIOD:
-        raise ValueError(
-            "period of %g samples is longer than %d" % (1.0 / f_min, MAX_LOOP_PERIOD)
-        )
+        raise LoopSpecError("f", "loop period of %g samples is longer than %d"
+                            % (1.0 / f_min, MAX_LOOP_PERIOD))
     period = int(round(1.0 / f_min))
     if period < 8:
-        raise ValueError("period of %d samples is too coarse to trace" % period)
+        raise LoopSpecError("f", "loop period of %g samples is too coarse" % (1.0 / f_min))
 
     free_run = _free_run_kernel(model)
     u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
@@ -629,7 +648,8 @@ def loop_inverse(loop, y_target, regime):
     """Input that produces ``y_target`` on the given loop branch.
 
     Linear interpolation between adjacent traced points; raises
-    :class:`OutOfLoopRange` if no branch segment brackets the target.
+    :class:`OutOfLoopRange`, naming the branch's output span, if no branch
+    segment brackets the target.
     """
     branch = loop.branch(regime).tolist()
     t = float(y_target)
@@ -638,8 +658,10 @@ def loop_inverse(loop, y_target, regime):
             if y1 == y0:
                 return float(u0)
             return float(u0 + (t - y0) * (u1 - u0) / (y1 - y0))
+    ys = loop.branch(regime)[:, 1]
     raise OutOfLoopRange(
-        "target %g outside the traced %s branch" % (t, regime.name.lower())
+        "target %g outside the output span [%g, %g] of the traced %s branch"
+        % (t, ys.min(initial=inf), ys.max(initial=-inf), regime.name.lower())
     )
 
 

@@ -87,6 +87,55 @@ def test_heater_reset_clears_state():
     assert plant.simulate([0.7])[0] == 0.0
 
 
+class StepHeater(HammersteinHeater):
+    """The heater as it was simulated: one ``step`` call per sample."""
+
+    def step(self, u):
+        u = float(u)
+        if u < self.U_MIN:
+            u = self.U_MIN
+            self.clamp_count += 1
+        elif u > self.U_MAX:
+            u = self.U_MAX
+            self.clamp_count += 1
+        y = (
+            self.B1 * self._y1
+            + self.B2 * self._v1
+            + self.B3 * self._y2
+            + self.B4 * self._v2
+        )
+        v = self.P1 * u * u + self.P2 * u
+        self._y2, self._y1 = self._y1, y
+        self._v2, self._v1 = self._v1, v
+        return y
+
+    def simulate(self, u_series):
+        return np.array([self.step(u) for u in u_series])
+
+
+HEATER_STATE = ("_y1", "_y2", "_v1", "_v2", "clamp_count")
+
+
+@pytest.mark.parametrize("u", [
+    [],
+    [0.5],
+    [np.nan, 0.3, 0.6, 0.2, 0.9],
+    [np.inf, 0.4, -np.inf, 0.7, 0.1],
+    [-0.0, 0.0, 0.5, -0.0, 1.0],
+    [-0.2, 1.3, 0.999, 1.0 + 1e-16, -1e-300, 0.45, 2.0, -5.0],
+    np.random.default_rng(3).uniform(-0.3, 1.3, 600).tolist(),
+], ids=["empty", "one", "nan", "inf", "negative-zero", "clamped", "random"])
+@pytest.mark.parametrize("split", [None, 2])
+def test_heater_equals_the_step_loop_bit_for_bit(u, split):
+    plant, ref = HammersteinHeater(), StepHeater()
+    parts = [u] if split is None else [u[:split], u[split:]]
+    for part in parts:
+        got, want = plant.simulate(np.array(part, dtype=float)), ref.simulate(part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ([repr(getattr(plant, a)) for a in HEATER_STATE]
+                == [repr(getattr(ref, a)) for a in HEATER_STATE])
+
+
 def test_heater_rejects_unstable_dynamics():
     class Broken(HammersteinHeater):
         B1 = 2.0

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import narxcomp.cli as cli
+import narxcomp.model as narx
 
 
 def run_cli(argv, capsys):
@@ -358,9 +359,11 @@ def test_loop_amplitude_must_move_the_input(capsys, argv, message):
 
 def test_check_loop_needs_the_input_moved_both_ways():
     # 1 - 1e-16 rounds below 1, but 1 + 1e-16 rounds back to 1
+    model = cli.resolve_model("bouc_wen")[0]
     with pytest.raises(cli.ConfigError, match="^amplitude: "):
-        cli.check_loop("", 1e-16, 0.005, 1.0)
-    assert cli.check_loop("", 1e-15, 0.005, 1.0) == (1e-15, 0.005, 1.0)
+        cli.trace_loop("", model, (1e-16, 0.005, 1.0))
+    loop = cli.trace_loop("", model, (1e-15, 0.005, 1.0))
+    assert loop.period == 200 and len(loop.loading) and len(loop.unloading)
 
 
 def test_loop_period_bound_names_the_option(capsys):
@@ -369,9 +372,13 @@ def test_loop_period_bound_names_the_option(capsys):
                               "--loop-f", "1e-9"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: loop-f: loop period of 2e+11 samples is longer than 1000000\n"
-    assert cli.check_loop("", 30.0, 1e-6, 0.0) == (30.0, 1e-6, 0.0)
+    model = cli.resolve_model("bouc_wen")[0]
+    # a period of exactly the bound is accepted: with no period to trace,
+    # the spec passes its checks and the trace stops unsettled
+    with pytest.raises(narx.LoopUnsettled):
+        narx.hysteresis_loop(model, 30.0, 1e-6, 0.0, max_periods=0)
     with pytest.raises(cli.ConfigError, match="^f: loop period of 1e\\+06 samples"):
-        cli.check_loop("", 30.0, 1.0 / 1_000_001, 0.0)
+        cli.trace_loop("", model, (30.0, 1.0 / 1_000_001, 0.0))
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -469,7 +476,7 @@ def test_reference_outside_seeding_loop_is_config_error(capsys):
         capsys,
     )
     assert code == 2
-    assert err.startswith("error: signal: r(1) = 29.9")
+    assert err.startswith("error: signal: r(1) is off the seeding loop: target 29.9")
     assert "seeding loop" in err
 
 
@@ -481,8 +488,9 @@ def test_reference_outside_seeding_branch_is_config_error(capsys):
                  ["montecarlo", "-m", "bouc_wen", "--rel-std", "0.005", "--runs", "4"]):
         code, _, err = run_cli(argv + signal, capsys)
         assert code == 2
-        assert err.startswith("error: signal: r(1) = 65.6867 outside the output span "
-                              "[-65.709, 65.6666] of the seeding loop's loading branch")
+        assert err.startswith("error: signal: r(1) is off the seeding loop: target 65.6867 "
+                              "outside the output span [-65.709, 65.6666] of the traced "
+                              "loading branch")
 
 
 def test_montecarlo_grid_outside_output_range_is_config_error(capsys):

@@ -62,6 +62,42 @@ def test_hist_depth(heater_model, valve_model, bouc_wen_model):
     assert comp.hist_depth(m) == 3
 
 
+def n_u_hist_depth(model):
+    """hist_depth as it was computed from n_u and the phi lags alone."""
+    d = max(model.n_u - model.tau_d, 1)
+    if model.max_phi_lag():
+        d = max(d, model.max_phi_lag() - model.tau_d + 1)
+    return d
+
+
+def test_hist_depth_from_u_depth_keeps_the_bundled_kernels(
+        heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
+    for model in (heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
+        depth = n_u_hist_depth(model)
+        assert comp.hist_depth(model) == depth
+        structure = (model.factors, model.tau_d, model.is_hysteretic(), depth)
+        assert comp._run_kernel(model).func.source == comp._run_loop(*structure).source
+        assert kernel_sources(model)[2] == comp._coeff_step(*structure).source
+
+
+def test_a_u_lag_beyond_n_u_is_compensated():
+    # u(k-3) with n_u = 1: the free run reads it through u_depth, and the
+    # compensation loop must keep m(k-1) and m(k-2) for it too
+    m = mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 1)), term(0.1, ("u", 3, 1))],
+           n_u=1, tau_d=1)
+    assert comp.hist_depth(m) == 2
+    r = np.sin(np.arange(30) / 5.0)
+    seed = comp.init_dynamic(m, r[0])
+    s = comp.CompensationSession(m, seed)
+    x = comp.run(s, r)
+    assert s.hold_count == 0
+    # each input makes the model equation give the next reference sample
+    xs = seed[::-1] + x.tolist()
+    for k in range(len(r) - 1):
+        y = narx.one_step(m, [r[k]], xs[k + 2::-1])
+        assert y == pytest.approx(r[k + 1], abs=1e-12)
+
+
 def test_session_rejects_short_history(heater_model):
     with pytest.raises(ValueError):
         comp.CompensationSession(model=heater_model, m_hist=[])

@@ -615,9 +615,32 @@ def test_loop_rejects_a_period_beyond_the_bound(valve_model):
 
 def test_loop_with_an_empty_branch_is_rejected(bouc_wen_model):
     # 1e-300 does not move an input centered at 1 in floating point: the
-    # trace settles at once on a flat period with neither branch
-    with pytest.raises(narx.EmptyLoopBranch, match="^loop of amplitude 1e-300 around 1 has an"):
+    # trace would settle at once on a flat period with neither branch
+    with pytest.raises(narx.LoopSpecError, match="^loop amplitude 1e-300 does not move the "
+                       "input off its center 1$") as e:
         narx.hysteresis_loop(bouc_wen_model, 1e-300, 0.005, 1.0)
+    assert e.value.param == "amplitude"
+    # 2.23e-16 moves 3 by one ulp, but no sample of an 8.4-sample period
+    # gets near enough to the peak to move it
+    with pytest.raises(narx.EmptyLoopBranch, match="^loop of amplitude 2.23e-16 around 3 has an"):
+        narx.hysteresis_loop(bouc_wen_model, 2.23e-16, 23.8 * 0.005, 3.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude,f_min,center,param,message", [
+    (30.0, math.nan, 0.0, "f", "loop frequency must be positive"),
+    (math.inf, 0.005, 0.0, "amplitude", "loop amplitude must be positive and finite"),
+    (-30.0, 0.005, 0.0, "amplitude", "loop amplitude must be positive and finite"),
+    (30.0, 0.005, math.nan, "center", "loop center must be finite"),
+    (30.0, 1 / 7.4, 0.0, "f", "loop period of 7.4 samples is too coarse"),
+    (30.0, 1e-7, 0.0, "f", "loop period of 1e+07 samples is longer than 1000000"),
+], ids=["nan-f", "inf-amplitude", "negative-amplitude", "nan-center", "period-under-8",
+        "period-over-bound"])
+def test_loop_spec_errors_name_the_parameter(bouc_wen_model, amplitude, f_min, center,
+                                             param, message):
+    with pytest.raises(narx.LoopSpecError) as e:
+        narx.hysteresis_loop(bouc_wen_model, amplitude, f_min, center)
+    assert (e.value.param, str(e.value)) == (param, message)
 
 
 def per_sample_loop_rows(model, amplitude, f_min, u_center, settle_tol=1e-8, max_periods=64):
@@ -769,8 +792,11 @@ def row_walk_loop_inverse(loop, y_target, regime):
             if y1 == y0:
                 return float(u0)
             return float(u0 + (t - y0) * (u1 - u0) / (y1 - y0))
+    ys = [y for _, y in branch.tolist()]
+    lo, hi = (float(np.min(ys)), float(np.max(ys))) if ys else (math.inf, -math.inf)
     raise narx.OutOfLoopRange(
-        "target %g outside the traced %s branch" % (t, regime.name.lower())
+        "target %g outside the output span [%g, %g] of the traced %s branch"
+        % (t, lo, hi, regime.name.lower())
     )
 
 
