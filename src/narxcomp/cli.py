@@ -114,7 +114,7 @@ def resolve_model(text):
     name = os.path.splitext(os.path.basename(text))[0]
     try:
         return narx.load_model(text), name
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OSError) as e:
         raise ConfigError("model", "cannot load %r: %s" % (text, e))
 
 

@@ -178,8 +178,8 @@ def solve_static_lockstep(model, coefs, r_bar):
     coefficients ``coefs``, one row per run.
 
     Where the compensation, static and characteristic polynomials all have
-    degree 1 or 2 the runs are solved together in closed form, bit for bit
-    as :func:`solve_static` solves them; the other runs call it.  Returns
+    real closed-form roots the runs are solved together, bit for bit as
+    :func:`solve_static` solves them; the other runs call it.  Returns
     (m_bar, errors): one input per run, and the exception raised for each
     run index that has none.
     """
@@ -196,8 +196,8 @@ def solve_static_lockstep(model, coefs, r_bar):
         p[0] -= float(r_bar)
         closed, degree, roots = poly.lockstep_roots(p)
         u_lo, u_hi = model.input_range
-        for slot, (x, im) in enumerate(roots):
-            cand = poly.lockstep_real(x, im) & (u_lo <= x) & (x <= u_hi) & (degree > slot)
+        for slot, x in enumerate(roots):
+            cand = (u_lo <= x) & (x <= u_hi) & (degree > slot)
             if not cand.any():
                 continue
             good, fp_closed = stable_fixed_point_lockstep(model, cols, x, r_bar, 1e-6 * span)
@@ -310,21 +310,19 @@ def _pick_lines(p, branch, x, e):
 
     ``branch`` is the source of the Regime, or "None"; the locals ``mp``,
     ``bounds``, ``lo`` and ``hi`` must hold m(k-1) and the input range.  A
-    finite list whose degree under the ``LEADING_ZERO_RTOL`` rule is 1 or 2
-    is solved here, with the degree rule unrolled over the reachable slots,
-    rounded as :func:`narxcomp.poly.solve_roots` rounds it: a finite
-    discriminant of at least ``_TINY_DISC`` takes ``math.sqrt`` and float
-    division, which give the same floats, since there ``cmath.sqrt`` scales
-    by powers of 4 only and the complex division adds a zero to a numerator
-    that is never -0.0; any other discriminant takes ``cmath.sqrt`` as
-    :func:`narxcomp.poly.solve_quadratic` does, and a root that
-    :func:`narxcomp.poly.real_roots` would drop becomes NaN, which no range
-    admits.  The nearer of two admissible roots wins by (|x - m(k-1)|, x),
-    the first on a tie, as in :func:`select_root`.  The residual is Horner's
-    from the top reachable slot; starting from 0.0, as :func:`_solve` does,
-    changes only the sign of a zero, which ``abs`` drops.  Every other list
-    (an inf or NaN coefficient or sum, degree 3 and up) makes one
-    :func:`_solve` call.
+    finite list whose degree under the ``LEADING_ZERO_RTOL`` rule is 1, or
+    2 with a finite discriminant of at least ``_TINY_DISC``, is solved
+    here, with the degree rule unrolled over the reachable slots.  Its
+    roots are real, and ``math.sqrt`` and float division round them as
+    :func:`narxcomp.poly.solve_roots` does: there ``cmath.sqrt`` scales by
+    powers of 4 only, and the complex division adds a zero to a numerator
+    that is never -0.0.  The nearer of two admissible roots wins by
+    (|x - m(k-1)|, x), the first on a tie, as in :func:`select_root`.  The
+    residual is Horner's from the top reachable slot; starting from 0.0,
+    as :func:`_solve` does, changes only the sign of a zero, which ``abs``
+    drops.  Every other list (an inf or NaN coefficient or sum, a complex,
+    double or tiny discriminant, degree 3 and up) makes one :func:`_solve`
+    call.
     """
     c = ["a"] + list(p[1:])
     live = [i for i, ci in enumerate(c) if ci != "0.0"]
@@ -337,19 +335,17 @@ def _pick_lines(p, branch, x, e):
              "if t - t == 0.0:", "    big = abs(a)"]
     for i in live[1:]:
         lines += ["    b%d = abs(%s)" % (i, c[i]), "    if b%d > big:" % i, "        big = b%d" % i]
-    lines += ["    tol = LEADING_ZERO_RTOL * big", "%s = HOLD" % x,
-              "if t - t != 0.0%s:" % "".join(" or b%d > tol" % i for i in live if i > 2),
+    lines.append("    tol = LEADING_ZERO_RTOL * big")
+    general = "".join(" or b%d > tol" % i for i in live if i > 2)
+    if 2 in live:
+        lines.append("    disc = %s * %s - 4.0 * %s * a" % (c[1], c[1], c[2]))
+        general += " or b2 > tol and not _TINY_DISC <= disc < inf"
+    lines += ["%s = HOLD" % x, "if t - t != 0.0%s:" % general,
               "    %s, %s = _solve(mp, bounds, %s, %s)" % (x, e, branch, ", ".join(c))]
     if 2 in live:
-        roots = [("x%d" % n, "(-%s %s sq) / (2.0 * %s)" % (c[1], sign, c[2]))
-                 for n, sign in ((1, "+"), (2, "-"))]
-        lines += ["elif b2 > tol:", "    disc = %s * %s - 4.0 * %s * a" % (c[1], c[1], c[2]),
-                  "    if _TINY_DISC <= disc < inf:", "        sq = sqrt(disc)"]
-        lines += ["        %s = %s" % root for root in roots]
-        lines += ["    else:", "        sq = csqrt(complex(disc))"]
-        for name, root in roots:
-            lines += ["        z = " + root, "        %s = z.real if abs(z.imag) <= "
-                      "DEFAULT_IM_TOL * max(1.0, abs(z.real)) else nan" % name]
+        lines += ["elif b2 > tol:", "    sq = sqrt(disc)"]
+        lines += ["    x%d = (-%s %s sq) / (2.0 * %s)" % (n, c[1], sign, c[2])
+                  for n, sign in ((1, "+"), (2, "-"))]
         lines += ["    if %s:" % admit("x1"), "        %s = x1" % x,
                   "    if %s and (%s is HOLD or (abs(x2 - mp), x2) < (abs(x1 - mp), x1)):"
                   % (admit("x2"), x), "        %s = x2" % x,
@@ -362,9 +358,8 @@ def _pick_lines(p, branch, x, e):
 
 #: The names the generated compensation source reads besides its arguments.
 _KERNEL_IMPORTS = [
-    "from cmath import sqrt as csqrt",
-    "from math import inf, nan, sqrt",
-    "from %s import DEFAULT_IM_TOL, LEADING_ZERO_RTOL, _TINY_DISC" % poly.__name__,
+    "from math import inf, sqrt",
+    "from %s import LEADING_ZERO_RTOL, _TINY_DISC" % poly.__name__,
     "from %s import HOLD, LOADING, UNLOADING, _solve" % __name__,
 ]
 

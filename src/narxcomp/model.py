@@ -526,8 +526,8 @@ def _stable_lockstep(model, cols, u_bar, y_bar):
     char[:n_eff] = -a[:0:-1]
     closed, degree, roots = poly.lockstep_roots(char)
     stable = np.ones(cols.shape[1], dtype=bool)
-    for slot, (re, im) in enumerate(roots):
-        stable &= (np.hypot(re, im) < 1.0) | (degree <= slot)
+    for slot, root in enumerate(roots):
+        stable &= (np.abs(root) < 1.0) | (degree <= slot)
     return stable, closed
 
 
@@ -535,16 +535,16 @@ def stable_fixed_point_lockstep(model, cols, u_bar, y_target, tol):
     """Per run, whether :func:`fixed_points` at ``u_bar`` holds a stable
     point within ``tol`` of ``y_target``, the model's coefficients replaced
     by the rows of ``cols``; and the mask of runs whose static and
-    characteristic polynomials had degree 1 or 2.  Only those are decided
-    here; the others need :func:`fixed_points`.
+    characteristic polynomials had real closed-form roots.  Only those are
+    decided here; the others need :func:`fixed_points`.
     """
     q = static_rows(model, cols, "y", u_bar, np.zeros((model.ell + 2, cols.shape[1])))
     q[1] -= 1.0
     closed, degree, roots = poly.lockstep_roots(q)
     y_lo, y_hi = model.output_band()
     found = np.zeros(cols.shape[1], dtype=bool)
-    for slot, (y_bar, im) in enumerate(roots):
-        fp = poly.lockstep_real(y_bar, im) & (y_lo <= y_bar) & (y_bar <= y_hi) & (degree > slot)
+    for slot, y_bar in enumerate(roots):
+        fp = (y_lo <= y_bar) & (y_bar <= y_hi) & (degree > slot)
         if not fp.any():
             continue
         stable, eig_closed = _stable_lockstep(model, cols, u_bar, y_bar)
@@ -689,6 +689,16 @@ def model_to_dict(model):
     }
 
 
+def _integer(value, key):
+    """``value`` of the field ``key`` as an int by the ``operator.index``
+    rule :class:`NarxModel` applies: a float, even a whole one, is refused,
+    never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (key, value)) from None
+
+
 def model_from_dict(d):
     terms = tuple(
         Term(
@@ -696,8 +706,8 @@ def model_from_dict(d):
             factors=tuple(
                 Factor(
                     signal=Signal(f["sig"]),
-                    lag=int(f["lag"]),
-                    power=int(f.get("pow", 1)),
+                    lag=_integer(f["lag"], "lag"),
+                    power=_integer(f.get("pow", 1), "pow"),
                 )
                 for f in t.get("factors", ())
             ),
@@ -706,10 +716,10 @@ def model_from_dict(d):
     )
     model = NarxModel(
         terms=terms,
-        n_y=int(d["n_y"]),
-        n_u=int(d["n_u"]),
-        tau_d=int(d["tau_d"]),
-        ell=int(d["ell"]),
+        n_y=_integer(d["n_y"], "n_y"),
+        n_u=_integer(d["n_u"], "n_u"),
+        tau_d=_integer(d["tau_d"], "tau_d"),
+        ell=_integer(d["ell"], "ell"),
         input_range=tuple(float(v) for v in d["input_range"]),
         output_range=tuple(float(v) for v in d["output_range"]),
     )

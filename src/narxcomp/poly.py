@@ -25,8 +25,8 @@ DEFAULT_IM_TOL = 1e-9
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
 
-# Below this magnitude a discriminant is left to cmath.sqrt, which rounds
-# its square root differently within a few multiples of the smallest normal.
+# The closed forms outside solve_roots take discriminants of at least this;
+# below it cmath.sqrt and math.sqrt round apart near the smallest normal.
 _TINY_DISC = 8.0 * sys.float_info.min
 
 _DK_STEP_TOL = 1e-12
@@ -74,7 +74,7 @@ class AlgebraicPolynomial:
         return hash(self.coeffs)
 
     def degree(self):
-        """Effective degree; -1 for the zero polynomial.
+        """Effective degree; -1 for the zero polynomial and one with a NaN.
 
         Leading coefficients below ``LEADING_ZERO_RTOL`` times the largest
         coefficient magnitude are ignored.
@@ -84,9 +84,10 @@ class AlgebraicPolynomial:
 
 def effective_degree(coeffs):
     """Degree of the ascending coefficients ``coeffs`` under the
-    ``LEADING_ZERO_RTOL`` rule of :meth:`AlgebraicPolynomial.degree`."""
+    ``LEADING_ZERO_RTOL`` rule of :meth:`AlgebraicPolynomial.degree`; -1
+    also when a coefficient is NaN, wherever it sits."""
     biggest = max(map(abs, coeffs))
-    if biggest == 0.0:
+    if biggest == 0.0 or any(map(math.isnan, coeffs)):
         return -1
     tol = LEADING_ZERO_RTOL * biggest
     d = len(coeffs) - 1
@@ -273,19 +274,19 @@ def real_roots(rs, im_tol=DEFAULT_IM_TOL):
 
 
 def lockstep_roots(p):
-    """Closed-form roots of many polynomials, rounded as :func:`solve_roots` rounds them.
+    """Real closed-form roots of many polynomials, rounded as :func:`solve_roots` rounds them.
 
     ``p`` holds ascending coefficients, one polynomial per column.  Returns
-    (closed, degree, roots): a mask of the columns whose effective degree
-    is 1 or 2 and whose coefficients, discriminant and roots are finite;
-    each column's effective degree; and its two roots as ((real, imag),
-    (real, imag)) arrays, the second one meaningful at degree 2 only.
-    Degree 1 is :func:`solve_linear`'s -a0 / a1.  Degree 2 is
-    :func:`solve_quadratic`: the square root of the real discriminant as
-    cmath.sqrt returns it, added to -a1 as a complex number and divided by
-    the float 2 a2 as CPython divides a complex by a float (Smith's method,
-    zero imaginary part).
-    Columns outside ``closed`` need :func:`solve_roots`.
+    (closed, degree, roots): a mask of the columns with finite
+    coefficients and roots whose effective degree is 1, or 2 with a finite
+    discriminant of at least ``_TINY_DISC``; each column's effective
+    degree; and its two roots as arrays, the second one meaningful at
+    degree 2 only.  Degree 1 is :func:`solve_linear`'s -a0 / a1; degree 2
+    is (-a1 +- sqrt(disc)) / (2 a2), the real roots
+    :func:`solve_quadratic` gives there (see
+    :func:`narxcomp.compensator._pick_lines`).  Columns outside ``closed``,
+    complex, double and tiny discriminants among them, need
+    :func:`solve_roots`.
     """
     p = np.asarray(p, dtype=float)
     mag = np.abs(p)
@@ -293,29 +294,11 @@ def lockstep_roots(p):
     degree = np.where(live.any(axis=0), len(p) - 1 - np.argmax(live[::-1], axis=0), -1)
     a0, a1 = p[0], p[1]
     a2 = p[2] if len(p) > 2 else np.zeros_like(a0)
+    quad = degree == 2
     with np.errstate(all="ignore"):
         disc = a1 * a1 - 4.0 * a2 * a0
-        s = np.sqrt(np.abs(disc))
-        s_re = np.where(disc >= 0.0, s, 0.0)
-        s_im = np.where(disc >= 0.0, 0.0, s)
-        den = 2.0 * a2
-        ratio = 0.0 / den
-        den = den + 0.0 * ratio
-        roots = [
-            ((re + im * ratio) / den, (im - re * ratio) / den)
-            for re, im in ((-a1 + s_re, 0.0 + s_im), (-a1 - s_re, 0.0 - s_im))
-        ]
-        quad = degree == 2
-        (re1, im1), second = roots
-        roots = ((np.where(quad, re1, -a0 / a1), np.where(quad, im1, 0.0)), second)
-    closed = (degree == 1) | (
-        quad & np.isfinite(disc) & ((disc == 0.0) | (np.abs(disc) >= _TINY_DISC))
-    )
-    finite = [np.isfinite(re) & np.isfinite(im) for re, im in roots]
-    closed &= finite[0] & (finite[1] | ~quad) & np.isfinite(p).all(axis=0)
+        sq = np.sqrt(disc)
+        roots = (np.where(quad, (-a1 + sq) / (2.0 * a2), -a0 / a1), (-a1 - sq) / (2.0 * a2))
+    closed = (degree == 1) | (quad & (_TINY_DISC <= disc) & (disc < np.inf))
+    closed &= np.isfinite(roots[0]) & (np.isfinite(roots[1]) | ~quad) & np.isfinite(p).all(axis=0)
     return closed, degree, roots
-
-
-def lockstep_real(re, im):
-    """Mask of the roots :func:`real_roots` keeps, from their parts as arrays."""
-    return np.abs(im) <= DEFAULT_IM_TOL * np.maximum(1.0, np.abs(re))

@@ -606,7 +606,8 @@ def test_plant_model_file_errors_name_the_plant(capsys, tmp_path):
     no_terms.write_text('{"n_y": 1}')
     missing = tmp_path / "missing.json"
     for path, message in ((missing, "%r is neither a file" % str(missing)),
-                          (no_terms, "cannot load %r: 'terms'" % str(no_terms))):
+                          (no_terms, "cannot load %r: 'terms'" % str(no_terms)),
+                          (tmp_path, "cannot load %r: [Errno" % str(tmp_path))):
         code, out, err = run_cli(["compensate", "-m", "heater", "--plant",
                                   "model_as_plant:%s" % path] + HEATER_REFERENCE, capsys)
         assert (code, out) == (2, "")
@@ -631,6 +632,35 @@ def test_model_file_with_non_finite_values_is_config_error(capsys, tmp_path, nam
     assert (code, out) == (2, "")
     assert err.startswith("error: model: cannot load %r: invalid model: " % str(path))
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["terms"][0]["factors"][0].update(lag=1.7), "lag must be an integer, got 1.7"),
+    (lambda d: d.update(n_y=2.9), "n_y must be an integer, got 2.9"),
+    (lambda d: d["terms"][1]["factors"][0].update(pow=2.0), "pow must be an integer, got 2.0"),
+    (lambda d: d.update(tau_d=2.0), "tau_d must be an integer, got 2.0"),
+], ids=["lag", "n_y", "pow", "tau_d"])
+def test_model_file_with_non_integer_orders_is_config_error(capsys, tmp_path, edit, message):
+    # int() would run lag 1.7 as 1 and n_y 2.9 as 2
+    with open(bundled_model_file("heater")) as fh:
+        d = json.load(fh)
+    edit(d)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli(["simulate", "-m", str(path), "--signal", "sine:a=0.1,f=0.001,off=0.5"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: model: cannot load %r: %s\n" % (str(path), message)
+
+
+def test_unreadable_model_path_names_the_model(capsys, tmp_path):
+    # a directory exists but cannot be opened: the error is the model's, not the output's
+    folder = str(tmp_path)
+    code, out, err = run_cli(["simulate", "-m", folder, "--signal", "sine:a=0.1,f=0.001,off=0.5",
+                              "-o", str(tmp_path / "out.csv")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: model: cannot load %r: [Errno" % folder)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_montecarlo_prints_skip_reasons(capsys):

@@ -200,6 +200,26 @@ def test_solve_static_lockstep_equals_per_run_solve(model, rel_std, seed, r_bar)
         assert got == want, i
 
 
+def test_solve_static_lockstep_solves_complex_eigenvalues_run_by_run(monkeypatch):
+    # y = y(k-1) - 0.5 y(k-2) + 0.06 u(k-2)^2: the characteristic polynomial
+    # x^2 - x + 0.5 has the complex roots 0.5 +- 0.5 i, so every run with an
+    # input in range is left to solve_static
+    model = mk([term(1.0, ("y", 1, 1)), term(-0.5, ("y", 2, 1)), term(0.06, ("u", 2, 2))],
+               n_y=2, n_u=2, tau_d=2, ell=2, inp=(0.0, 1.0), out=(0.0, 0.15))
+    coefs = ev.perturbed_coefficients(
+        model, 0.05, np.random.default_rng(7).standard_normal((15, 3)))
+    solve_static = comp.solve_static
+    calls = []
+    monkeypatch.setattr(comp, "solve_static", lambda *a: calls.append(a) or solve_static(*a))
+    for r_bar in (0.01, 0.05):
+        m_bar, errors = comp.solve_static_lockstep(model, coefs, r_bar)
+        assert not errors
+        for i, row in enumerate(coefs):
+            want = solve_static_outcome(solve_static, narx.with_coefficients(model, row), r_bar)
+            assert repr(float(m_bar[i])) == want, i
+    assert len(calls) == 2 * len(coefs)
+
+
 # ---------------------------------------------------------------------------
 # Dynamic (non-hysteretic) per-step polynomial
 
@@ -931,6 +951,17 @@ def kernel_sources(model):
             step.source]
 
 
+def test_kernels_take_no_complex_square_root(
+        heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
+    # complex roots are left to _solve, and poly.real_roots alone decides realness
+    for name in ("cmath", "csqrt", "DEFAULT_IM_TOL"):
+        assert not any(name in line for line in comp._KERNEL_IMPORTS)
+    for model in (heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
+        for source in kernel_sources(model):
+            for name in ("cmath", "csqrt", "complex(", "DEFAULT_IM_TOL"):
+                assert name not in source
+
+
 def test_kernels_compute_each_phi1_difference_once(
         heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
     for model in (bouc_wen_model, valve_model):
@@ -994,6 +1025,38 @@ def test_perturbed_copy_builds_no_kernel_source(bouc_wen_model, monkeypatch):
     # the copy runs its own coefficients
     assert len(m) == len(y) == len(r)
     assert y.tolist() != narx.simulate_free_run(bouc_wen_model, r, [0.0] * copy.n_y).tolist()
+
+
+def test_complex_discriminants_make_one_general_solve(heater_model, monkeypatch):
+    # a + theta2 m^2 = 0 with a > 0 has complex roots: steps 1, 2 and 5 hold
+    # through _solve, the other steps are solved in the generated source
+    r = [0.2, 0.25, 0.3, 0.1, 0.05, 0.2, 0.3, 0.02]
+    seeds = comp.init_history(heater_model, r)
+    lists = [comp.dynamic_comp_poly(session_with_r(heater_model, seeds, r), k).coeffs
+             for k in range(len(r))]
+    negative = [p for p in lists if p[1] * p[1] - 4.0 * p[2] * p[0] < 0.0]
+    assert negative == [lists[1], lists[2], lists[5]]
+    solve_roots = poly.solve_roots
+    calls = []
+    s = comp.CompensationSession(model=heater_model, m_hist=list(seeds))
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "solve_roots", lambda p: calls.append(p.coeffs) or solve_roots(p))
+        comp.run(s, r)
+    assert calls == negative
+    assert run_state(assert_run_equals_reference(heater_model, seeds, r)) == run_state(s)
+
+
+def test_a_nan_coefficient_holds_wherever_it_sits():
+    # y = 0.5 y(k-1) + u(k-1) + 0.1 y(k-2) u(k-1)^2: steps 1 and 2 read a NaN
+    # constant, step 3 solves -0.3 + x + nan x^2 = 0; none has a degree
+    model = mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 1)),
+                term(0.1, ("y", 2, 1), ("u", 1, 2))], n_y=2, ell=2)
+    r = [0.2, 0.3, math.nan, 0.4, 0.5, 0.6, 0.7]
+    s = comp.CompensationSession(model=model, m_hist=[0.0])
+    m = comp.run(s, r)
+    assert comp._branch_coeffs(session_with_r(model, [0.0], r), 3)[0][:2] == [-0.3, 1.0]
+    assert s.hold_count == 3 and m[1] == m[2] == m[3] == m[0]
+    assert run_state(assert_run_equals_reference(model, [0.0], r)) == run_state(s)
 
 
 def test_run_keeps_roots_within_the_realness_tolerance():

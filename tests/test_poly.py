@@ -52,6 +52,13 @@ def test_degree_ignores_tiny_leading_coefficients():
     assert P([1e-30, 1e-30]).degree() == 1
 
 
+def test_degree_of_a_nan_is_minus_one_wherever_it_sits():
+    # max over the magnitudes sees a NaN only in front
+    columns = [[0.5, 1.0, math.nan], [math.nan, 1.0, 0.5], [1.0, math.nan, 0.0]]
+    assert [P(c).degree() for c in columns] == [-1, -1, -1]
+    assert poly.lockstep_roots(np.array(columns).T)[1].tolist() == [-1, -1, -1]
+
+
 @given(
     st.lists(st.floats(-10, 10), min_size=1, max_size=6),
     st.floats(-5, 5),
@@ -256,6 +263,13 @@ _coefficient = st.one_of(
 )
 
 
+# with a1 = 0 and a2 = -1/4 the discriminant is exactly a0
+@example(columns=[[1.0, 2.0, 1.0]])  # a discriminant of 0: a double root
+@example(columns=[[2.0, 2.0, 1.0]])  # a discriminant of -4: complex roots
+@example(columns=[[poly._TINY_DISC, 0.0, -0.25]])  # the least closed discriminant
+@example(columns=[[math.nextafter(poly._TINY_DISC, 0.0), 0.0, -0.25]])  # one ulp below
+@example(columns=[[1.0, 1e200, 1.0]])  # a1 * a1 overflows to inf
+@example(columns=[[0.0, 1.0, -1.0], [-1.0, 0.0, -1.0]])  # a root of -0.0; complex with a2 < 0
 @settings(max_examples=300)
 @given(st.lists(st.lists(_coefficient, min_size=3, max_size=3), min_size=1, max_size=8))
 def test_lockstep_roots_equal_solve_roots_bit_for_bit(columns):
@@ -263,16 +277,16 @@ def test_lockstep_roots_equal_solve_roots_bit_for_bit(columns):
     for j, coeffs in enumerate(columns):
         p = P(coeffs)
         assert degree[j] == p.degree()
+        a0, a1, a2 = coeffs
+        disc = a1 * a1 - 4.0 * a2 * a0
+        got = [float(x[j]) for x in roots[: p.degree()]]
         if not closed[j]:
-            # left to solve_roots: other degrees, and discriminants so close
-            # to the smallest normal float that cmath.sqrt rounds them apart
-            a0, a1, a2 = coeffs
-            disc = a1 * a1 - 4.0 * a2 * a0
-            assert p.degree() not in (1, 2) or 0.0 < abs(disc) < 8.0 * sys.float_info.min
+            # left to solve_roots: other degrees, complex, double and tiny
+            # discriminants, and roots that overflow
+            assert (p.degree() not in (1, 2) or not all(map(math.isfinite, got))
+                    or p.degree() == 2 and not poly._TINY_DISC <= disc < math.inf)
             continue
-        got = [complex(re[j], im[j]) for re, im in roots[: p.degree()]]
-        want = poly.solve_roots(p).roots
-        # repr tells signed zeros apart
-        assert [repr(z) for z in got] == [repr(z) for z in want]
-        real = poly.lockstep_real(np.array([z.real for z in got]), np.array([z.imag for z in got]))
-        assert [z.real for z, ok in zip(got, real) if ok] == poly.real_roots(poly.RootSet(want, ""))
+        # repr tells signed zeros apart; the real parts, since solve_quadratic
+        # gives an imaginary part of -0.0 where a2 < 0
+        want = poly.real_roots(poly.solve_roots(p))
+        assert [repr(x) for x in got] == [repr(x) for x in want]
