@@ -311,18 +311,15 @@ def _pick_lines(p, branch, x, e):
     ``branch`` is the source of the Regime, or "None"; the locals ``mp``,
     ``bounds``, ``lo`` and ``hi`` must hold m(k-1) and the input range.  A
     finite list whose degree under the ``LEADING_ZERO_RTOL`` rule is 1, or
-    2 with a finite discriminant of at least ``_TINY_DISC``, is solved
-    here, with the degree rule unrolled over the reachable slots.  Its
-    roots are real, and ``math.sqrt`` and float division round them as
-    :func:`narxcomp.poly.solve_roots` does: there ``cmath.sqrt`` scales by
-    powers of 4 only, and the complex division adds a zero to a numerator
-    that is never -0.0.  The nearer of two admissible roots wins by
-    (|x - m(k-1)|, x), the first on a tie, as in :func:`select_root`.  The
-    residual is Horner's from the top reachable slot; starting from 0.0,
-    as :func:`_solve` does, changes only the sign of a zero, which ``abs``
-    drops.  Every other list (an inf or NaN coefficient or sum, a complex,
-    double or tiny discriminant, degree 3 and up) makes one :func:`_solve`
-    call.
+    2 with a discriminant in (0, inf), is solved here, with the degree rule
+    unrolled over the reachable slots.  Its roots are real, computed as
+    :func:`narxcomp.poly.solve_roots` computes them.  The nearer of two
+    admissible roots wins by (|x - m(k-1)|, x), the first on a tie, as in
+    :func:`select_root`.  The residual is Horner's from the top reachable
+    slot; starting from 0.0, as :func:`_solve` does, changes only the sign
+    of a zero, which ``abs`` drops.  Every other list (an inf or NaN
+    coefficient or sum, a complex or double root, degree 3 and up) makes
+    one :func:`_solve` call.
     """
     c = ["a"] + list(p[1:])
     live = [i for i, ci in enumerate(c) if ci != "0.0"]
@@ -339,7 +336,7 @@ def _pick_lines(p, branch, x, e):
     general = "".join(" or b%d > tol" % i for i in live if i > 2)
     if 2 in live:
         lines.append("    disc = %s * %s - 4.0 * %s * a" % (c[1], c[1], c[2]))
-        general += " or b2 > tol and not _TINY_DISC <= disc < inf"
+        general += " or b2 > tol and not 0.0 < disc < inf"
     lines += ["%s = HOLD" % x, "if t - t != 0.0%s:" % general,
               "    %s, %s = _solve(mp, bounds, %s, %s)" % (x, e, branch, ", ".join(c))]
     if 2 in live:
@@ -359,7 +356,7 @@ def _pick_lines(p, branch, x, e):
 #: The names the generated compensation source reads besides its arguments.
 _KERNEL_IMPORTS = [
     "from math import inf, sqrt",
-    "from %s import LEADING_ZERO_RTOL, _TINY_DISC" % poly.__name__,
+    "from %s import LEADING_ZERO_RTOL" % poly.__name__,
     "from %s import HOLD, LOADING, UNLOADING, _solve" % __name__,
 ]
 

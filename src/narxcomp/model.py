@@ -122,9 +122,10 @@ class NarxModel:
     _max_phi_lag: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index = operator.index
+        for order in (self.n_y, self.n_u, self.tau_d, self.ell):
+            _index(order)
         factors = tuple(
-            tuple((f.signal.value, index(f.lag), index(f.power)) for f in t.factors)
+            tuple((f.signal.value, _index(f.lag), _index(f.power)) for f in t.factors)
             for t in self.terms
         )
         lags = {kind: [] for kind in ("y", "u", "phi1", "phi2")}
@@ -268,7 +269,12 @@ def kernel_factor(kind, lag, power, y_read, u, shared):
     ``u % i`` the source of the input i + 1 samples back.  A phi factor
     names a variable whose unindented line is added to ``shared`` once per
     lag: ``p<lag>`` holds the phi1 difference, computed once per sample,
-    and ``s<lag>`` its phi2 sign, with sign(0) = 0."""
+    and ``s<lag>`` its phi2 sign, with sign(0) = 0.  A power above 1 is the
+    product of that many copies, taken left to right as :func:`_power`
+    takes it; a power below 1, which :func:`validate` refuses, has no
+    product and raises ValueError."""
+    if power < 1:
+        raise ValueError("factor power must be >= 1, got %d" % power)
     if kind == "y":
         x = y_read
     elif kind == "u":
@@ -282,7 +288,7 @@ def kernel_factor(kind, lag, power, y_read, u, shared):
                               % (x, p, p))
     else:
         raise ValueError("unknown factor kind %r" % (kind,))
-    return x if power == 1 else "%s ** %d" % (x, power)
+    return x if power == 1 else "(%s)" % " * ".join([x] * power)
 
 
 def kernel_coefficients(factors):
@@ -390,15 +396,12 @@ def simulate_free_run(model, u_series, y_init):
 
 
 def _power(x, power):
-    """``x ** power`` as the scalar code computes it, also per element of an
-    array (numpy's ``**`` may round differently from the C library's pow)."""
-    if power == 1:
-        return x
-    if power == 0:
-        return 1.0
-    if isinstance(x, np.ndarray):
-        return np.array([v ** power for v in x.tolist()])
-    return x ** power
+    """``x`` to the integer ``power`` as the kernels compute it, for a float
+    or an array alike: 1.0 at power 0, else x * x * ... left to right."""
+    out = 1.0 if power == 0 else x
+    for _ in range(power - 1):
+        out = out * x
+    return out
 
 
 def static_polynomial(model, u_bar, branch_sign=0):
@@ -689,12 +692,20 @@ def model_to_dict(model):
     }
 
 
+def _index(value):
+    """``value`` as an int by the ``operator.index`` rule, with bool refused
+    too: a TypeError for a float, even a whole one, and for True and False,
+    which ``operator.index`` would read as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError("an order must be an integer, not a bool")
+    return operator.index(value)
+
+
 def _integer(value, key):
-    """``value`` of the field ``key`` as an int by the ``operator.index``
-    rule :class:`NarxModel` applies: a float, even a whole one, is refused,
-    never truncated."""
+    """``value`` of the field ``key`` as an int by the :func:`_index` rule
+    :class:`NarxModel` applies; a ValueError naming ``key`` otherwise."""
     try:
-        return operator.index(value)
+        return _index(value)
     except TypeError:
         raise ValueError("%s must be an integer, got %r" % (key, value)) from None
 

@@ -25,10 +25,6 @@ DEFAULT_IM_TOL = 1e-9
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
 
-# The closed forms outside solve_roots take discriminants of at least this;
-# below it cmath.sqrt and math.sqrt round apart near the smallest normal.
-_TINY_DISC = 8.0 * sys.float_info.min
-
 _DK_STEP_TOL = 1e-12
 _DK_MAX_ITER = 500
 # Irrational angle offset so no start point sits on the real axis and the
@@ -137,37 +133,15 @@ def from_roots(roots, leading=1.0):
     return AlgebraicPolynomial(tuple(a.real for a in acc))
 
 
-def _trimmed(p):
-    """Coefficients up to the effective degree (empty for the zero poly)."""
-    return p.coeffs[: p.degree() + 1]
-
-
-def _check_degree(p, want, name):
-    if p.degree() != want:
-        raise DegreeMismatch("%s needs degree %d, got %d" % (name, want, p.degree()))
-    return _trimmed(p)
-
-
-def solve_linear(p):
-    a0, a1 = _check_degree(p, 1, "solve_linear")
-    return RootSet((complex(-a0 / a1),), "analytic")
-
-
-def solve_quadratic(p):
-    a0, a1, a2 = _check_degree(p, 2, "solve_quadratic")
-    s = cmath.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
-    return RootSet(((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2)), "analytic")
-
-
-def solve_cubic(p):
-    """Cardano's closed-form solution in determinant form.
+def _cubic(a0, a1, a2, a3):
+    """Roots of a0 + a1 x + a2 x^2 + a3 x^3 by Cardano's closed form in
+    determinant form.
 
     Uses d0 = a2^2 - 3 a3 a1 and d1 = 2 a2^3 - 9 a3 a2 a1 + 27 a3^2 a0 with
     C = cbrt((d1 +- sqrt(d1^2 - 4 d0^3)) / 2), picking the sign that gives the
     larger |C| so C never vanishes unless d0 = d1 = 0, which is the triple
     root -a2 / (3 a3).
     """
-    a0, a1, a2, a3 = _check_degree(p, 3, "solve_cubic")
     d0 = a2 * a2 - 3.0 * a3 * a1
     d1 = 2.0 * a2 ** 3 - 9.0 * a3 * a2 * a1 + 27.0 * a3 * a3 * a0
     inner = cmath.sqrt(complex(d1 * d1 - 4.0 * d0 ** 3))
@@ -176,14 +150,14 @@ def solve_cubic(p):
     big = cand_plus if abs(cand_plus) >= abs(cand_minus) else cand_minus
     if big == 0:
         r = complex(-a2 / (3.0 * a3))
-        return RootSet((r, r, r), "analytic")
+        return (r, r, r)
     cube = big ** (1.0 / 3.0)  # principal complex cube root
     xi = complex(-0.5, math.sqrt(3.0) / 2.0)
     roots = []
     for i in range(3):
         ci = (xi ** i) * cube
         roots.append(-(a2 + ci + d0 / ci) / (3.0 * a3))
-    return RootSet(roots, "analytic")
+    return roots
 
 
 def durand_kerner(p):
@@ -204,7 +178,7 @@ def durand_kerner(p):
     d = p.degree()
     if d < 1:
         raise DegreeMismatch("root iteration needs degree >= 1, got %d" % d)
-    a = _trimmed(p)
+    a = p.coeffs[: d + 1]
     an = a[-1]
     monic = [c / an for c in a]  # monic coefficients, ascending
 
@@ -248,17 +222,30 @@ def durand_kerner(p):
 
 
 def solve_roots(p):
-    """Dispatch to the closed-form solvers (degree <= 3) or Durand-Kerner."""
+    """All roots of ``p``: closed forms up to its effective degree 3,
+    Durand-Kerner above.
+
+    Degree 2 takes ``math.sqrt`` of a discriminant in (0, inf), so its roots
+    are the real ones :func:`lockstep_roots` and the generated compensation
+    loop compute; a zero, negative or non-finite discriminant goes through
+    ``cmath.sqrt``.
+    """
     d = p.degree()
     if d < 1:
         raise DegreeMismatch("no roots to solve for degree %d" % d)
+    if d > 3:
+        return durand_kerner(p)
+    a = p.coeffs[: d + 1]
     if d == 1:
-        return solve_linear(p)
-    if d == 2:
-        return solve_quadratic(p)
-    if d == 3:
-        return solve_cubic(p)
-    return durand_kerner(p)
+        roots = (-a[0] / a[1],)
+    elif d == 2:
+        a0, a1, a2 = a
+        disc = a1 * a1 - 4.0 * a2 * a0
+        s = math.sqrt(disc) if 0.0 < disc < math.inf else cmath.sqrt(complex(disc))
+        roots = ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
+    else:
+        roots = _cubic(*a)
+    return RootSet(roots, "analytic")
 
 
 def real_roots(rs, im_tol=DEFAULT_IM_TOL):
@@ -278,15 +265,12 @@ def lockstep_roots(p):
 
     ``p`` holds ascending coefficients, one polynomial per column.  Returns
     (closed, degree, roots): a mask of the columns with finite
-    coefficients and roots whose effective degree is 1, or 2 with a finite
-    discriminant of at least ``_TINY_DISC``; each column's effective
-    degree; and its two roots as arrays, the second one meaningful at
-    degree 2 only.  Degree 1 is :func:`solve_linear`'s -a0 / a1; degree 2
-    is (-a1 +- sqrt(disc)) / (2 a2), the real roots
-    :func:`solve_quadratic` gives there (see
+    coefficients and roots whose effective degree is 1, or 2 with a
+    discriminant in (0, inf); each column's effective degree; and its two
+    roots as arrays, the second one meaningful at degree 2 only: -a0 / a1,
+    or (-a1 +- sqrt(disc)) / (2 a2) as :func:`solve_roots` (see
     :func:`narxcomp.compensator._pick_lines`).  Columns outside ``closed``,
-    complex, double and tiny discriminants among them, need
-    :func:`solve_roots`.
+    complex and double roots among them, need :func:`solve_roots`.
     """
     p = np.asarray(p, dtype=float)
     mag = np.abs(p)
@@ -299,6 +283,6 @@ def lockstep_roots(p):
         disc = a1 * a1 - 4.0 * a2 * a0
         sq = np.sqrt(disc)
         roots = (np.where(quad, (-a1 + sq) / (2.0 * a2), -a0 / a1), (-a1 - sq) / (2.0 * a2))
-    closed = (degree == 1) | (quad & (_TINY_DISC <= disc) & (disc < np.inf))
+    closed = (degree == 1) | (quad & (0.0 < disc) & (disc < np.inf))
     closed &= np.isfinite(roots[0]) & (np.isfinite(roots[1]) | ~quad) & np.isfinite(p).all(axis=0)
     return closed, degree, roots

@@ -639,9 +639,11 @@ def test_model_file_with_non_finite_values_is_config_error(capsys, tmp_path, nam
     (lambda d: d.update(n_y=2.9), "n_y must be an integer, got 2.9"),
     (lambda d: d["terms"][1]["factors"][0].update(pow=2.0), "pow must be an integer, got 2.0"),
     (lambda d: d.update(tau_d=2.0), "tau_d must be an integer, got 2.0"),
-], ids=["lag", "n_y", "pow", "tau_d"])
+    (lambda d: d["terms"][0]["factors"][0].update(lag=True), "lag must be an integer, got True"),
+    (lambda d: d.update(ell=False), "ell must be an integer, got False"),
+], ids=["lag", "n_y", "pow", "tau_d", "lag-bool", "ell-bool"])
 def test_model_file_with_non_integer_orders_is_config_error(capsys, tmp_path, edit, message):
-    # int() would run lag 1.7 as 1 and n_y 2.9 as 2
+    # int() would run lag 1.7 as 1 and n_y 2.9 as 2, operator.index lag true as 1
     with open(bundled_model_file("heater")) as fh:
         d = json.load(fh)
     edit(d)

@@ -17,7 +17,7 @@ import narxcomp.poly as poly
 from narxcomp.model import Regime
 from narxcomp.poly import RootSet
 
-from test_model import mk, term
+from test_model import chain, mk, term
 
 HEATER_T1, HEATER_T2, HEATER_T3 = 0.8958185, 0.06393347, -0.01746750
 
@@ -607,7 +607,7 @@ def expand_terms(model, r, k, m_hist):
         for f in t.factors:
             lag = f.lag - tau  # after the forward shift by tau_d
             if f.signal is narx.Signal.OUTPUT_Y:
-                scalar *= ref(k + tau - f.lag) ** f.power
+                scalar *= chain(ref(k + tau - f.lag), f.power)
             elif lag == 0 and f.signal is narx.Signal.INPUT_U:
                 xpow += f.power
             elif lag == 0 and f.signal is narx.Signal.PHI1:
@@ -620,7 +620,7 @@ def expand_terms(model, r, k, m_hist):
                     x = m_hist[lag - 1] - m_hist[lag]
                     if f.signal is narx.Signal.PHI2:
                         x = (x > 0.0) - (x < 0.0)
-                scalar *= x ** f.power
+                scalar *= chain(x, f.power)
         parts.append((scalar, xpow, d, flip % 2))
     size = max([model.ell + 1 + model.is_hysteretic()] + [x + d + 1 for _, x, d, _ in parts])
     load, unload = [0.0] * size, [0.0] * size
@@ -824,8 +824,8 @@ REFERENCE = HIST | st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -
     seeds=[0.5] * 6,
     r=[0.0, 1.0, 1.5, 5.0, -0.2, 0.3],
 )
-@example(  # x^2 - 2 x + 1 = 0 at steps 0-2 (a discriminant of exactly 0, below
-    # _TINY_DISC), x^2 - 2 x + 2 = 0 at step 3 (a discriminant of -4: a hold)
+@example(  # x^2 - 2 x + 1 = 0 at steps 0-2 (a discriminant of exactly 0: a
+    # double root), x^2 - 2 x + 2 = 0 at step 3 (a discriminant of -4: a hold)
     model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-2.0, ("u", 1, 1))], ell=2),
     seeds=[0.5] * 6,
     r=[0.0, -1.0, -1.5, -1.75, -2.875, 0.5],
@@ -954,11 +954,12 @@ def kernel_sources(model):
 def test_kernels_take_no_complex_square_root(
         heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
     # complex roots are left to _solve, and poly.real_roots alone decides realness
-    for name in ("cmath", "csqrt", "DEFAULT_IM_TOL"):
+    # and an integer power is a product, never the C library's pow
+    for name in ("cmath", "csqrt", "DEFAULT_IM_TOL", "_TINY_DISC"):
         assert not any(name in line for line in comp._KERNEL_IMPORTS)
     for model in (heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
         for source in kernel_sources(model):
-            for name in ("cmath", "csqrt", "complex(", "DEFAULT_IM_TOL"):
+            for name in ("cmath", "csqrt", "complex(", "DEFAULT_IM_TOL", "_TINY_DISC", "**"):
                 assert name not in source
 
 
@@ -1130,9 +1131,9 @@ ROOT_AT = dict(high=[], branch=None, m_prev=0.0)
 @example(a0=math.nextafter(1e-300, 1.0), a1=0.0, a2=-0.25, **ROOT_AT)
 @example(a0=math.nextafter(1e-300, 0.0), a1=0.0, a2=-0.25, **ROOT_AT)
 @example(a0=math.nextafter(8 * sys.float_info.min, 1.0), a1=0.0, a2=-0.25, **ROOT_AT)
-@example(a0=8 * sys.float_info.min, a1=0.0, a2=-0.25, **ROOT_AT)  # math.sqrt from here up
+@example(a0=8 * sys.float_info.min, a1=0.0, a2=-0.25, **ROOT_AT)
 @example(a0=math.nextafter(8 * sys.float_info.min, 0.0), a1=0.0, a2=-0.25,
-         **ROOT_AT)  # cmath rounds apart
+         **ROOT_AT)  # cmath.sqrt would round apart from math.sqrt from here down
 @example(a0=5e-324, a1=0.0, a2=-0.25, **ROOT_AT)  # subnormal
 @example(a0=1.0, a1=1e200, a2=1.0, **ROOT_AT)  # a1 * a1 overflows to inf
 @example(a0=0.0, a1=1.0, a2=-1.0, **ROOT_AT)  # -a1 + s rounds to +0.0, the root is -0.0

@@ -210,6 +210,12 @@ def test_free_run_checks_initial_history():
 # Compiled term table
 
 
+def chain(x, power):
+    """``x`` to the integer ``power`` as every path of the package rounds it:
+    the product x * x * ... taken left to right (1 at power 0)."""
+    return math.prod([x] * power)
+
+
 def walk_terms(model, y_hist, u_hist):
     """Plain per-term evaluation from the Term and Factor objects."""
     acc = 0.0
@@ -224,7 +230,7 @@ def walk_terms(model, y_hist, u_hist):
                 x = u_hist[f.lag - 1] - u_hist[f.lag]
                 if f.signal is Signal.PHI2:
                     x = (x > 0.0) - (x < 0.0)
-            v *= x ** f.power
+            v *= chain(x, f.power)
         acc += v
     return acc
 
@@ -263,11 +269,27 @@ def test_one_step_equals_term_walk(model, y_hist, u_hist, z):
     assert narx.one_step(pm, y_hist, u_hist) == walk_terms(pm, y_hist, u_hist)
 
 
+def test_integer_powers_are_left_to_right_products():
+    # some libms' pow rounds this square one ulp away from x * x, which is
+    # correctly rounded; the kernels and _power, floats and arrays, multiply
+    x = -1.818447760617123
+    assert narx.one_step(mk([term(1.0, ("u", 1, 2))]), [0.0], [x]) == x * x
+    assert narx._power(x, 2) == x * x
+    assert narx._power(np.array([x]), 2).tolist() == [x * x]
+
+
 def test_one_step_rejects_non_integer_lag():
     # lags and powers reach the generated evaluator only as integers
     with pytest.raises(TypeError):
         m = mk([term(1.0, ("y", 1.5, 1))])
         narx.one_step(m, [1.0, 2.0], [0.0, 0.0])
+
+
+def test_kernels_refuse_a_power_below_one():
+    # a power is written as a product of copies, and none has fewer than one
+    for power in (0, -1):
+        with pytest.raises(ValueError, match="factor power must be >= 1"):
+            narx.one_step(mk([term(2.0, ("u", 1, power))]), [0.0], [3.0])
 
 
 def test_float_lag_is_rejected_after_an_int_lag_warmed_the_kernel_cache():
@@ -277,6 +299,16 @@ def test_float_lag_is_rejected_after_an_int_lag_warmed_the_kernel_cache():
     for factor in (("y", 1.0, 1), ("y", 1, 1.0)):
         with pytest.raises(TypeError):
             narx.one_step(mk([term(0.5, factor)]), [2.0], [0.0])
+
+
+def test_bool_orders_are_refused():
+    # operator.index(True) is 1, so a bool would run as lag, power or order 1
+    for factor in (("y", True, 1), ("y", 1, True)):
+        with pytest.raises(TypeError):
+            mk([term(0.5, factor)])
+    for order in ("n_y", "n_u", "tau_d", "ell"):
+        with pytest.raises(TypeError):
+            mk([term(0.5, ("y", 1, 1))], **{order: True})
 
 
 def test_model_pickles_after_its_kernels_are_built(valve_model):
@@ -429,12 +461,12 @@ def scalar_static_polynomial(model, u_bar, branch_sign=0):
             if kind == "y":
                 xpow += power
             elif kind == "u":
-                scalar *= u_bar ** power
+                scalar *= chain(u_bar, power)
             elif kind == "phi1":
                 scalar = 0.0
                 break
             else:
-                scalar *= sign ** power
+                scalar *= chain(sign, power)
                 if scalar == 0.0:
                     break
         if scalar != 0.0:
@@ -456,7 +488,7 @@ def scalar_static_comp_poly(model, r_bar):
         xpow = 0
         for kind, _, power in factors:
             if kind == "y":
-                scalar *= r_bar ** power
+                scalar *= chain(r_bar, power)
             else:
                 xpow += power
         coeffs[xpow] += scalar
@@ -479,14 +511,14 @@ def scalar_jacobian_eigen(model, u_bar, y_bar):
         for fi, (kind, lag, power) in enumerate(factors):
             if kind != "y":
                 continue
-            part = coef * power * y_bar ** (power - 1)
+            part = coef * power * chain(y_bar, power - 1)
             for gj, (g_kind, _, g_power) in enumerate(factors):
                 if gj == fi:
                     continue
                 if g_kind == "y":
-                    part *= y_bar ** g_power
+                    part *= chain(y_bar, g_power)
                 elif g_kind == "u":
-                    part *= u_bar ** g_power
+                    part *= chain(u_bar, g_power)
                 else:
                     part = 0.0
                     break
@@ -521,13 +553,13 @@ LEVELS = st.floats(-3.0, 3.0) | st.sampled_from(
 
 @settings(max_examples=400, deadline=None)
 @example(  # phi2 ahead of a u factor: at sign +-1 the zero term stops there,
-    # before 1e200 ** 2 would overflow
+    # before 1e200 * 1e200 would overflow to inf and turn the zero term NaN
     model=mk([term(0.0, ("phi2", 1, 1), ("u", 1, 2)), term(0.5, ("y", 1, 1))]),
     u_bar=1e200, y_bar=0.5)
 @example(  # an inf product ahead of phi2: sign 0 turns it into a NaN the term adds
     model=mk([term(1e300, ("u", 1, 1), ("phi2", 1, 1)), term(0.5, ("y", 1, 1))]),
     u_bar=1e10, y_bar=0.5)
-@example(  # a phi factor ends the Jacobian term before 1e120 ** 3 would overflow
+@example(  # a phi factor ends the Jacobian term before 1e120 cubed would overflow
     model=mk([term(0.4, ("y", 1, 1), ("phi1", 1, 1), ("y", 1, 3)), term(0.5, ("y", 1, 1))],
              ell=5),
     u_bar=1.0, y_bar=1e120)

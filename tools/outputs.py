@@ -10,9 +10,10 @@ given).  The script prints ``sha256  file`` for every CSV and stderr file
 of the first run, and exits 1 when a command fails or the two runs differ
 in any file.
 
-Digests are per machine (numpy's array power and Python's ``**`` may
-round apart), so compare them only against a run on the same machine,
-for example the same script run in a checkout of the parent commit.
+Digests are per machine: every sine reference and excitation goes
+through ``numpy.sin``, whose last bit may differ between numpy builds and
+CPUs.  Compare them only against a run on the same machine, for example
+the same script run in a checkout of the parent commit.
 """
 
 from __future__ import annotations
