@@ -12,6 +12,7 @@ option), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -162,9 +163,10 @@ def parse_grid(text):
             steps = (stop - start) / step  # inf when finite ends overflow it
             if not all(map(math.isfinite, parts + [steps])):
                 raise ValueError
-            levels = int(round(steps)) + 1
+            # never past stop, but 0.1:0.7:0.1 (5.999999999999999 steps) reaches it
+            levels = math.floor(min(steps, MAX_GRID_LEVELS) * (1.0 + 1e-9)) + 1
             if levels > MAX_GRID_LEVELS:
-                raise ConfigError("grid", "%g levels is more than %d" % (levels, MAX_GRID_LEVELS))
+                raise ConfigError("grid", "%g levels is more than %d" % (steps + 1, MAX_GRID_LEVELS))
             return start + step * np.arange(levels)
         vals = [float(p) for p in text.split(",")]
         if not all(map(math.isfinite, vals)):
@@ -539,6 +541,7 @@ def _add_loop_flags(p):
                    help="seeding loop center (default: middle of the input range)")
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="narxcomp",

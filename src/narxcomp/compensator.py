@@ -173,28 +173,33 @@ def solve_static(model, r_bar):
 
 
 @np.errstate(all="ignore")
-def solve_static_lockstep(model, coefs, r_bar):
+def solve_static_lockstep(model, coefs, r_bar, runs=None):
     """:func:`solve_static` of ``r_bar`` for copies of ``model`` carrying the
-    coefficients ``coefs``, one row per run.
+    coefficients ``coefs``, one row per column; ``r_bar`` is one level or
+    one per column.
 
     Where the compensation, static and characteristic polynomials all have
-    real closed-form roots the runs are solved together, bit for bit as
-    :func:`solve_static` solves them; the other runs call it.  Returns
-    (m_bar, errors): one input per run, and the exception raised for each
-    run index that has none.
+    real closed-form roots the columns are solved together, bit for bit as
+    :func:`solve_static` solves them; the other columns call it.  Returns
+    (m_bar, errors): one input per column, and the exception raised for
+    each column index that has none.  ``runs`` labels the columns: a column
+    the closed form leaves without an input, whose label already failed at
+    a lower column index, gets that exception instead of being solved.
     """
-    n_runs = len(coefs)
-    m_bar = np.zeros(n_runs)
-    closed = np.zeros(n_runs, dtype=bool)
-    found = np.zeros(n_runs, dtype=bool)
+    n_cols = len(coefs)
+    r_bar = np.broadcast_to(np.asarray(r_bar, dtype=float), (n_cols,))
+    m_bar = np.zeros(n_cols)
+    closed = np.zeros(n_cols, dtype=bool)
+    found = np.zeros(n_cols, dtype=bool)
     lo, hi = model.output_range
     span = hi - lo
     r_lo, r_hi = model.output_band()
-    if r_lo <= r_bar <= r_hi and not model.is_hysteretic():
+    if not model.is_hysteretic():
         cols = np.asarray(coefs, dtype=float).T
-        p = static_rows(model, cols, "u", float(r_bar), np.zeros((model.ell + 1, n_runs)))
-        p[0] -= float(r_bar)
+        p = static_rows(model, cols, "u", r_bar, np.zeros((model.ell + 1, n_cols)))
+        p[0] -= r_bar
         closed, degree, roots = poly.lockstep_roots(p)
+        closed &= (r_lo <= r_bar) & (r_bar <= r_hi)  # solve_static rejects the rest
         u_lo, u_hi = model.input_range
         for slot, x in enumerate(roots):
             cand = (u_lo <= x) & (x <= u_hi) & (degree > slot)
@@ -208,15 +213,21 @@ def solve_static_lockstep(model, coefs, r_bar):
                              | ((np.abs(x) == np.abs(m_bar)) & (x < m_bar)))
             m_bar = np.where(better, x, m_bar)
             found |= good
-    errors = {}
+    errors, failed = {}, {}
     for i in np.flatnonzero(~(closed & found)).tolist():
-        if not closed[i]:
-            try:
-                m_bar[i] = solve_static(with_coefficients(model, coefs[i]), r_bar)
-            except Exception as e:
-                errors[i] = e
+        label = i if runs is None else runs[i]
+        level = float(r_bar[i])
+        if label in failed:
+            e = failed[label]
+        elif closed[i]:
+            e = NoFeasibleRoot("no admissible static input for r=%g" % level)
         else:
-            errors[i] = NoFeasibleRoot("no admissible static input for r=%g" % r_bar)
+            try:
+                m_bar[i] = solve_static(with_coefficients(model, coefs[i]), level)
+                continue
+            except Exception as exc:
+                e = exc
+        errors[i] = failed[label] = e
     return m_bar, errors
 
 

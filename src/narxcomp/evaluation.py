@@ -116,38 +116,34 @@ def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None):
     -- are skipped and counted by reason.  All perturbations are drawn up
     front from ``seed`` into one coefficient matrix, a row per run, so
     results are bit-reproducible.  An experiment with a ``batch(model,
-    coefs)`` method gets the whole matrix at once and returns, per run, the
-    result or the exception that ended the run; the band is the same as
-    from calling the experiment run by run.
+    coefs)`` method gets the whole matrix at once and returns (values,
+    errors): a C-contiguous array, a row of results per run without an
+    exception, in run order, and {run index: the exception that ended it};
+    the band is the same as from calling the experiment run by run.
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_runs, len(model.terms)))
     coefs = perturbed_coefficients(model, rel_std, z)
     batch = getattr(experiment, "batch", None)
     if batch is not None:
-        results = batch(model, coefs)
+        vals, errors = batch(model, coefs)
     else:
-        results = []
-        for row in coefs:
+        kept, errors = [], {}
+        for i, row in enumerate(coefs):
             try:
-                results.append(experiment(narx.with_coefficients(model, row)))
+                kept.append(experiment(narx.with_coefficients(model, row)))
             except SKIPPED_RUN as e:
-                results.append(e)
-    kept = []
+                errors[i] = e
+        vals = np.array(kept)  # one row per kept run
     reasons = Counter()
-    for res in results:
-        if not isinstance(res, Exception):
-            kept.append(res)
-        elif isinstance(res, SKIPPED_RUN):
-            reasons[type(res).__name__] += 1
-            # its frames would keep the whole batch alive in a reference cycle
-            res.__traceback__ = None
-        else:
-            raise res
-    n_skipped = n_runs - len(kept)
-    if not kept:
+    for _, e in sorted(errors.items()):
+        if not isinstance(e, SKIPPED_RUN):
+            raise e
+        reasons[type(e).__name__] += 1
+        # its frames would keep the whole batch alive in a reference cycle
+        e.__traceback__ = None
+    if len(errors) == n_runs:
         raise comp.NoFeasibleRoot("every Monte Carlo run failed")
-    vals = np.array(kept)  # one row per kept run
     if vals.ndim == 1:  # a 0-d result per run: one column
         vals = vals[:, None]
     mean = vals.mean(axis=0)
@@ -160,9 +156,14 @@ def monte_carlo(model, rel_std, n_runs, experiment, seed, grid=None):
         lo=mean - 2.0 * std,
         hi=mean + 2.0 * std,
         n_runs=n_runs,
-        n_skipped=n_skipped,
+        n_skipped=len(errors),
         skip_reasons=dict(sorted(reasons.items())),
     )
+
+
+#: Most (level, run) columns :meth:`HeaterStaticSweep.batch` solves in one
+#: lockstep call, so that its arrays stay small for any sweep size.
+SWEEP_BLOCK = 4096
 
 
 class HeaterStaticSweep:
@@ -179,23 +180,26 @@ class HeaterStaticSweep:
         return out
 
     def batch(self, model, coefs):
-        """Every run level by level, runs × levels as arrays; a run ends at
-        its first failing level, as in the scalar path."""
+        """Every run at every level, as :func:`monte_carlo` takes it, in
+        lockstep blocks of whole levels of at most ``SWEEP_BLOCK`` (level,
+        run) columns; a run ends at its first failing level, as in the
+        scalar path."""
         m_bar = np.empty((len(coefs), len(self.grid)))
-        results = [None] * len(coefs)
+        errors = {}
         alive = np.arange(len(coefs))
-        for g, r_bar in enumerate(self.grid):
+        width = max(1, SWEEP_BLOCK // max(len(coefs), 1))
+        for start in range(0, len(self.grid), width):
             if not alive.size:
                 break
-            m, errors = comp.solve_static_lockstep(model, coefs[alive], r_bar)
-            m_bar[alive, g] = m
-            if errors:
-                for j, e in errors.items():
-                    results[alive[j]] = e
-                alive = np.delete(alive, list(errors))
-        for i, row in zip(alive.tolist(), HammersteinHeater.static_output(m_bar[alive])):
-            results[i] = row
-        return results
+            levels = self.grid[start:start + width]
+            runs = np.tile(alive, len(levels))  # level-major: a level's runs side by side
+            m, errs = comp.solve_static_lockstep(
+                model, coefs[runs], np.repeat(levels, alive.size), runs)
+            m_bar[alive, start:start + len(levels)] = m.reshape(len(levels), alive.size).T
+            for j, e in errs.items():
+                errors.setdefault(int(runs[j]), e)
+            alive = alive[~np.isin(alive, list(errors))]
+        return HammersteinHeater.static_output(m_bar[alive]), errors
 
 
 class TrackingExperiment:

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -78,6 +80,26 @@ def test_parse_grid_errors():
         with pytest.raises(cli.ConfigError) as e:
             cli.parse_grid(text)
         assert "grid" in str(e.value)
+
+
+@pytest.mark.parametrize("text, levels", [
+    ("0:1:0.28", [0.0, 0.28, 0.56, 0.84]),  # 1.12 would pass the stop
+    ("0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+    ("2:3:0.6", [2.0, 2.6]),
+])
+def test_parse_grid_stops_at_or_before_the_stop(text, levels):
+    assert np.allclose(cli.parse_grid(text), levels)
+
+
+@pytest.mark.parametrize("text, count", [
+    ("0.1:0.7:0.1", 7),  # (stop - start) / step is 5.999999999999999
+    ("0.05:0.45:0.05", 9),
+    ("0.01:0.53:0.02", 27),
+    ("0:1:0.25", 5),
+    ("1:1:0.5", 1),
+])
+def test_parse_grid_keeps_a_whole_step_count_that_rounding_left_short(text, count):
+    assert len(cli.parse_grid(text)) == count
 
 
 # ---------------------------------------------------------------------------
@@ -774,3 +796,63 @@ def test_reproduce_rerun_byte_identical(capsys, tmp_path):
         assert code == 0
         blobs.append(f.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_process(argv):
+    """``argv`` through ``python -m narxcomp.cli`` in a new process:
+    (exit code, stderr)."""
+    done = subprocess.run([sys.executable, "-m", "narxcomp.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    return done.returncode, done.stderr
+
+
+def test_main_reuses_its_parser_and_matches_fresh_processes(capsys, tmp_path):
+    static = ["montecarlo", "-m", "heater", "--rel-std", "0.05", "--runs", "40",
+              "--grid", "0.01:0.53:0.13", "--seed", "4242"]
+    commands = [
+        ["fixed-points", "-m", "heater", "--u", "0.3,0.6"],
+        static[:6] + ["0"] + static[7:],  # a ConfigError: exit 2
+        ["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.5", "--n", "50"],
+        ["montecarlo", "-m", "heater", "--rel-std", "0.005"],  # argparse: --runs missing
+        static,
+        ["compensate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.2", "--n", "40"],
+    ]
+    parser = cli.build_parser()
+    for i, argv in enumerate(commands):
+        here, there = (str(tmp_path / ("%s-%d.csv" % (side, i))) for side in ("here", "there"))
+        try:
+            code = cli.main(argv + ["-o", here])
+        except SystemExit as e:
+            code = e.code
+        err = capsys.readouterr().err
+        assert (code, err) == fresh_process(argv + ["-o", there]), argv
+        assert code == 0 or (code == 2 and "error" in err)
+        if code == 0:
+            with open(here, "rb") as a, open(there, "rb") as b:
+                assert a.read() == b.read(), argv
+    assert cli.build_parser() is parser
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import narxcomp.cli as cli\n"
+        "print(len(built))\n"
+        "cli.build_parser()\n"
+        "print(len(built) > 0)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "True"]

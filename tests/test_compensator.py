@@ -200,6 +200,40 @@ def test_solve_static_lockstep_equals_per_run_solve(model, rel_std, seed, r_bar)
         assert got == want, i
 
 
+@settings(max_examples=150, deadline=None)
+@given(static_models(), st.sampled_from([0.01, 0.1, 0.5]), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-2.6, 2.6) | st.sampled_from([-2.4, 0.0, 2.4]),
+                min_size=1, max_size=4, unique=True))
+def test_solve_static_lockstep_ends_a_labelled_run_at_its_first_failing_level(
+        model, rel_std, seed, levels):
+    # six runs at every level, level-major as the static sweep lays them out
+    n = 6
+    z = np.random.default_rng(seed).standard_normal((n, len(model.terms)))
+    coefs = ev.perturbed_coefficients(model, rel_std, z)
+    runs = np.tile(np.arange(n), len(levels))
+    calls = []
+    solve_static = comp.solve_static
+    comp.solve_static = lambda m, r: calls.append((tuple(m.coefficients), r)) or solve_static(m, r)
+    try:
+        m_bar, errors = comp.solve_static_lockstep(
+            model, coefs[runs], np.repeat(levels, n), runs)
+    finally:
+        comp.solve_static = solve_static
+    solved = set()
+    for i, run in enumerate(runs.tolist()):
+        level = levels[i // n]
+        earlier = [j for j in range(run, i, n) if j in errors]
+        if earlier and i in errors:  # failed at a lower level: not solved again
+            assert errors[i] is errors[earlier[0]]
+            continue
+        if not earlier:
+            solved.add((tuple(coefs[run]), level))
+        want = solve_static_outcome(solve_static, narx.with_coefficients(model, coefs[run]), level)
+        got = (type(errors[i]), str(errors[i])) if i in errors else repr(float(m_bar[i]))
+        assert got == want, i
+    assert set(calls) <= solved
+
+
 def test_solve_static_lockstep_solves_complex_eigenvalues_run_by_run(monkeypatch):
     # y = y(k-1) - 0.5 y(k-2) + 0.06 u(k-2)^2: the characteristic polynomial
     # x^2 - x + 0.5 has the complex roots 0.5 +- 0.5 i, so every run with an

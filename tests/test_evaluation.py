@@ -206,7 +206,7 @@ def test_monte_carlo_band_is_mean_plus_minus_two_std(heater_model):
 def test_monte_carlo_raises_a_batch_runs_unexpected_error(heater_model):
     class Experiment:
         def batch(self, model, coefs):
-            return [np.zeros(2), comp.NoFeasibleRoot("skip"), ValueError("bad run")]
+            return np.zeros((1, 2)), {1: comp.NoFeasibleRoot("skip"), 2: ValueError("bad run")}
 
     with pytest.raises(ValueError, match="bad run"):
         ev.monte_carlo(heater_model, 0.01, 3, Experiment(), SEED)
@@ -218,7 +218,7 @@ def test_monte_carlo_batch_gets_the_perturbed_coefficient_matrix(bouc_wen_model)
     class Experiment:
         def batch(self, model, coefs):
             seen.append(coefs)
-            return [np.zeros(1)] * len(coefs)
+            return np.zeros((len(coefs), 1)), {}
 
     ev.monte_carlo(bouc_wen_model, 0.005, 6, Experiment(), SEED)
     (coefs,) = seen
@@ -462,6 +462,78 @@ def test_static_sweep_band_equals_per_run_band(heater_model, seed, rel_std):
     per_run = ev.monte_carlo(heater_model, rel_std, 30, _plain(sweep), seed)
     assert _same_band(batch, per_run)
     assert batch.n_skipped == sum(batch.skip_reasons.values())
+
+
+#: The grids of the benchmark's static sweep (0.05:0.45:0.05) and of the
+#: skip-heavy sweep (0.01:0.53:0.02), as the CLI builds them.
+BENCH_GRID = 0.05 + 0.05 * np.arange(9)
+SKIP_GRID = 0.01 + 0.02 * np.arange(27)
+
+
+@pytest.mark.parametrize("rel_std, runs, grid, seed, skipped", [
+    (0.005, 1000, BENCH_GRID, SEED, 0),  # blocks of 4, 4 and 1 levels
+    (0.05, ev.SWEEP_BLOCK + 404, BENCH_GRID[::4], 4242, 1482),  # one level per block
+    (0.05, 1000, SKIP_GRID, 4242, 494),
+])
+def test_blocked_static_sweep_band_equals_per_run_band(heater_model, rel_std, runs, grid,
+                                                        seed, skipped):
+    sweep = ev.HeaterStaticSweep(grid)
+    batch = ev.monte_carlo(heater_model, rel_std, runs, sweep, seed, grid=grid)
+    per_run = ev.monte_carlo(heater_model, rel_std, runs, _plain(sweep), seed, grid=grid)
+    assert _same_band(batch, per_run)
+    assert batch.n_skipped == skipped
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    solve_static = comp.solve_static
+    monkeypatch.setattr(comp, "solve_static",
+                        lambda m, r: calls.append((tuple(m.coefficients), r)) or solve_static(m, r))
+    return calls
+
+
+def test_skip_heavy_static_sweep_makes_four_fallback_solves(heater_model, monkeypatch):
+    # as many as solving one level at a time for the runs still alive
+    calls = _count_fallbacks(monkeypatch)
+    band = ev.monte_carlo(heater_model, 0.05, 1000, ev.HeaterStaticSweep(SKIP_GRID), 4242)
+    assert band.n_skipped == 494
+    assert len(calls) == 4
+
+
+def test_blocked_static_sweep_makes_the_fallback_solves_of_one_level_at_a_time(
+        heater_model, monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    sweep = ev.HeaterStaticSweep(SKIP_GRID)
+    ev.monte_carlo(heater_model, 0.1, 300, sweep, 4242)
+    blocked = sorted(calls)
+    calls.clear()
+    monkeypatch.setattr(ev, "SWEEP_BLOCK", 1)
+    ev.monte_carlo(heater_model, 0.1, 300, sweep, 4242)
+    assert len(blocked) == 23
+    assert blocked == sorted(calls)
+
+
+@pytest.mark.parametrize("runs, columns", [
+    (1000, [4000, 4000, 1000]),
+    (ev.SWEEP_BLOCK + 1, [ev.SWEEP_BLOCK + 1] * 9),
+])
+def test_static_sweep_lockstep_calls_stay_within_the_block(heater_model, monkeypatch, runs,
+                                                           columns):
+    seen = []
+    lockstep = comp.solve_static_lockstep
+
+    def recording(model, coefs, r_bar, labels):
+        seen.append((coefs.shape, np.shape(r_bar), len(labels)))
+        return lockstep(model, coefs, r_bar, labels)
+
+    monkeypatch.setattr(comp, "solve_static_lockstep", recording)
+    z = np.random.default_rng(SEED).standard_normal((runs, len(heater_model.terms)))
+    coefs = ev.perturbed_coefficients(heater_model, 0.005, z)
+    vals, errors = ev.HeaterStaticSweep(BENCH_GRID).batch(heater_model, coefs)
+    assert seen == [((n, len(heater_model.terms)), (n,), n) for n in columns]
+    assert all(n <= max(ev.SWEEP_BLOCK, runs) for n in columns)
+    assert (vals.shape, errors) == ((runs, len(BENCH_GRID)), {})
+    assert vals.flags.c_contiguous
 
 
 def test_lockstep_cases_reach_holds_and_the_scalar_fallback(heater_model, bouc_wen_model):

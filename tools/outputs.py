@@ -33,7 +33,9 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: the tracking band at the default seed 20260817; the skip-heavy sweep
 #: ``skips`` (494 of 1000 runs skipped) and band ``tracking-skips``
 #: (LoopUnsettled=16, OutOfLoopRange=2 of 40) exercise the stderr of skips;
-#: the ``compensate`` runs cover each bundled model's loop kernel.
+#: ``static-5000`` has more runs than a lockstep block of the static sweep
+#: holds columns, so each block is one level; the ``compensate`` runs cover
+#: each bundled model's loop kernel.
 COMMANDS = [
     *[(t, ["reproduce", t])
       for t in ("table1", "table3", "table-bw-model", "table-bw-comp", "fig8")],
@@ -48,6 +50,8 @@ COMMANDS = [
                 "--grid", "0.05:0.45:0.05", "--seed", "20260817"]),
     ("skips", ["montecarlo", "-m", "heater", "--rel-std", "0.05", "--runs", "1000",
                "--grid", "0.01:0.53:0.02", "--seed", "4242"]),
+    ("static-5000", ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "5000",
+                     "--grid", "0.05:0.45:0.05", "--seed", "7"]),
     ("valve", ["compensate", "-m", "valve", "--signal", "sine:G0=1,f=0.5,phase=1.5708,off=2.5"]),
     ("valve-band", ["montecarlo", "-m", "valve", "--rel-std", "0.02", "--runs", "20",
                     "--signal", "sine:r0=2.5,a=1,f=0.01"]),
