@@ -18,13 +18,14 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import model as narx  # jacobian_eigen through the module, where perfbench wraps it
 from . import poly
 from .poly import AlgebraicPolynomial
 from .model import (
     Regime,
-    fixed_points,
+    fixed_points,  # not called here; perfbench/tracing.py wraps this module's binding
     loop_inverse,
-    stable_fixed_point_lockstep,
+    stable_lockstep,
     static_rows,
     compile_kernel,
     indented,
@@ -145,11 +146,12 @@ def static_comp_poly(model, r_bar):
 def solve_static(model, r_bar):
     """Constant input whose stable steady state matches ``r_bar``.
 
-    Keeps the real roots inside the input range whose fixed point is stable
-    and reproduces r_bar; among those returns the smallest magnitude.
+    r_bar is an equilibrium at every root m_bar of :func:`static_comp_poly`;
+    keeps the real roots inside the input range at which it is a stable
+    one, every :func:`narxcomp.model.jacobian_eigen` magnitude below one,
+    and among those returns the smallest magnitude.
     """
     lo, hi = model.output_range
-    span = hi - lo
     r_lo, r_hi = model.output_band()
     if not r_lo <= r_bar <= r_hi:
         raise ValueError(
@@ -160,13 +162,9 @@ def solve_static(model, r_bar):
     if p.degree() < 1:
         raise NoFeasibleRoot("compensation polynomial has no roots at r=%g" % r_bar)
     u_lo, u_hi = model.input_range
-    good = []
-    for m_bar in poly.real_roots(poly.solve_roots(p)):
-        if not u_lo <= m_bar <= u_hi:
-            continue
-        fps = fixed_points(model, m_bar)
-        if any(fp.stable and abs(fp.y_bar - r_bar) < 1e-6 * span for fp in fps):
-            good.append(m_bar)
+    good = [m_bar for m_bar in poly.real_roots(poly.solve_roots(p))
+            if u_lo <= m_bar <= u_hi
+            and all(mag < 1.0 for mag in narx.jacobian_eigen(model, m_bar, r_bar))]
     if not good:
         raise NoFeasibleRoot("no admissible static input for r=%g" % r_bar)
     return min(good, key=lambda m: (abs(m), m))
@@ -178,8 +176,8 @@ def solve_static_lockstep(model, coefs, r_bar, runs=None):
     coefficients ``coefs``, one row per column; ``r_bar`` is one level or
     one per column.
 
-    Where the compensation, static and characteristic polynomials all have
-    real closed-form roots the columns are solved together, bit for bit as
+    Where the compensation and characteristic polynomials both have real
+    closed-form roots the columns are solved together, bit for bit as
     :func:`solve_static` solves them; the other columns call it.  Returns
     (m_bar, errors): one input per column, and the exception raised for
     each column index that has none.  ``runs`` labels the columns: a column
@@ -191,8 +189,6 @@ def solve_static_lockstep(model, coefs, r_bar, runs=None):
     m_bar = np.zeros(n_cols)
     closed = np.zeros(n_cols, dtype=bool)
     found = np.zeros(n_cols, dtype=bool)
-    lo, hi = model.output_range
-    span = hi - lo
     r_lo, r_hi = model.output_band()
     if not model.is_hysteretic():
         cols = np.asarray(coefs, dtype=float).T
@@ -205,8 +201,8 @@ def solve_static_lockstep(model, coefs, r_bar, runs=None):
             cand = (u_lo <= x) & (x <= u_hi) & (degree > slot)
             if not cand.any():
                 continue
-            good, fp_closed = stable_fixed_point_lockstep(model, cols, x, r_bar, 1e-6 * span)
-            closed &= fp_closed | ~cand
+            good, eig_closed = stable_lockstep(model, cols, x, r_bar)
+            closed &= eig_closed | ~cand
             good &= cand
             # min over the admissible roots by (|m|, m); the first wins ties
             better = good & (~found | (np.abs(x) < np.abs(m_bar))

@@ -119,7 +119,6 @@ class NarxModel:
     u_depth: int = field(init=False, repr=False, compare=False)
     _hysteretic: bool = field(init=False, repr=False, compare=False)
     _max_y_lag: int = field(init=False, repr=False, compare=False)
-    _max_phi_lag: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for order in (self.n_y, self.n_u, self.tau_d, self.ell):
@@ -139,7 +138,6 @@ class NarxModel:
         set_(self, "u_depth", max([self.n_u] + lags["u"] + [lag + 1 for lag in phi]))
         set_(self, "_hysteretic", bool(phi))
         set_(self, "_max_y_lag", max(lags["y"], default=0))
-        set_(self, "_max_phi_lag", max(phi, default=0))
 
     def is_hysteretic(self):
         return self._hysteretic
@@ -167,9 +165,6 @@ class NarxModel:
         lo, hi = self.output_range
         band = 0.1 * (hi - lo)
         return lo - band, hi + band
-
-    def max_phi_lag(self):
-        return self._max_phi_lag
 
 
 def with_coefficients(model, coefs):
@@ -517,9 +512,12 @@ def jacobian_rows(model, coefs, u_bar, y_bar, out):
     return out
 
 
-def _stable_lockstep(model, cols, u_bar, y_bar):
-    """Per run, whether every :func:`jacobian_eigen` magnitude is below one,
-    and the mask of runs whose characteristic polynomial had a closed form."""
+def stable_lockstep(model, cols, u_bar, y_bar):
+    """Per run, whether every :func:`jacobian_eigen` magnitude at (u_bar,
+    y_bar) is below one, the model's coefficients replaced by the rows of
+    ``cols``; and the mask of runs whose characteristic polynomial had real
+    closed-form roots.  Only those are decided here; the others need
+    :func:`jacobian_eigen`."""
     n_eff = model.max_y_lag()
     if n_eff == 0:
         return True, True
@@ -532,28 +530,6 @@ def _stable_lockstep(model, cols, u_bar, y_bar):
     for slot, root in enumerate(roots):
         stable &= (np.abs(root) < 1.0) | (degree <= slot)
     return stable, closed
-
-
-def stable_fixed_point_lockstep(model, cols, u_bar, y_target, tol):
-    """Per run, whether :func:`fixed_points` at ``u_bar`` holds a stable
-    point within ``tol`` of ``y_target``, the model's coefficients replaced
-    by the rows of ``cols``; and the mask of runs whose static and
-    characteristic polynomials had real closed-form roots.  Only those are
-    decided here; the others need :func:`fixed_points`.
-    """
-    q = static_rows(model, cols, "y", u_bar, np.zeros((model.ell + 2, cols.shape[1])))
-    q[1] -= 1.0
-    closed, degree, roots = poly.lockstep_roots(q)
-    y_lo, y_hi = model.output_band()
-    found = np.zeros(cols.shape[1], dtype=bool)
-    for slot, y_bar in enumerate(roots):
-        fp = (y_lo <= y_bar) & (y_bar <= y_hi) & (degree > slot)
-        if not fp.any():
-            continue
-        stable, eig_closed = _stable_lockstep(model, cols, u_bar, y_bar)
-        closed &= eig_closed | ~fp
-        found |= fp & stable & (np.abs(y_bar - y_target) < tol)
-    return found, closed
 
 
 def static_curve(model, u_grid):

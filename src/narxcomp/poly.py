@@ -171,8 +171,11 @@ def durand_kerner(p):
     Higham, *Accuracy and Stability of Numerical Algorithms*, section 5.1).
     The second rule ends the iteration on clustered roots, whose steps can
     hover in rounding noise above the absolute tolerance although every
-    point is already a root to working precision.  Raises
-    :class:`NoConvergence` (carrying the best iterate) after
+    point is already a root to working precision.  Rounding spreads a
+    root of multiplicity k into points about eps^(1/k) off the real axis,
+    so a point at which p is zero within that bound both at its real part
+    and halfway from there to the point is returned as its real part.
+    Raises :class:`NoConvergence` (carrying the best iterate) after
     ``_DK_MAX_ITER`` sweeps.
     """
     d = p.degree()
@@ -199,6 +202,10 @@ def durand_kerner(p):
             mag = mag * ax + abs(c)
         return acc, noise * mag
 
+    def on_real_root(x):
+        probes = (peval(complex(x.real)), peval(complex(x.real, x.imag / 2.0)))
+        return all(abs(pz) <= bound for pz, bound in probes)
+
     for _ in range(_DK_MAX_ITER):
         moved = 0.0
         settled = True
@@ -215,7 +222,8 @@ def durand_kerner(p):
             z[j] = z[j] - step
             moved = max(moved, abs(step))
         if settled or moved < _DK_STEP_TOL:
-            return RootSet(z, "iterative")
+            return RootSet([complex(x.real) if on_real_root(x) else x for x in z],
+                           "iterative")
     raise NoConvergence(
         "root iteration did not converge in %d sweeps" % _DK_MAX_ITER, z
     )

@@ -65,8 +65,9 @@ def test_hist_depth(heater_model, valve_model, bouc_wen_model):
 def n_u_hist_depth(model):
     """hist_depth as it was computed from n_u and the phi lags alone."""
     d = max(model.n_u - model.tau_d, 1)
-    if model.max_phi_lag():
-        d = max(d, model.max_phi_lag() - model.tau_d + 1)
+    phi = [lag for term in model.factors for kind, lag, _ in term if kind in ("phi1", "phi2")]
+    if phi:
+        d = max(d, max(phi) - model.tau_d + 1)
     return d
 
 
@@ -252,6 +253,48 @@ def test_solve_static_lockstep_solves_complex_eigenvalues_run_by_run(monkeypatch
             want = solve_static_outcome(solve_static, narx.with_coefficients(model, row), r_bar)
             assert repr(float(m_bar[i])) == want, i
     assert len(calls) == 2 * len(coefs)
+
+
+def test_solve_static_admits_a_root_whose_equilibrium_is_stable():
+    # r is an equilibrium at m = 0.9192344696093472 (one step from y = r
+    # lands within 3e-15 of it) with |lambda| = 0.74; re-solving the steady
+    # state in y for a fixed point near r finds one 4.6e-6 away
+    model = mk([term(0.468511413382764, ("y", 1, 1)), term(1e-12, ("y", 1, 2)),
+                term(0.29541210127022755, ("y", 1, 1), ("u", 1, 1)),
+                term(-0.06986102879802891), term(0.1, ("u", 1, 1)),
+                term(1.5576824959178293, ("u", 1, 3)), term(-0.9184840253807125, ("u", 1, 2))],
+               ell=3, inp=(-1.0, 1.0), out=(-2.0, 2.0))
+    r_bar = 1.7537961841140173
+    assert repr(comp.solve_static(model, r_bar)) == "0.9192344696093472"
+    m_bar, errors = comp.solve_static_lockstep(model, [model.coefficients], r_bar)
+    assert not errors
+    assert repr(float(m_bar[0])) == "0.9192344696093472"
+    assert abs(narx.one_step(model, [r_bar], [m_bar[0]]) - r_bar) < 3e-15
+
+
+def test_solve_static_rejects_an_equilibrium_continuum():
+    # sigma_y = 1: every output is an equilibrium at m = 0, and the
+    # characteristic polynomial x^2 - 0.5 x - 0.5 has the root 1
+    model = mk([term(0.5, ("y", 1, 1)), term(0.5, ("y", 2, 1)), term(0.1, ("u", 1, 1))],
+               n_y=2, ell=1)
+    with pytest.raises(comp.NoFeasibleRoot):
+        comp.solve_static(model, 0.0)
+    m_bar, errors = comp.solve_static_lockstep(model, [model.coefficients], 0.0)
+    assert type(errors[0]) is comp.NoFeasibleRoot
+
+
+@settings(max_examples=300, deadline=None)
+@given(static_models(), st.floats(-2.4, 2.4))
+def test_solve_static_returns_a_stable_equilibrium(model, r_bar):
+    try:
+        m_bar = comp.solve_static(model, r_bar)
+    except comp.NoFeasibleRoot:
+        return
+    # rounding of one step at |r| <= 2.4, |m| <= 1 and coefficients up to 2
+    # in magnitude: 1.9e-14 at worst over 20,000 examples
+    y = narx.one_step(model, [r_bar] * model.n_y, [m_bar] * model.u_depth)
+    assert abs(y - r_bar) <= 1e-12
+    assert all(mag < 1.0 for mag in narx.jacobian_eigen(model, m_bar, r_bar))
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,7 @@ def test_sigma_y_ignores_nonlinear_output_terms():
 
 def test_lag_summaries(valve_model, heater_model):
     assert valve_model.max_y_lag() == 2
-    assert valve_model.max_phi_lag() == 1
     assert heater_model.max_y_lag() == 2
-    assert heater_model.max_phi_lag() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,7 @@ def test_solve_cubic_triple_root():
 @pytest.mark.parametrize("roots", [[1.0, 1.0, 1.0], [2.0, 2.0, -1.0]])
 def test_repeated_cubic_roots_stay_real(roots):
     # the closed form keeps every repeated root real within real_roots'
-    # default tolerance; Durand-Kerner's iterates of these two cubics end
-    # with imaginary parts too large for it (it gives [] and [-1.0])
+    # default tolerance
     got = poly.real_roots(poly.solve_roots(poly.from_roots(roots)))
     assert sorted(got) == pytest.approx(sorted(roots), abs=1e-4)
 
@@ -176,6 +175,30 @@ def test_durand_kerner_complex_roots():
     roots = [1 + 1j, 1 - 1j, -2 + 0.5j, -2 - 0.5j]
     rs = poly.durand_kerner(poly.from_roots(roots))
     assert_roots_match(rs.roots, roots)
+
+
+@pytest.mark.parametrize("roots", [[1.0, 1.0, 2.0, -3.0], [1.0, 1.0, 1.0, 2.0],
+                                   [1.0, 1.0, 1.0, 1.0, 2.0]])
+def test_durand_kerner_keeps_repeated_real_roots_real(roots):
+    # rounding leaves a double root about 4e-9 off the real axis and a
+    # triple one about 1e-5, above real_roots' default tolerance
+    got = poly.real_roots(poly.solve_roots(poly.from_roots(roots)))
+    assert sorted(got) == pytest.approx(sorted(roots), abs=1e-3)
+
+
+@pytest.mark.parametrize("roots", [
+    [1 + 1e-3j, 1 - 1e-3j, 2.0, -3.0],
+    [1 + 1e-6j, 1 - 1e-6j, 2.0, -3.0],
+    [1 + 1e-7j, 1 - 1e-7j, 2.0, -3.0],
+    # a simple real root at the pair's real part: p(Re z) is zero there
+    [1.0, 1 + 1j, 1 - 1j, 2.0],
+    [0.5, 0.5 + 2j, 0.5 - 2j, -1.0, 3.0],
+])
+def test_durand_kerner_keeps_complex_pairs_complex(roots):
+    rs = poly.solve_roots(poly.from_roots(roots))
+    assert_roots_match(rs.roots, roots, tol=1e-6)
+    want = sorted(r.real for r in map(complex, roots) if r.imag == 0)
+    assert sorted(poly.real_roots(rs)) == pytest.approx(want, abs=1e-9)
 
 
 def test_solve_roots_dispatch():

@@ -35,7 +35,9 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: (LoopUnsettled=16, OutOfLoopRange=2 of 40) exercise the stderr of skips;
 #: ``static-5000`` has more runs than a lockstep block of the static sweep
 #: holds columns, so each block is one level; the ``compensate`` runs cover
-#: each bundled model's loop kernel.
+#: each bundled model's loop kernel; the ``fixed-points`` runs print the
+#: eigenvalue magnitudes of ``bouc_wen``'s one-lag and the heater's two-lag
+#: Jacobian, the stability test of static inversion.
 COMMANDS = [
     *[(t, ["reproduce", t])
       for t in ("table1", "table3", "table-bw-model", "table-bw-comp", "fig8")],
@@ -60,6 +62,7 @@ COMMANDS = [
                        "--mode", "static"]),
     ("sigma1", ["compensate", "-m", "bouc_wen_sigma1", "--signal", "sine:G0=30,f=2"]),
     ("fixed-points", ["fixed-points", "-m", "bouc_wen", "--u", "-10,10"]),
+    ("fixed-points-heater", ["fixed-points", "-m", "heater", "--u", "0.2,0.5,0.9"]),
     ("simulate", ["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.5",
                   "--n", "500"]),
     ("loop", ["loop", "-m", "bouc_wen", "--amplitude", "30", "--f", "1"]),
