@@ -176,6 +176,7 @@ class SignalSpec:
       * ``steps``: a ladder from offset to offset + amplitude; each level
         lasts round(1 / (f Ts)) samples
       * ``sine_then_hold``: sine frozen at its value at sample ``hold_at``
+        (>= 0; a hold at or past the last sample never triggers)
     """
 
     kind: str
@@ -201,7 +202,9 @@ def generate(spec, n, ts=1.0):
             if spec.hold_at is None:
                 raise ValueError("sine_then_hold needs hold_at")
             hold = int(spec.hold_at)
-            if 0 <= hold < n:
+            if hold < 0:
+                raise ValueError("hold_at must be >= 0, got %d" % hold)
+            if hold < n:
                 s[hold:] = s[hold]
         return s
     if kind == "steps":

@@ -442,9 +442,12 @@ def fixed_points(model, u_bar, branch_sign=0):
 
     Roots of the steady-state polynomial are kept if they fall within the
     output range widened by 10% of its span on each side.  Raises
-    :class:`DegenerateStatics` when the polynomial vanishes identically.
+    :class:`NonFinite` when a coefficient of the polynomial overflows and
+    :class:`DegenerateStatics` when it vanishes identically.
     """
     p = static_polynomial(model, u_bar, branch_sign)
+    if not all(map(isfinite, p.coeffs)):
+        raise NonFinite("steady-state polynomial is not finite at u=%g" % u_bar)
     d = p.degree()
     if d == -1:
         raise DegenerateStatics(

@@ -189,8 +189,8 @@ def test_criterion_07_self_consistency(
 
 def test_criterion_08_root_solver_suite(capsys):
     """10^4 random polynomials of degree <= 3 with well-separated known
-    roots, all recovered to 1e-8; analytic and iterative cubic solutions
-    agree to 1e-8; whole suite under 5 s."""
+    roots, all recovered to 1e-8; analytic and companion-matrix cubic
+    solutions agree to 1e-8; whole suite under 5 s."""
     rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()
     worst = 0.0
@@ -211,15 +211,15 @@ def test_criterion_08_root_solver_suite(capsys):
             max(abs(z.imag) for z in rs.roots),
         )
         if deg == 3 and i % 5 == 0:
-            dk = poly.durand_kerner(p)
+            eig = poly.companion_roots(p)
             a = np.sort_complex(np.asarray(rs.roots))
-            b = np.sort_complex(np.asarray(dk.roots))
+            b = np.sort_complex(np.asarray(eig.roots))
             worst_agree = max(worst_agree, float(np.max(np.abs(a - b))))
             n_cubics += 1
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and worst_agree < 1e-8 and elapsed < 5.0
     detail = (
-        "worst recovery %.2g, worst analytic-vs-iterative %.2g over %d "
+        "worst recovery %.2g, worst analytic-vs-companion %.2g over %d "
         "cubics, %.2f s (budget 5 s)" % (worst, worst_agree, n_cubics, elapsed)
     )
     assert report(capsys, 8, ok, detail) and ok, detail

@@ -426,6 +426,17 @@ def test_generate_sine_then_hold_requires_hold_at():
         generate(SignalSpec(kind="sine_then_hold", amplitude=1.0, frequency=0.01), 10)
 
 
+def test_generate_sine_then_hold_rejects_negative_hold_at():
+    spec = SignalSpec(kind="sine_then_hold", amplitude=1.0, frequency=0.01, hold_at=-5)
+    with pytest.raises(ValueError, match="hold_at"):
+        generate(spec, 10)
+    # a hold at or past the last sample never triggers
+    sine = generate(SignalSpec(kind="sine", amplitude=1.0, frequency=0.01), 10)
+    for hold_at in (10, 11):
+        late = SignalSpec(kind="sine_then_hold", amplitude=1.0, frequency=0.01, hold_at=hold_at)
+        assert np.array_equal(generate(late, 10), sine)
+
+
 def test_generate_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
         generate(SignalSpec(kind="sine", amplitude=1.0, frequency=0.0), 10)

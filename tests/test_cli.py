@@ -328,6 +328,22 @@ def test_numeric_failure_exit_code(capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_negative_hold_is_config_error(capsys):
+    code, _, err = run_cli(
+        ["simulate", "-m", "valve", "--signal", "sine_then_hold:a=1,f=0.5,hold=-5"],
+        capsys,
+    )
+    assert code == 2
+    assert "signal" in err
+
+
+def test_overflowing_steady_state_is_non_finite(capsys):
+    # the heater's u^2 term overflows; the polynomial does not vanish
+    code, _, err = run_cli(["fixed-points", "-m", "heater", "--u", "1e200"], capsys)
+    assert code == 3
+    assert "NonFinite" in err
+
+
 def test_unwritable_output_is_config_error(capsys, tmp_path):
     code, _, err = run_cli(
         ["fixed-points", "-m", "heater", "--u", "0.5",

@@ -603,6 +603,11 @@ def test_fixed_points_degenerate_statics(valve_model):
         narx.fixed_points(valve_model, 3.0)
 
 
+def test_fixed_points_overflow_is_non_finite(heater_model):
+    with pytest.raises(narx.NonFinite, match="u=1e\\+200"):
+        narx.fixed_points(heater_model, 1e200)
+
+
 def test_static_curve_heater(heater_model):
     pts = narx.static_curve(heater_model, [0.0, 0.25, 0.5, 1.0])
     us = [u for u, _ in pts]

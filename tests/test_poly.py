@@ -161,19 +161,19 @@ def test_repeated_cubic_roots_stay_real(roots):
 
 
 # ---------------------------------------------------------------------------
-# Iterative solver
+# Companion-matrix solver
 
 
-def test_durand_kerner_quartic():
+def test_companion_roots_quartic():
     roots = [-3.0, -0.5, 1.0, 2.5]
-    rs = poly.durand_kerner(poly.from_roots(roots, leading=2.0))
+    rs = poly.companion_roots(poly.from_roots(roots, leading=2.0))
     assert rs.method_tag == "iterative"
     assert_roots_match(rs.roots, roots)
 
 
-def test_durand_kerner_complex_roots():
+def test_companion_roots_complex_roots():
     roots = [1 + 1j, 1 - 1j, -2 + 0.5j, -2 - 0.5j]
-    rs = poly.durand_kerner(poly.from_roots(roots))
+    rs = poly.companion_roots(poly.from_roots(roots))
     assert_roots_match(rs.roots, roots)
 
 
@@ -199,6 +199,46 @@ def test_durand_kerner_keeps_complex_pairs_complex(roots):
     assert_roots_match(rs.roots, roots, tol=1e-6)
     want = sorted(r.real for r in map(complex, roots) if r.imag == 0)
     assert sorted(poly.real_roots(rs)) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("roots", [[-1.875, 0.0, 2.875, 2.875],
+                                   [-1.0, -0.5, 0.0, 0.625, 0.625, 1.125]])
+def test_double_root_beside_a_zero_root_stays_real(roots):
+    # the double root must come back real and the zero root exactly 0.0
+    got = sorted(poly.real_roots(poly.solve_roots(poly.from_roots(roots))))
+    assert got == pytest.approx(roots, abs=1e-6)
+    assert 0.0 in got
+
+
+def test_every_real_root_comes_back_over_three_families():
+    # 1,000 polynomials of degree 4-8 per family, errors relative to
+    # max(1, |r|); repeated dyadic roots are only as accurate as
+    # eps^(1/k) allows for multiplicity k
+    rng = np.random.default_rng(20260817)
+    bound = {"dyadic": 1e-4, "log-spread": 1e-12, "uniform": 1e-8}
+    for _ in range(1000):
+        d = int(rng.integers(4, 9))
+        spread = 10.0 ** (np.linspace(-4.0, 4.0, d) + rng.uniform(-0.25, 0.25, size=d))
+        for family, roots in (
+            ("dyadic", rng.integers(-16, 17, size=d) / 8.0),
+            ("log-spread", rng.choice([-1.0, 1.0], size=d) * spread),
+            ("uniform", rng.uniform(-5.0, 5.0, size=d)),
+        ):
+            want = np.sort(roots)
+            got = np.sort(poly.real_roots(poly.solve_roots(poly.from_roots(roots))))
+            assert len(got) == d, (family, want, got)
+            scale = np.abs(want) if family == "log-spread" else np.maximum(1.0, np.abs(want))
+            assert np.max(np.abs(got - want) / scale) < bound[family], (family, want, got)
+
+
+def test_companion_roots_reports_a_failed_eigenvalue_iteration(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", fail)
+    with pytest.raises(poly.NoConvergence) as info:
+        poly.solve_roots(poly.from_roots([1.0, 2.0, 3.0, 4.0]))
+    assert info.value.best == ()
 
 
 def test_solve_roots_dispatch():
@@ -230,7 +270,7 @@ def test_analytic_vs_iterative_agree_on_cubics():
             roots = rng.uniform(-5, 5, size=3)
         p = poly.from_roots(roots, leading=rng.uniform(0.5, 2.0))
         a = poly.solve_roots(p)
-        b = poly.durand_kerner(p)
+        b = poly.companion_roots(p)
         assert_roots_match(a.roots, b.roots, tol=1e-8)
 
 
