@@ -127,7 +127,9 @@ def static_comp_poly(model, r_bar):
     """Steady-state compensation polynomial in the constant input m_bar.
 
     Swaps y_bar -> r_bar and u_bar -> m_bar in the steady-state relation
-    f(u_bar, y_bar) - y_bar = 0 and collects powers of m_bar.
+    f(u_bar, y_bar) - y_bar = 0 and collects powers of m_bar.  Raises
+    :class:`narxcomp.model.NonFinite` when a coefficient overflows and
+    :class:`IdenticallyZero` when they all vanish.
     """
     if model.is_hysteretic():
         raise ValueError(
@@ -137,6 +139,8 @@ def static_comp_poly(model, r_bar):
     r_bar = float(r_bar)
     coeffs = static_rows(model, model.coefficients, "u", r_bar, [0.0] * (model.ell + 1))
     coeffs[0] -= r_bar
+    if not np.isfinite(coeffs).all():
+        raise narx.NonFinite("compensation polynomial is not finite at r=%g" % r_bar)
     p = AlgebraicPolynomial(coeffs)
     if p.degree() == -1:
         raise IdenticallyZero("compensation polynomial vanished at r=%g" % r_bar)

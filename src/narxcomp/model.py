@@ -212,8 +212,14 @@ def validate(model):
         problems.append("n_u (%d) must be >= tau_d (%d)" % (model.n_u, model.tau_d))
     if model.n_y < 1:
         problems.append("n_y must be >= 1, got %d" % model.n_y)
+    if model.ell < 0:
+        problems.append("ell must be >= 0, got %d" % model.ell)
     for name in ("input_range", "output_range"):
-        lo, hi = getattr(model, name)
+        ends = getattr(model, name)
+        if len(ends) != 2:
+            problems.append("%s must have two ends, got %d" % (name, len(ends)))
+            continue
+        lo, hi = ends
         if not (isfinite(lo) and isfinite(hi)):
             problems.append("%s ends must be finite" % name)
         elif not lo < hi:

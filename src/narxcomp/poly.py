@@ -1,8 +1,8 @@
 """Dense univariate polynomials with real coefficients, plus root solvers.
 
 Coefficients are stored in ascending order, so ``coeffs[i]`` multiplies
-``x**i``.  Degrees 1-3 are solved in closed form; higher degrees take the
-eigenvalues of the companion matrix.  All solvers return every root
+``x**i``.  Degrees 1 and 2 are solved in closed form; higher degrees take
+the eigenvalues of the companion matrix.  All solvers return every root
 (with multiplicity) as complex numbers; use :func:`real_roots` to extract
 the real ones.
 """
@@ -128,33 +128,6 @@ def from_roots(roots, leading=1.0):
     return AlgebraicPolynomial(tuple(a.real for a in acc))
 
 
-def _cubic(a0, a1, a2, a3):
-    """Roots of a0 + a1 x + a2 x^2 + a3 x^3 by Cardano's closed form in
-    determinant form.
-
-    Uses d0 = a2^2 - 3 a3 a1 and d1 = 2 a2^3 - 9 a3 a2 a1 + 27 a3^2 a0 with
-    C = cbrt((d1 +- sqrt(d1^2 - 4 d0^3)) / 2), picking the sign that gives the
-    larger |C| so C never vanishes unless d0 = d1 = 0, which is the triple
-    root -a2 / (3 a3).
-    """
-    d0 = a2 * a2 - 3.0 * a3 * a1
-    d1 = 2.0 * a2 ** 3 - 9.0 * a3 * a2 * a1 + 27.0 * a3 * a3 * a0
-    inner = cmath.sqrt(complex(d1 * d1 - 4.0 * d0 ** 3))
-    cand_plus = (d1 + inner) / 2.0
-    cand_minus = (d1 - inner) / 2.0
-    big = cand_plus if abs(cand_plus) >= abs(cand_minus) else cand_minus
-    if big == 0:
-        r = complex(-a2 / (3.0 * a3))
-        return (r, r, r)
-    cube = big ** (1.0 / 3.0)  # principal complex cube root
-    xi = complex(-0.5, math.sqrt(3.0) / 2.0)
-    roots = []
-    for i in range(3):
-        ci = (xi ** i) * cube
-        roots.append(-(a2 + ci + d0 / ci) / (3.0 * a3))
-    return roots
-
-
 def companion_roots(p):
     """All complex roots as the eigenvalues of the companion matrix.
 
@@ -199,7 +172,7 @@ durand_kerner = companion_roots
 
 
 def solve_roots(p):
-    """All roots of ``p``: closed forms up to its effective degree 3,
+    """All roots of ``p``: closed forms at its effective degrees 1 and 2,
     companion-matrix eigenvalues above.
 
     Degree 2 takes ``math.sqrt`` of a discriminant in (0, inf), so its roots
@@ -210,18 +183,16 @@ def solve_roots(p):
     d = p.degree()
     if d < 1:
         raise DegreeMismatch("no roots to solve for degree %d" % d)
-    if d > 3:
+    if d > 2:
         return companion_roots(p)
     a = p.coeffs[: d + 1]
     if d == 1:
         roots = (-a[0] / a[1],)
-    elif d == 2:
+    else:
         a0, a1, a2 = a
         disc = a1 * a1 - 4.0 * a2 * a0
         s = math.sqrt(disc) if 0.0 < disc < math.inf else cmath.sqrt(complex(disc))
         roots = ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
-    else:
-        roots = _cubic(*a)
     return RootSet(roots, "analytic")
 
 

@@ -344,6 +344,21 @@ def test_overflowing_steady_state_is_non_finite(capsys):
     assert "NonFinite" in err
 
 
+def test_overflowing_static_compensation_is_non_finite(capsys, tmp_path):
+    # 1e-3 * r^2 overflows for r near 1e190; the polynomial does not vanish
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "n_y": 1, "n_u": 1, "tau_d": 1, "ell": 2,
+        "input_range": [-1e200, 1e200], "output_range": [-1e200, 1e200],
+        "terms": [{"coeff": 0.5, "factors": [{"sig": "y", "lag": 1}]},
+                  {"coeff": 1e-3, "factors": [{"sig": "y", "lag": 1, "pow": 2}]},
+                  {"coeff": 1.0, "factors": [{"sig": "u", "lag": 1}]}]}))
+    code, out, err = run_cli(["compensate", "-m", str(path), "--signal", "sine:a=1e190,f=0.01",
+                              "--mode", "static"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: NonFinite: compensation polynomial is not finite at r=")
+
+
 def test_unwritable_output_is_config_error(capsys, tmp_path):
     code, _, err = run_cli(
         ["fixed-points", "-m", "heater", "--u", "0.5",
@@ -691,6 +706,26 @@ def test_model_file_with_non_integer_orders_is_config_error(capsys, tmp_path, ed
                              capsys)
     assert (code, out) == (2, "")
     assert err == "error: model: cannot load %r: %s\n" % (str(path), message)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(ell=-1, terms=[]), "ell must be >= 0, got -1"),
+    (lambda d: d.update(input_range=[0.0, 0.5, 1.0]), "input_range must have two ends, got 3"),
+    (lambda d: d.update(output_range=[0.0]), "output_range must have two ends, got 1"),
+], ids=["ell", "input_range", "output_range"])
+@pytest.mark.parametrize("argv", [["fixed-points", "--u", "0"], ["compensate"] + HEATER_REFERENCE],
+                         ids=["fixed-points", "compensate"])
+def test_model_file_with_bad_ell_or_range_is_config_error(capsys, tmp_path, edit, message, argv):
+    # a negative ell leaves no coefficient list to index and a range needs
+    # exactly two ends: both stop at loading, not inside a command
+    with open(bundled_model_file("heater")) as fh:
+        d = json.load(fh)
+    edit(d)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli(argv[:1] + ["-m", str(path)] + argv[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: model: cannot load %r: invalid model: %s\n" % (str(path), message)
 
 
 def test_unreadable_model_path_names_the_model(capsys, tmp_path):

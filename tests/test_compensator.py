@@ -132,6 +132,20 @@ def test_static_comp_poly_identically_zero():
         comp.static_comp_poly(m, 0.0)
 
 
+def test_static_comp_poly_reports_an_overflow_as_non_finite():
+    # 1e-3 * r^2 overflows at r = 1e190; the polynomial has not vanished
+    m = mk([term(0.5, ("y", 1, 1)), term(1e-3, ("y", 1, 2)), term(1.0, ("u", 1, 1))],
+           ell=2, inp=(-1e200, 1e200), out=(-1e200, 1e200))
+    for r_bar in (1e190, math.nan):
+        with pytest.raises(narx.NonFinite) as info:
+            comp.static_comp_poly(m, r_bar)
+        assert str(info.value) == "compensation polynomial is not finite at r=%g" % r_bar
+    with pytest.raises(narx.NonFinite):
+        comp.solve_static(m, 1e190)
+    m_bar, errors = comp.solve_static_lockstep(m, [m.coefficients], 1e190)
+    assert isinstance(errors[0], narx.NonFinite)
+
+
 def test_solve_static_heater_round_trip(heater_model):
     gain = HEATER_T2 / (1.0 - HEATER_T1 - HEATER_T3)
     r = gain * 0.25  # the steady output that u = 0.5 produces
@@ -256,19 +270,22 @@ def test_solve_static_lockstep_solves_complex_eigenvalues_run_by_run(monkeypatch
 
 
 def test_solve_static_admits_a_root_whose_equilibrium_is_stable():
-    # r is an equilibrium at m = 0.9192344696093472 (one step from y = r
+    # r is an equilibrium at m = 0.9192344696093474 (one step from y = r
     # lands within 3e-15 of it) with |lambda| = 0.74; re-solving the steady
-    # state in y for a fixed point near r finds one 4.6e-6 away
+    # state in y for a fixed point near r finds one 4.6e-6 away.  The exact
+    # root of the rounded static polynomial, by Newton's method in
+    # fractions.Fraction, is 0.91923446960934746331...; the companion-matrix
+    # root is 0.53 ulp from it
     model = mk([term(0.468511413382764, ("y", 1, 1)), term(1e-12, ("y", 1, 2)),
                 term(0.29541210127022755, ("y", 1, 1), ("u", 1, 1)),
                 term(-0.06986102879802891), term(0.1, ("u", 1, 1)),
                 term(1.5576824959178293, ("u", 1, 3)), term(-0.9184840253807125, ("u", 1, 2))],
                ell=3, inp=(-1.0, 1.0), out=(-2.0, 2.0))
     r_bar = 1.7537961841140173
-    assert repr(comp.solve_static(model, r_bar)) == "0.9192344696093472"
+    assert repr(comp.solve_static(model, r_bar)) == "0.9192344696093474"
     m_bar, errors = comp.solve_static_lockstep(model, [model.coefficients], r_bar)
     assert not errors
-    assert repr(float(m_bar[0])) == "0.9192344696093472"
+    assert repr(float(m_bar[0])) == "0.9192344696093474"
     assert abs(narx.one_step(model, [r_bar], [m_bar[0]]) - r_bar) < 3e-15
 
 

@@ -92,6 +92,15 @@ def test_validate_flags_bad_orders():
     assert "tau_d" in msgs or "n_u" in msgs
 
 
+def test_validate_flags_a_negative_ell_and_ranges_without_two_ends():
+    m = mk([], ell=-1, inp=(-1.0, 0.0, 1.0), out=(1.0,))
+    assert narx.validate(m) == [
+        "ell must be >= 0, got -1",
+        "input_range must have two ends, got 3",
+        "output_range must have two ends, got 1",
+    ]
+
+
 def test_is_hysteretic(heater_model, valve_model, bouc_wen_model):
     assert not heater_model.is_hysteretic()
     assert valve_model.is_hysteretic()
@@ -491,6 +500,8 @@ def scalar_static_comp_poly(model, r_bar):
                 xpow += power
         coeffs[xpow] += scalar
     coeffs[0] -= r_bar
+    if not all(map(math.isfinite, coeffs)):
+        raise narx.NonFinite("compensation polynomial is not finite at r=%g" % r_bar)
     p = AlgebraicPolynomial(coeffs)
     if p.degree() == -1:
         raise comp.IdenticallyZero("compensation polynomial vanished at r=%g" % r_bar)

@@ -134,7 +134,7 @@ def test_solve_quadratic_real_and_complex():
 def test_solve_cubic_three_real():
     p = poly.from_roots([-1.0, 0.5, 2.0])
     rs = poly.solve_roots(p)
-    assert rs.method_tag == "analytic"
+    assert rs.method_tag == "iterative"
     assert_roots_match(rs.roots, [-1.0, 0.5, 2.0])
 
 
@@ -154,8 +154,8 @@ def test_solve_cubic_triple_root():
 
 @pytest.mark.parametrize("roots", [[1.0, 1.0, 1.0], [2.0, 2.0, -1.0]])
 def test_repeated_cubic_roots_stay_real(roots):
-    # the closed form keeps every repeated root real within real_roots'
-    # default tolerance
+    # every repeated root comes back real within real_roots' default
+    # tolerance
     got = poly.real_roots(poly.solve_roots(poly.from_roots(roots)))
     assert sorted(got) == pytest.approx(sorted(roots), abs=1e-4)
 
@@ -241,9 +241,20 @@ def test_companion_roots_reports_a_failed_eigenvalue_iteration(monkeypatch):
     assert info.value.best == ()
 
 
+@pytest.mark.parametrize("roots", [(1e-8, 1.0, 1e8), (1e-4, 1.0, 1e4),
+                                   (1e-6, 2e-6, 1.0), (3.0, 1e-10, -2.0)])
+def test_cubic_with_spread_roots_returns_every_real_root(roots):
+    # every real root comes back, each within 1e-11 of itself, relative
+    got = sorted(poly.real_roots(poly.solve_roots(poly.from_roots(roots))))
+    want = sorted(roots)
+    assert len(got) == 3, got
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-11 * abs(w), (g, w)
+
+
 def test_solve_roots_dispatch():
     assert poly.solve_roots(P([-1.0, 1.0])).method_tag == "analytic"
-    assert poly.solve_roots(poly.from_roots([1.0, 2.0, 3.0])).method_tag == "analytic"
+    assert poly.solve_roots(poly.from_roots([1.0, 2.0, 3.0])).method_tag == "iterative"
     assert (
         poly.solve_roots(poly.from_roots([1.0, 2.0, 3.0, 4.0])).method_tag
         == "iterative"
@@ -262,12 +273,12 @@ def test_solve_roots_zero_polynomial_rejected():
         poly.solve_roots(P([0.0, 0.0]))
 
 
-def test_analytic_vs_iterative_agree_on_cubics():
+def test_analytic_vs_iterative_agree_on_quadratics():
     rng = np.random.default_rng(20260817)
     for _ in range(200):
-        roots = rng.uniform(-5, 5, size=3)
+        roots = rng.uniform(-5, 5, size=2)
         while np.min(np.diff(np.sort(roots))) < 0.1:
-            roots = rng.uniform(-5, 5, size=3)
+            roots = rng.uniform(-5, 5, size=2)
         p = poly.from_roots(roots, leading=rng.uniform(0.5, 2.0))
         a = poly.solve_roots(p)
         b = poly.companion_roots(p)

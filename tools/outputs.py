@@ -25,7 +25,8 @@ import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
 
 TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 
@@ -35,7 +36,9 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: (LoopUnsettled=16, OutOfLoopRange=2 of 40) exercise the stderr of skips;
 #: ``static-5000`` has more runs than a lockstep block of the static sweep
 #: holds columns, so each block is one level; the ``compensate`` runs cover
-#: each bundled model's loop kernel; the ``fixed-points`` runs print the
+#: each bundled model's loop kernel, and ``cubic`` the degree-3 solve of
+#: ``cubic_model.json`` (y = 0.5 y(k-1) + u(k-1)^3 + u(k-1)) in its static
+#: seed and on each of its 500 steps; the ``fixed-points`` runs print the
 #: eigenvalue magnitudes of ``bouc_wen``'s one-lag and the heater's two-lag
 #: Jacobian, the stability test of static inversion.
 COMMANDS = [
@@ -61,6 +64,8 @@ COMMANDS = [
     ("heater-static", ["compensate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.2",
                        "--mode", "static"]),
     ("sigma1", ["compensate", "-m", "bouc_wen_sigma1", "--signal", "sine:G0=30,f=2"]),
+    ("cubic", ["compensate", "-m", os.path.join(HERE, "cubic_model.json"),
+               "--signal", "sine:a=1,f=0.01"]),
     ("fixed-points", ["fixed-points", "-m", "bouc_wen", "--u", "-10,10"]),
     ("fixed-points-heater", ["fixed-points", "-m", "heater", "--u", "0.2,0.5,0.9"]),
     ("simulate", ["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.5",
