@@ -411,7 +411,9 @@ def cmd_compensate(args):
         raise ConfigError("mode", "%s mode cannot handle a hysteretic model" % args.mode)
     r, _, seed, factory = tracking_setup(args, model, name)
     if args.mode == "static":  # settled inversion per sample, no shared state
-        m = np.array([comp.solve_static(model, v) for v in r.tolist()])
+        m, errors = comp.solve_static_lockstep(model, [model.coefficients] * len(r), r)
+        if errors:
+            raise next(iter(errors.values()))
         holds = 0
     else:
         session = comp.CompensationSession(model, seed)

@@ -18,21 +18,19 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import model as narx  # jacobian_eigen through the module, where perfbench wraps it
+from . import model as narx
 from . import poly
 from .poly import AlgebraicPolynomial
 from .model import (
     Regime,
     fixed_points,  # not called here; perfbench/tracing.py wraps this module's binding
     loop_inverse,
-    stable_lockstep,
     static_rows,
     compile_kernel,
     indented,
     kernel_coefficients,
     kernel_factor,
     kernel_shift,
-    with_coefficients,
 )
 
 
@@ -123,6 +121,34 @@ def _clamped(r, start, stop):
     return np.asarray(r, dtype=float)[idx].tolist() if n else []
 
 
+@np.errstate(all="ignore")
+def _comp_columns(model, cols, r_bar):
+    """The coefficients of :func:`static_comp_poly` at the levels ``r_bar``,
+    a column per level for the coefficient rows ``cols``, in two rows at
+    least; zero for a hysteretic model, which :func:`_comp_poly` refuses."""
+    p = np.zeros((max(model.ell, 1) + 1, len(r_bar)))
+    if not model.is_hysteretic():
+        static_rows(model, cols, "u", r_bar, p)
+        p[0] -= r_bar
+    return p
+
+
+def _comp_poly(model, p, r_bar):
+    """The built column ``p`` at ``r_bar`` as a polynomial; raises as
+    :func:`static_comp_poly` does."""
+    if model.is_hysteretic():
+        raise ValueError(
+            "static inversion is undefined for hysteretic models; "
+            "use a traced loop instead"
+        )
+    if not np.isfinite(p).all():
+        raise narx.NonFinite("compensation polynomial is not finite at r=%g" % r_bar)
+    q = AlgebraicPolynomial(p.tolist())
+    if q.degree() == -1:
+        raise IdenticallyZero("compensation polynomial vanished at r=%g" % r_bar)
+    return q
+
+
 def static_comp_poly(model, r_bar):
     """Steady-state compensation polynomial in the constant input m_bar.
 
@@ -131,104 +157,98 @@ def static_comp_poly(model, r_bar):
     :class:`narxcomp.model.NonFinite` when a coefficient overflows and
     :class:`IdenticallyZero` when they all vanish.
     """
-    if model.is_hysteretic():
-        raise ValueError(
-            "static inversion is undefined for hysteretic models; "
-            "use a traced loop instead"
-        )
     r_bar = float(r_bar)
-    coeffs = static_rows(model, model.coefficients, "u", r_bar, [0.0] * (model.ell + 1))
-    coeffs[0] -= r_bar
-    if not np.isfinite(coeffs).all():
-        raise narx.NonFinite("compensation polynomial is not finite at r=%g" % r_bar)
-    p = AlgebraicPolynomial(coeffs)
-    if p.degree() == -1:
-        raise IdenticallyZero("compensation polynomial vanished at r=%g" % r_bar)
-    return p
+    p = _comp_columns(model, np.array([model.coefficients]).T, np.array([r_bar]))
+    return _comp_poly(model, p[:model.ell + 1, 0], r_bar)
 
 
 def solve_static(model, r_bar):
-    """Constant input whose stable steady state matches ``r_bar``.
-
-    r_bar is an equilibrium at every root m_bar of :func:`static_comp_poly`;
-    keeps the real roots inside the input range at which it is a stable
-    one, every :func:`narxcomp.model.jacobian_eigen` magnitude below one,
-    and among those returns the smallest magnitude.
-    """
-    lo, hi = model.output_range
-    r_lo, r_hi = model.output_band()
-    if not r_lo <= r_bar <= r_hi:
-        raise ValueError(
-            "reference %g outside the model output range [%g, %g]"
-            % (r_bar, lo, hi)
-        )
-    p = static_comp_poly(model, r_bar)
-    if p.degree() < 1:
-        raise NoFeasibleRoot("compensation polynomial has no roots at r=%g" % r_bar)
-    u_lo, u_hi = model.input_range
-    good = [m_bar for m_bar in poly.real_roots(poly.solve_roots(p))
-            if u_lo <= m_bar <= u_hi
-            and all(mag < 1.0 for mag in narx.jacobian_eigen(model, m_bar, r_bar))]
-    if not good:
-        raise NoFeasibleRoot("no admissible static input for r=%g" % r_bar)
-    return min(good, key=lambda m: (abs(m), m))
+    """Constant input whose stable steady state matches ``r_bar``: the
+    one-column :func:`solve_static_lockstep`, raising that column's
+    exception."""
+    m_bar, errors = solve_static_lockstep(model, [model.coefficients], r_bar)
+    if errors:
+        raise errors[0]
+    return float(m_bar[0])
 
 
 @np.errstate(all="ignore")
 def solve_static_lockstep(model, coefs, r_bar, runs=None):
-    """:func:`solve_static` of ``r_bar`` for copies of ``model`` carrying the
+    """Static inversion of ``r_bar`` for copies of ``model`` carrying the
     coefficients ``coefs``, one row per column; ``r_bar`` is one level or
     one per column.
 
-    Where the compensation and characteristic polynomials both have real
-    closed-form roots the columns are solved together, bit for bit as
-    :func:`solve_static` solves them; the other columns call it.  Returns
-    (m_bar, errors): one input per column, and the exception raised for
-    each column index that has none.  ``runs`` labels the columns: a column
-    the closed form leaves without an input, whose label already failed at
-    a lower column index, gets that exception instead of being solved.
+    r_bar is an equilibrium at every root of the column's
+    :func:`static_comp_poly`, and :func:`_admissible` picks one.  Columns
+    whose roots :func:`narxcomp.poly.lockstep_roots` closes are solved
+    together, the others one by one (:func:`_solve_column`).  Returns
+    (m_bar, errors): one input per column, and the exception for each column
+    index that has none.  ``runs`` labels the columns: a column the closed
+    form leaves without an input, whose label already failed at a lower
+    column index, gets that exception instead of being solved.
     """
     n_cols = len(coefs)
     r_bar = np.broadcast_to(np.asarray(r_bar, dtype=float), (n_cols,))
-    m_bar = np.zeros(n_cols)
-    closed = np.zeros(n_cols, dtype=bool)
-    found = np.zeros(n_cols, dtype=bool)
+    cols = np.asarray(coefs, dtype=float).T
+    p = _comp_columns(model, cols, r_bar)
+    closed, degree, roots = poly.lockstep_roots(p)
     r_lo, r_hi = model.output_band()
-    if not model.is_hysteretic():
-        cols = np.asarray(coefs, dtype=float).T
-        p = static_rows(model, cols, "u", r_bar, np.zeros((model.ell + 1, n_cols)))
-        p[0] -= r_bar
-        closed, degree, roots = poly.lockstep_roots(p)
-        closed &= (r_lo <= r_bar) & (r_bar <= r_hi)  # solve_static rejects the rest
-        u_lo, u_hi = model.input_range
-        for slot, x in enumerate(roots):
-            cand = (u_lo <= x) & (x <= u_hi) & (degree > slot)
-            if not cand.any():
-                continue
-            good, eig_closed = stable_lockstep(model, cols, x, r_bar)
-            closed &= eig_closed | ~cand
-            good &= cand
-            # min over the admissible roots by (|m|, m); the first wins ties
-            better = good & (~found | (np.abs(x) < np.abs(m_bar))
-                             | ((np.abs(x) == np.abs(m_bar)) & (x < m_bar)))
-            m_bar = np.where(better, x, m_bar)
-            found |= good
+    closed &= (r_lo <= r_bar) & (r_bar <= r_hi)
+    cand = [np.where(closed & (degree > slot), x, np.nan) for slot, x in enumerate(roots)]
+    m_bar, found = _admissible(model, cols, r_bar, cand)
     errors, failed = {}, {}
-    for i in np.flatnonzero(~(closed & found)).tolist():
+    for i in np.flatnonzero(~found).tolist():
         label = i if runs is None else runs[i]
-        level = float(r_bar[i])
-        if label in failed:
-            e = failed[label]
-        elif closed[i]:
-            e = NoFeasibleRoot("no admissible static input for r=%g" % level)
-        else:
+        if label not in failed:
             try:
-                m_bar[i] = solve_static(with_coefficients(model, coefs[i]), level)
+                m_bar[i] = _solve_column(model, p[:, i], cols[:, i:i + 1], r_bar[i:i + 1],
+                                         closed[i])
                 continue
-            except Exception as exc:
-                e = exc
-        errors[i] = failed[label] = e
+            except Exception as e:
+                failed[label] = e
+        errors[i] = failed[label]
     return m_bar, errors
+
+
+def _admissible(model, cols, r_bar, cand):
+    """(m_bar, found) per column of the coefficient rows ``cols`` and levels
+    ``r_bar``: of the roots ``cand``, a NaN-padded row each, those in the
+    input range at which r_bar is a stable equilibrium
+    (:func:`narxcomp.model.schur_stable`), the least by (|m_bar|, m_bar) and
+    the first on a tie; and whether there is one."""
+    u_lo, u_hi = model.input_range
+    m_bar = np.zeros(len(r_bar))
+    found = np.zeros(len(r_bar), dtype=bool)
+    for x in cand:
+        good = (u_lo <= x) & (x <= u_hi)
+        if not good.any():
+            continue
+        good &= narx.schur_stable(narx.characteristic(model, cols, x, r_bar))
+        better = good & (~found | (np.abs(x) < np.abs(m_bar))
+                         | ((np.abs(x) == np.abs(m_bar)) & (x < m_bar)))
+        m_bar = np.where(better, x, m_bar)
+        found |= good
+    return m_bar, found
+
+
+def _solve_column(model, p, cols, r_bar, closed):
+    """The input of a column of :func:`solve_static_lockstep` that has none
+    yet, from its built coefficients ``p`` (solved already when
+    ``closed``), or its exception."""
+    level = float(r_bar[0])
+    r_lo, r_hi = model.output_band()
+    if not r_lo <= level <= r_hi:
+        raise ValueError("reference %g outside the model output range [%g, %g]"
+                         % ((level,) + tuple(model.output_range)))
+    q = _comp_poly(model, p, level)
+    if q.degree() < 1:
+        raise NoFeasibleRoot("compensation polynomial has no roots at r=%g" % level)
+    if not closed:
+        roots = np.array(poly.real_roots(poly.solve_roots(q)))
+        m_bar, found = _admissible(model, cols, r_bar, roots[:, None])
+        if found[0]:
+            return m_bar[0]
+    raise NoFeasibleRoot("no admissible static input for r=%g" % level)
 
 
 @lru_cache(maxsize=256)

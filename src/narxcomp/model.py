@@ -243,6 +243,10 @@ def validate(model):
                 )
             elif f.signal in (Signal.PHI1, Signal.PHI2) and f.lag < 1:
                 problems.append("term %d: phi lag must be >= 1" % ti)
+            elif f.signal in (Signal.PHI1, Signal.PHI2) and f.lag < model.tau_d:
+                # phi(k-j) reads u(k-j), which the dead time keeps out of y(k)
+                problems.append("term %d: %s lag %d is below tau_d (%d)"
+                                % (ti, f.signal.value, f.lag, model.tau_d))
         if total > model.ell:
             problems.append(
                 "term %d: degree %d exceeds ell=%d" % (ti, total, model.ell)
@@ -424,23 +428,19 @@ def static_polynomial(model, u_bar, branch_sign=0):
 def jacobian_eigen(model, u_bar, y_bar):
     """Magnitudes of the linearization eigenvalues at (u_bar, y_bar), descending.
 
-    The partial derivatives a_i = df/dy(k-i) evaluated at the steady state
-    (where phi1 = phi2 = 0) form the characteristic polynomial
-    lambda^n - a_1 lambda^(n-1) - ... - a_n, whose roots are the eigenvalues.
-    Only output lags actually present in the terms count; a model with no
-    output feedback returns an empty list (trivially stable).
+    They are the roots of :func:`characteristic`, solved by
+    :func:`narxcomp.poly.solve_roots`, or by ``numpy.roots`` where the
+    ``LEADING_ZERO_RTOL`` rule would trim its structural leading 1.  A
+    model with no output feedback returns an empty list (trivially stable).
     """
-    n_eff = model.max_y_lag()
-    if n_eff == 0:
+    n = model.max_y_lag()
+    if n == 0:
         return []
-    a = jacobian_rows(model, model.coefficients, float(u_bar), float(y_bar),
-                      [0.0] * (n_eff + 1))
-    char = [0.0] * (n_eff + 1)
-    char[n_eff] = 1.0
-    for i in range(1, n_eff + 1):
-        char[n_eff - i] = -a[i]
-    rs = poly.solve_roots(AlgebraicPolynomial(char))
-    return sorted((abs(r) for r in rs.roots), reverse=True)
+    char = characteristic(model, model.coefficients, float(u_bar), float(y_bar))
+    p = AlgebraicPolynomial(char)
+    if 0 <= p.degree() < n:
+        return sorted(map(abs, np.roots(char[::-1]).tolist()), reverse=True)
+    return sorted(map(abs, poly.solve_roots(p).roots), reverse=True)
 
 
 def fixed_points(model, u_bar, branch_sign=0):
@@ -467,9 +467,9 @@ def fixed_points(model, u_bar, branch_sign=0):
     for y_bar in sorted(reals):
         if not y_lo <= y_bar <= y_hi:
             continue
-        mags = jacobian_eigen(model, u_bar, y_bar)
-        stable = all(m < 1.0 for m in mags)
-        out.append(FixedPoint(float(u_bar), float(y_bar), tuple(mags), stable))
+        mags = tuple(jacobian_eigen(model, u_bar, y_bar))
+        char = characteristic(model, model.coefficients, float(u_bar), y_bar)
+        out.append(FixedPoint(float(u_bar), float(y_bar), mags, schur_stable(char)))
     return out
 
 
@@ -501,11 +501,14 @@ def static_rows(model, coefs, var, value, out, sign=0.0):
     return out
 
 
-def jacobian_rows(model, coefs, u_bar, y_bar, out):
-    """Adds each df/dy(k-i) at the steady state (u_bar, y_bar) into
-    ``out[i]`` and returns ``out``; ``coefs`` and ``out`` as in
-    :func:`static_rows`.  phi1 and phi2 vanish at steady state, so a phi
-    factor ends its term, which then adds nothing."""
+def characteristic(model, coefs, u_bar, y_bar):
+    """Ascending coefficients of the characteristic polynomial lambda^n -
+    a_1 lambda^(n-1) - ... - a_n of the linearization at the steady state
+    (u_bar, y_bar), n the deepest output lag the terms read, a_i =
+    df/dy(k-i); ``coefs`` as in :func:`static_rows`, and with column arrays
+    every coefficient is a column per run.  phi1 and phi2 vanish at steady
+    state, so a phi factor ends its term, which then adds nothing."""
+    a = [0.0] * (model.max_y_lag() + 1)
     for c, factors in zip(coefs, model.factors):
         for fi, (kind, lag, power) in enumerate(factors):
             if kind != "y":
@@ -517,28 +520,26 @@ def jacobian_rows(model, coefs, u_bar, y_bar, out):
                 if gj != fi:
                     part = part * _power(y_bar if g_kind == "y" else u_bar, g_power)
             else:
-                out[lag] += part
-    return out
+                a[lag] += part
+    return [-x for x in a[:0:-1]] + [1.0]
 
 
-def stable_lockstep(model, cols, u_bar, y_bar):
-    """Per run, whether every :func:`jacobian_eigen` magnitude at (u_bar,
-    y_bar) is below one, the model's coefficients replaced by the rows of
-    ``cols``; and the mask of runs whose characteristic polynomial had real
-    closed-form roots.  Only those are decided here; the others need
-    :func:`jacobian_eigen`."""
-    n_eff = model.max_y_lag()
-    if n_eff == 0:
-        return True, True
-    a = jacobian_rows(model, cols, u_bar, y_bar, np.zeros((n_eff + 1, cols.shape[1])))
-    char = np.zeros_like(a)
-    char[n_eff] = 1.0
-    char[:n_eff] = -a[:0:-1]
-    closed, degree, roots = poly.lockstep_roots(char)
-    stable = np.ones(cols.shape[1], dtype=bool)
-    for slot, root in enumerate(roots):
-        stable &= (np.abs(root) < 1.0) | (degree <= slot)
-    return stable, closed
+def schur_stable(char):
+    """Whether every root of the ascending coefficients ``char`` lies
+    strictly inside the unit circle, by the Schur-Cohn recursion: |c_0| <
+    |c_n|, then the same for (c_n p(z) - c_0 z^n p(1/z)) / z, down to
+    degree 0 (Jury, *Theory and Application of the z-Transform Method*,
+    1964).  ``char`` holds floats, or column arrays for a verdict per
+    column.  A NaN or inf coefficient, also one the recursion overflows
+    to, reads as unstable; a stable monic polynomial of degree n has
+    |c_k| <= C(n, k), so it never overflows."""
+    stable = True
+    with np.errstate(all="ignore"):
+        while len(char) > 1:
+            c0, cn = char[0], char[-1]
+            stable = stable & (abs(c0) < abs(cn)) & (abs(cn) < inf)
+            char = [cn * a - c0 * b for a, b in zip(char[1:], char[-2::-1])]
+    return stable
 
 
 def static_curve(model, u_grid):
@@ -607,8 +608,10 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
         if not isfinite(y_p[-1]):
             raise NonFinite("loop trace diverged in period %d" % p)
         if prev_y is not None:
-            scale = max(1.0, float(y_p.max() - y_p.min()))
-            if float(np.abs(y_p - prev_y).max()) < settle_tol * scale:
+            with np.errstate(over="ignore"):  # a span past the float range is inf
+                scale = max(1.0, float(y_p.max() - y_p.min()))
+                gap = float(np.abs(y_p - prev_y).max())
+            if gap < settle_tol * scale:
                 break
         prev_y = y_p
     else:
@@ -654,28 +657,7 @@ def loop_inverse(loop, y_target, regime):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
-
-def model_to_dict(model):
-    return {
-        "n_y": model.n_y,
-        "n_u": model.n_u,
-        "tau_d": model.tau_d,
-        "ell": model.ell,
-        "input_range": list(model.input_range),
-        "output_range": list(model.output_range),
-        "terms": [
-            {
-                "coeff": t.coefficient,
-                "factors": [
-                    {"sig": f.signal.value, "lag": f.lag, "pow": f.power}
-                    for f in t.factors
-                ],
-            }
-            for t in model.terms
-        ],
-    }
-
+# JSON loading
 
 def _index(value):
     """``value`` as an int by the ``operator.index`` rule, with bool refused
@@ -728,9 +710,3 @@ def model_from_dict(d):
 def load_model(path):
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")

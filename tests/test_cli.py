@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -357,6 +358,144 @@ def test_overflowing_static_compensation_is_non_finite(capsys, tmp_path):
                               "--mode", "static"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: NonFinite: compensation polynomial is not finite at r=")
+
+
+def write_model(path, d):
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+#: n_y 1, n_u 2, tau_d 2: phi1(k-1) reads u(k-1), ahead of the dead time.
+PHI_LAG_MODEL = {
+    "n_y": 1, "n_u": 2, "tau_d": 2, "ell": 2,
+    "input_range": [-1.0, 1.0], "output_range": [-2.0, 2.0],
+    "terms": [{"coeff": 0.5, "factors": [{"sig": "y", "lag": 1}]},
+              {"coeff": 0.3, "factors": [{"sig": "u", "lag": 2}]},
+              {"coeff": 0.2, "factors": [{"sig": "phi1", "lag": 1}]}]}
+
+#: At u = 1e149 the Jacobian's y(k-2) entry is about -1.6e296, enough for
+#: the LEADING_ZERO_RTOL rule to trim the characteristic's leading 1.
+TRIMMED_MODEL = {
+    "n_y": 3, "n_u": 2, "tau_d": 1, "ell": 3,
+    "input_range": [-1e150, 2e150], "output_range": [-1000.0, 1000.0],
+    "terms": [{"coeff": 0.4163, "factors": [{"sig": "u", "lag": 2, "pow": 2}]},
+              {"coeff": -0.01568, "factors": [{"sig": "u", "lag": 1, "pow": 2},
+                                               {"sig": "y", "lag": 2}]},
+              {"coeff": 0.0982, "factors": [{"sig": "y", "lag": 3}]},
+              {"coeff": -0.1501, "factors": [{"sig": "u", "lag": 1, "pow": 2}]},
+              {"coeff": 0.8975, "factors": [{"sig": "u", "lag": 1}]}]}
+
+#: y = 1e300 y(k-1) + 0.3 u(k-1): one pole at 1e300.
+HUGE_POLE_MODEL = {
+    "n_y": 1, "n_u": 1, "tau_d": 1, "ell": 1,
+    "input_range": [-1.0, 1.0], "output_range": [-1.0, 1.0],
+    "terms": [{"coeff": 1e300, "factors": [{"sig": "y", "lag": 1}]},
+              {"coeff": 0.3, "factors": [{"sig": "u", "lag": 1}]}]}
+
+
+def test_phi_lag_below_the_dead_time_is_config_error(capsys, tmp_path):
+    path = write_model(tmp_path / "phi.json", PHI_LAG_MODEL)
+    code, out, err = run_cli(["compensate", "-m", path, "--signal", "sine:a=0.5,f=0.01",
+                              "--n", "50"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: model: cannot load %r: invalid model: term 2: phi1 lag 1 is below "
+                   "tau_d (2)\n" % path)
+
+
+def test_fixed_points_print_every_eigenvalue_of_a_trimmed_characteristic(capsys, tmp_path):
+    path = write_model(tmp_path / "trimmed.json", TRIMMED_MODEL)
+    code, out, err = run_cli(["fixed-points", "-m", path, "--u", "1e+149,-3e+149"], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0] == ["u", "y", "lambda1", "lambda2", "lambda3", "stable"]
+    assert [row[-1] for row in rows[1:]] == ["unstable", "unstable"]
+    assert all(float(row[2]) > 1e148 for row in rows[1:])
+
+
+def test_fixed_points_print_a_huge_pole_as_unstable(capsys, tmp_path):
+    path = write_model(tmp_path / "huge.json", HUGE_POLE_MODEL)
+    code, out, err = run_cli(["fixed-points", "-m", path, "--u", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "u,y,lambda1,stable\n0,-0,1e+300,unstable\n"
+
+
+LEVELS = st.sampled_from([0.0, 1e-3, 0.5, -2.0, 30.0, 1e100])
+
+
+def signal_options():
+    """``--signal`` (a sine with a drawn amplitude, frequency and offset)
+    and ``--n``."""
+    return st.builds(
+        lambda a, f, off, n: ["--signal", "sine:a=%r,f=%r,off=%r" % (a, f, off), "--n", str(n)],
+        LEVELS, st.sampled_from([0.0, 0.01, 0.05, 0.2]), LEVELS, st.integers(2, 40))
+
+
+def cli_options():
+    """A command and its options, the model left out: each command with
+    small sizes, levels from 1e-3 to 1e100 of either sign."""
+    levels = st.lists(LEVELS, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v)))
+    runs = st.integers(1, 3).map(lambda n: ["--rel-std", "0.01", "--runs", str(n)])
+    return st.one_of(
+        signal_options().map(lambda s: ["simulate"] + s),
+        levels.map(lambda u: ["fixed-points", "--u", u]),
+        st.builds(lambda s, mode: ["compensate"] + s + ["--mode", mode], signal_options(),
+                  st.sampled_from(["auto", "static", "dynamic", "hysteresis"])),
+        st.builds(lambda a, f: ["loop", "--amplitude", repr(a), "--f", repr(f)],
+                  LEVELS, st.sampled_from([0.01, 0.05, 0.2])),
+        st.builds(lambda r, grid: ["montecarlo"] + r + ["--grid", grid], runs, levels),
+        st.builds(lambda r, s: ["montecarlo"] + r + s, runs, signal_options()),
+    )
+
+
+@st.composite
+def model_files(draw):
+    """A model file as a dict: n_y 1-3, tau_d 1-2, n_u up to 3, 1-6 terms
+    of up to two factors over y, u, phi1 and phi2 with lags in their
+    orders, ell the highest degree or one more, and ranges with half-widths
+    from 1e-150 to 1e150."""
+    n_y, tau_d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n_u = draw(st.integers(tau_d, 3))
+    lags = {"y": st.integers(1, n_y), "u": st.integers(tau_d, n_u),
+            "phi1": st.integers(tau_d, n_u), "phi2": st.integers(tau_d, n_u)}
+    factor = st.sampled_from(sorted(lags)).flatmap(lambda sig: st.builds(
+        lambda lag, power: {"sig": sig, "lag": lag, "pow": power}, lags[sig], st.integers(1, 2)))
+    terms = draw(st.lists(st.builds(lambda c, fs: {"coeff": c, "factors": fs},
+                                    st.floats(-1.5, 1.5), st.lists(factor, max_size=2)),
+                          min_size=1, max_size=6))
+    ell = max(sum(f["pow"] for f in t["factors"]) for t in terms)
+    half = draw(st.sampled_from([1e-150, 1e-3, 1.0, 30.0, 1e150]))
+    lo = draw(st.sampled_from([-half, 0.0]))
+    return {"n_y": n_y, "n_u": n_u, "tau_d": tau_d, "ell": max(ell, 1) + draw(st.integers(0, 1)),
+            "terms": terms, "input_range": [lo, half], "output_range": [-half, half]}
+
+
+@settings(max_examples=60, deadline=None)
+@example(model=PHI_LAG_MODEL, argv=["compensate", "--signal", "sine:a=0.5,f=0.01", "--n", "50"])
+@example(model=TRIMMED_MODEL, argv=["fixed-points", "--u", "1e+149,-3e+149"])
+@example(model=HUGE_POLE_MODEL, argv=["fixed-points", "--u", "0"])
+@example(model=HUGE_POLE_MODEL, argv=["montecarlo", "--rel-std", "0.01", "--runs", "2",
+                                      "--grid", "0"])
+@example(  # a loop whose output span, from -1.2e308 to 1.2e308, is past the float range
+    model={"n_y": 1, "n_u": 1, "tau_d": 1, "ell": 1, "input_range": [-1.0, 1.0],
+           "output_range": [-1.0, 1.0],
+           "terms": [{"coeff": 0.5, "factors": [{"sig": "y", "lag": 1}]},
+                     {"coeff": 1.0, "factors": [{"sig": "u", "lag": 1}]},
+                     {"coeff": 0.1, "factors": [{"sig": "phi1", "lag": 1}]}]},
+    argv=["loop", "--amplitude", "8e307", "--f", "0.1"])
+@given(model=model_files(), argv=cli_options())
+def test_every_call_exits_0_2_or_3_with_one_error_line(model, argv):
+    # the CLI's contract: 0, 2 (configuration) or 3 (numeric), and on 2 or 3
+    # one "error: ..." line on stderr, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_model(pathlib.Path(tmp) / "model.json", model)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv[:1] + ["-m", path] + argv[1:]
+                            + ["-o", os.path.join(tmp, "out.csv")])
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_unwritable_output_is_config_error(capsys, tmp_path):

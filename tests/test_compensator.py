@@ -251,22 +251,23 @@ def test_solve_static_lockstep_ends_a_labelled_run_at_its_first_failing_level(
 
 def test_solve_static_lockstep_solves_complex_eigenvalues_run_by_run(monkeypatch):
     # y = y(k-1) - 0.5 y(k-2) + 0.06 u(k-2)^2: the characteristic polynomial
-    # x^2 - x + 0.5 has the complex roots 0.5 +- 0.5 i, so every run with an
-    # input in range is left to solve_static
+    # x^2 - x + 0.5 has the complex roots 0.5 +- 0.5 i; the Schur-Cohn
+    # verdict decides those runs in lockstep, with no root solved per run
     model = mk([term(1.0, ("y", 1, 1)), term(-0.5, ("y", 2, 1)), term(0.06, ("u", 2, 2))],
                n_y=2, n_u=2, tau_d=2, ell=2, inp=(0.0, 1.0), out=(0.0, 0.15))
     coefs = ev.perturbed_coefficients(
         model, 0.05, np.random.default_rng(7).standard_normal((15, 3)))
     solve_static = comp.solve_static
     calls = []
-    monkeypatch.setattr(comp, "solve_static", lambda *a: calls.append(a) or solve_static(*a))
+    solve_roots = poly.solve_roots
+    monkeypatch.setattr(poly, "solve_roots", lambda *a: calls.append(a) or solve_roots(*a))
     for r_bar in (0.01, 0.05):
         m_bar, errors = comp.solve_static_lockstep(model, coefs, r_bar)
         assert not errors
         for i, row in enumerate(coefs):
             want = solve_static_outcome(solve_static, narx.with_coefficients(model, row), r_bar)
             assert repr(float(m_bar[i])) == want, i
-    assert len(calls) == 2 * len(coefs)
+    assert len(calls) == 0
 
 
 def test_solve_static_admits_a_root_whose_equilibrium_is_stable():
@@ -298,6 +299,24 @@ def test_solve_static_rejects_an_equilibrium_continuum():
         comp.solve_static(model, 0.0)
     m_bar, errors = comp.solve_static_lockstep(model, [model.coefficients], 0.0)
     assert type(errors[0]) is comp.NoFeasibleRoot
+
+
+def test_static_inversion_of_a_model_without_an_input_has_no_root():
+    # ell = 0: the compensation polynomial is the constant 0.5 - r
+    model = mk([term(0.5)], ell=0, out=(0.0, 1.0))
+    with pytest.raises(comp.NoFeasibleRoot, match="has no roots at r=0.2"):
+        comp.solve_static(model, 0.2)
+    m_bar, errors = comp.solve_static_lockstep(model, [model.coefficients] * 2, [0.2, 0.5])
+    assert [type(e) for e in errors.values()] == [comp.NoFeasibleRoot, comp.IdenticallyZero]
+
+
+def test_solve_static_rejects_an_equilibrium_with_a_huge_pole():
+    # y = 1e300 y(k-1) + 0.3 u(k-1): r = 0 is an equilibrium at m = 0 with the
+    # pole 1e300, which the degree rule would trim from lambda - 1e300
+    model = mk([term(1e300, ("y", 1, 1)), term(0.3, ("u", 1, 1))], ell=1,
+               inp=(-1.0, 1.0), out=(-1.0, 1.0))
+    with pytest.raises(comp.NoFeasibleRoot, match="no admissible static input for r=0"):
+        comp.solve_static(model, 0.0)
 
 
 @settings(max_examples=300, deadline=None)

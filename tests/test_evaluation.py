@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import narxcomp.compensator as comp
 import narxcomp.evaluation as ev
 import narxcomp.model as narx
+import narxcomp.poly as poly
 from narxcomp.benchmarks import BoucWenPlant, HammersteinHeater
 
 SEED = 20260817
@@ -485,10 +486,11 @@ def test_blocked_static_sweep_band_equals_per_run_band(heater_model, rel_std, ru
 
 
 def _count_fallbacks(monkeypatch):
+    """The coefficients of every polynomial the static sweep solves root by
+    root, off the closed forms."""
     calls = []
-    solve_static = comp.solve_static
-    monkeypatch.setattr(comp, "solve_static",
-                        lambda m, r: calls.append((tuple(m.coefficients), r)) or solve_static(m, r))
+    solve_roots = poly.solve_roots
+    monkeypatch.setattr(poly, "solve_roots", lambda p: calls.append(p.coeffs) or solve_roots(p))
     return calls
 
 
@@ -511,6 +513,23 @@ def test_blocked_static_sweep_makes_the_fallback_solves_of_one_level_at_a_time(
     ev.monte_carlo(heater_model, 0.1, 300, sweep, 4242)
     assert len(blocked) == 23
     assert blocked == sorted(calls)
+
+
+def test_complex_pole_sweep_stays_in_lockstep(heater_model, monkeypatch):
+    # the heater's terms with y(k-1) at 1.2 and y(k-2) at -0.5: every
+    # equilibrium has the complex poles of lambda^2 - 1.2 lambda + 0.5, and
+    # the stability verdict needs no root of them, so no column is solved
+    # root by root
+    model = replace(heater_model, terms=(replace(heater_model.terms[0], coefficient=1.2),
+                                         heater_model.terms[1],
+                                         replace(heater_model.terms[2], coefficient=-0.5)))
+    grid = 0.02 + 0.02 * np.arange(9)
+    sweep = ev.HeaterStaticSweep(grid)
+    calls = _count_fallbacks(monkeypatch)
+    batch = ev.monte_carlo(model, 0.005, 1000, sweep, SEED, grid=grid)
+    assert calls == []
+    assert batch.n_skipped == 0
+    assert _same_band(batch, ev.monte_carlo(model, 0.005, 1000, _plain(sweep), SEED, grid=grid))
 
 
 @pytest.mark.parametrize("runs, columns", [

@@ -1,7 +1,10 @@
-"""Model structure, simulation, steady-state analysis, loops, serialization."""
+"""Model structure, simulation, steady-state analysis, loops, JSON loading."""
 
+import json
 import math
 import pickle
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -99,6 +102,13 @@ def test_validate_flags_a_negative_ell_and_ranges_without_two_ends():
         "input_range must have two ends, got 3",
         "output_range must have two ends, got 1",
     ]
+
+
+def test_validate_flags_a_phi_lag_below_the_dead_time():
+    # phi1(k-1) reads u(k-1), which a dead time of 2 keeps out of y(k)
+    m = mk([term(0.5, ("y", 1, 1)), term(0.3, ("u", 2, 1)), term(0.2, ("phi1", 1, 1)),
+            term(0.1, ("phi2", 2, 1))], n_u=2, tau_d=2, ell=2)
+    assert narx.validate(m) == ["term 2: phi1 lag 1 is below tau_d (2)"]
 
 
 def test_is_hysteretic(heater_model, valve_model, bouc_wen_model):
@@ -536,8 +546,12 @@ def scalar_jacobian_eigen(model, u_bar, y_bar):
     char[n_eff] = 1.0
     for i in range(1, n_eff + 1):
         char[n_eff - i] = -a[i]
-    rs = poly.solve_roots(AlgebraicPolynomial(char))
-    return sorted((abs(r) for r in rs.roots), reverse=True)
+    p = AlgebraicPolynomial(char)
+    if 0 <= p.degree() < n_eff:  # solved at the structural degree, leading 1 kept
+        roots = np.roots(char[::-1]).tolist()
+    else:
+        roots = poly.solve_roots(p).roots
+    return sorted((abs(r) for r in roots), reverse=True)
 
 
 def outcome(f, *args):
@@ -581,6 +595,80 @@ def test_statics_equal_the_scalar_term_walks(model, u_bar, y_bar):
             == outcome(scalar_static_comp_poly, model, y_bar))
     assert (outcome(narx.jacobian_eigen, model, u_bar, y_bar)
             == outcome(scalar_jacobian_eigen, model, u_bar, y_bar))
+
+
+def trimmed_characteristic_model():
+    """At u = 1e149 the y(k-2) entry of the Jacobian is about -1.6e296,
+    enough for the LEADING_ZERO_RTOL rule to trim the monic leading 1."""
+    return mk([term(0.4163, ("u", 2, 2)), term(-0.01568, ("u", 1, 2), ("y", 2, 1)),
+               term(0.0982, ("y", 3, 1)), term(-0.1501, ("u", 1, 2)), term(0.8975, ("u", 1, 1))],
+              n_y=3, n_u=2, ell=3, inp=(-1e150, 2e150), out=(-1000.0, 1000.0))
+
+
+def test_fixed_points_keep_the_structural_degree_of_the_characteristic():
+    fps = narx.fixed_points(trimmed_characteristic_model(), 1e149)
+    assert len(fps) == 1
+    assert len(fps[0].eigen_mags) == 3
+    assert fps[0].eigen_mags[0] > 1e148
+    assert not fps[0].stable
+
+
+def test_a_huge_feedback_gain_is_an_unstable_eigenvalue():
+    # y = 1e300 y(k-1) + 0.3 u(k-1): the degree rule would trim lambda - 1e300
+    # to a constant
+    m = mk([term(1e300, ("y", 1, 1)), term(0.3, ("u", 1, 1))], ell=1,
+           inp=(-1.0, 1.0), out=(-1.0, 1.0))
+    assert narx.jacobian_eigen(m, 0.0, 0.0) == [1e300]
+    fps = narx.fixed_points(m, 0.0)
+    assert [(fp.eigen_mags, fp.stable) for fp in fps] == [((1e300,), False)]
+
+
+def random_polynomial(rng, degree):
+    """Real coefficients, ascending, of a polynomial of ``degree`` with
+    roots up to |z| = 1.3, some in conjugate pairs, and a random leading
+    coefficient."""
+    roots = []
+    while len(roots) < degree:
+        r = 1.3 * np.sqrt(rng.uniform())
+        if degree - len(roots) >= 2 and rng.uniform() < 0.5:
+            z = r * np.exp(1j * rng.uniform(0.0, np.pi))
+            roots += [z, z.conjugate()]
+        else:
+            roots.append(r * rng.choice([-1.0, 1.0]))
+    return (rng.uniform(0.2, 5.0) * np.poly(roots).real)[::-1]
+
+
+def test_schur_stable_agrees_with_the_roots():
+    rng = np.random.default_rng(20260817)
+    for degree in range(1, 6):
+        polys = []
+        while len(polys) < 400:
+            c = random_polynomial(rng, degree)
+            mags = np.abs(np.roots(c[::-1]))
+            if np.min(np.abs(mags - 1.0)) >= 1e-6:
+                polys.append(c)
+                assert narx.schur_stable(list(c)) == bool(np.all(mags < 1.0))
+        # one verdict per column, equal to the per-polynomial ones
+        cols = np.array(polys).T
+        assert narx.schur_stable(list(cols)).tolist() == [narx.schur_stable(list(c))
+                                                          for c in polys]
+
+
+def test_schur_stable_reads_non_finite_and_overflow_as_unstable():
+    cases = [
+        [math.nan, 0.0, 1.0],
+        [0.5, math.inf, 1.0],
+        [0.0, 0.0, -math.inf],
+        [-0.9, 1.5e308, 1.5e308, 1.0],  # the first reduction overflows to inf
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for char in cases:
+            assert narx.schur_stable(char) is False
+            cols = [np.array([c, 0.5 * (i == 0)]) for i, c in enumerate(char[:-1])]
+            verdict = narx.schur_stable(cols + [np.array([char[-1], 1.0])])
+            assert verdict.tolist() == [False, True]
+    assert narx.schur_stable([1.0]) is True  # no output feedback
 
 
 def test_fixed_points_heater_oracle(heater_model):
@@ -882,31 +970,24 @@ def test_loop_inverse_equals_the_row_walk(case):
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_dict_round_trip(valve_model):
-    again = narx.model_from_dict(narx.model_to_dict(valve_model))
-    assert again == valve_model
-
-
-def test_file_round_trip(tmp_path, bouc_wen_model):
-    path = tmp_path / "m.json"
-    narx.save_model(bouc_wen_model, path)
-    again = narx.load_model(path)
-    assert again == bouc_wen_model
+# JSON loading
 
 
 def test_round_trip_preserves_exact_coefficients(heater_model, tmp_path):
+    # the bundled file as json.dump writes it, loaded back
+    with resources.files("narxcomp").joinpath("models/heater.json").open() as fh:
+        d = json.load(fh)
     path = tmp_path / "h.json"
-    narx.save_model(heater_model, path)
+    path.write_text(json.dumps(d, indent=2))
     again = narx.load_model(path)
+    assert again == heater_model
     for t0, t1 in zip(heater_model.terms, again.terms):
         assert t0.coefficient == t1.coefficient  # bitwise, not approx
 
 
 def test_model_from_dict_rejects_unknown_signal():
-    d = narx.model_to_dict(mk([term(1.0, ("y", 1, 1))]))
-    d["terms"][0]["factors"][0]["sig"] = "bogus"
+    d = {"n_y": 1, "n_u": 1, "tau_d": 1, "ell": 1, "input_range": [-1.0, 1.0],
+         "output_range": [-1.0, 1.0],
+         "terms": [{"coeff": 1.0, "factors": [{"sig": "bogus", "lag": 1, "pow": 1}]}]}
     with pytest.raises(ValueError):
         narx.model_from_dict(d)

@@ -40,7 +40,10 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: ``cubic_model.json`` (y = 0.5 y(k-1) + u(k-1)^3 + u(k-1)) in its static
 #: seed and on each of its 500 steps; the ``fixed-points`` runs print the
 #: eigenvalue magnitudes of ``bouc_wen``'s one-lag and the heater's two-lag
-#: Jacobian, the stability test of static inversion.
+#: Jacobian, whose stability static inversion tests; ``complex-poles`` is a
+#: static sweep of ``complex_pole_model.json``, the heater's terms with the
+#: characteristic polynomial lambda^2 - 1.2 lambda + 0.5 (|lambda| = 0.71),
+#: the one command whose stability test meets a complex pole pair.
 COMMANDS = [
     *[(t, ["reproduce", t])
       for t in ("table1", "table3", "table-bw-model", "table-bw-comp", "fig8")],
@@ -66,6 +69,8 @@ COMMANDS = [
     ("sigma1", ["compensate", "-m", "bouc_wen_sigma1", "--signal", "sine:G0=30,f=2"]),
     ("cubic", ["compensate", "-m", os.path.join(HERE, "cubic_model.json"),
                "--signal", "sine:a=1,f=0.01"]),
+    ("complex-poles", ["montecarlo", "-m", os.path.join(HERE, "complex_pole_model.json"),
+                       "--rel-std", "0.005", "--runs", "1000", "--grid", "0.02:0.18:0.02"]),
     ("fixed-points", ["fixed-points", "-m", "bouc_wen", "--u", "-10,10"]),
     ("fixed-points-heater", ["fixed-points", "-m", "heater", "--u", "0.2,0.5,0.9"]),
     ("simulate", ["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.5",
