@@ -426,19 +426,20 @@ def static_polynomial(model, u_bar, branch_sign=0):
 
 
 def jacobian_eigen(model, u_bar, y_bar):
-    """Magnitudes of the linearization eigenvalues at (u_bar, y_bar), descending.
+    """Magnitudes of the linearization eigenvalues at (u_bar, y_bar),
+    descending: :func:`root_magnitudes` of :func:`characteristic`.  A model
+    with no output feedback returns an empty list (trivially stable)."""
+    return root_magnitudes(characteristic(model, model.coefficients, float(u_bar), float(y_bar)))
 
-    They are the roots of :func:`characteristic`, solved by
-    :func:`narxcomp.poly.solve_roots`, or by ``numpy.roots`` where the
-    ``LEADING_ZERO_RTOL`` rule would trim its structural leading 1.  A
-    model with no output feedback returns an empty list (trivially stable).
-    """
-    n = model.max_y_lag()
-    if n == 0:
+
+def root_magnitudes(char):
+    """Magnitudes of the roots of the monic ascending ``char``, descending:
+    by :func:`narxcomp.poly.solve_roots`, or by ``numpy.roots`` where the
+    ``LEADING_ZERO_RTOL`` rule would trim its structural leading 1."""
+    if len(char) == 1:
         return []
-    char = characteristic(model, model.coefficients, float(u_bar), float(y_bar))
     p = AlgebraicPolynomial(char)
-    if 0 <= p.degree() < n:
+    if 0 <= p.degree() < len(char) - 1:
         return sorted(map(abs, np.roots(char[::-1]).tolist()), reverse=True)
     return sorted(map(abs, poly.solve_roots(p).roots), reverse=True)
 
@@ -467,8 +468,8 @@ def fixed_points(model, u_bar, branch_sign=0):
     for y_bar in sorted(reals):
         if not y_lo <= y_bar <= y_hi:
             continue
-        mags = tuple(jacobian_eigen(model, u_bar, y_bar))
         char = characteristic(model, model.coefficients, float(u_bar), y_bar)
+        mags = tuple(root_magnitudes(char))
         out.append(FixedPoint(float(u_bar), float(y_bar), mags, schur_stable(char)))
     return out
 
@@ -526,19 +527,19 @@ def characteristic(model, coefs, u_bar, y_bar):
 
 def schur_stable(char):
     """Whether every root of the ascending coefficients ``char`` lies
-    strictly inside the unit circle, by the Schur-Cohn recursion: |c_0| <
-    |c_n|, then the same for (c_n p(z) - c_0 z^n p(1/z)) / z, down to
-    degree 0 (Jury, *Theory and Application of the z-Transform Method*,
-    1964).  ``char`` holds floats, or column arrays for a verdict per
-    column.  A NaN or inf coefficient, also one the recursion overflows
-    to, reads as unstable; a stable monic polynomial of degree n has
-    |c_k| <= C(n, k), so it never overflows."""
+    strictly inside the unit circle, by the Schur-Cohn recursion: |k| < 1
+    for k = c_0 / c_n, then the same for (p(z) - k z^n p(1/z)) / (z (1 -
+    k^2)), down to degree 0 (Jury, *Theory and Application of the
+    z-Transform Method*, 1964).  Every step keeps the leading c_n, so the
+    scale cannot drift, and a stable polynomial keeps |c_j| <= C(n, j) |c_n|.
+    ``char`` holds floats, or column arrays for a verdict per column.  A NaN
+    or inf coefficient, also one a step overflows to, reads as unstable."""
     stable = True
     with np.errstate(all="ignore"):
         while len(char) > 1:
-            c0, cn = char[0], char[-1]
-            stable = stable & (abs(c0) < abs(cn)) & (abs(cn) < inf)
-            char = [cn * a - c0 * b for a, b in zip(char[1:], char[-2::-1])]
+            k = char[0] / char[-1]
+            stable = stable & (abs(k) < 1) & (abs(char[-1]) < inf)
+            char = [(a - k * b) / (1 - k * k) for a, b in zip(char[1:], char[-2::-1])]
     return stable
 
 

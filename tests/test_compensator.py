@@ -197,6 +197,43 @@ def solve_static_outcome(solve, *args):
         return (type(e), str(e))
 
 
+def scalar_solve_static(model, r_bar, rim):
+    """Static inversion as a walk over the real roots: of those in the input
+    range at which every :func:`narxcomp.model.jacobian_eigen` magnitude is
+    below 1 + ``rim``, the least by (|m|, m).  A reference for the lockstep
+    path, which decides stability by the Schur-Cohn recursion instead."""
+    lo, hi = model.output_range
+    r_lo, r_hi = model.output_band()
+    if not r_lo <= r_bar <= r_hi:
+        raise ValueError("reference %g outside the model output range [%g, %g]"
+                         % (r_bar, lo, hi))
+    p = comp.static_comp_poly(model, r_bar)
+    if p.degree() < 1:
+        raise comp.NoFeasibleRoot("compensation polynomial has no roots at r=%g" % r_bar)
+    u_lo, u_hi = model.input_range
+    good = [m for m in poly.real_roots(poly.solve_roots(p))
+            if u_lo <= m <= u_hi
+            and all(mag < 1.0 + rim for mag in narx.jacobian_eigen(model, m, r_bar))]
+    if not good:
+        raise comp.NoFeasibleRoot("no admissible static input for r=%g" % r_bar)
+    return min(good, key=lambda m: (abs(m), m))
+
+
+#: How far from the unit circle a rounded eigenvalue magnitude decides
+#: stability.  Closer in, the verdict rests on the last bits of the roots,
+#: and jacobian_eigen and the Schur-Cohn recursion may round apart:
+#: lambda^2 - 0.8999999999999999 lambda - 0.1 has a root 7.6e-17 below 1,
+#: which Schur-Cohn reads as inside and the quadratic formula rounds to 1.0.
+RIM = 1e-9
+
+
+def reference_outcomes(model, r_bar):
+    """The outcomes of :func:`scalar_solve_static` with a magnitude within
+    ``RIM`` of 1 read as unstable and as stable; away from the unit circle
+    the set holds one outcome."""
+    return {solve_static_outcome(scalar_solve_static, model, r_bar, rim) for rim in (-RIM, RIM)}
+
+
 @settings(max_examples=300, deadline=None)
 @given(static_models(), st.sampled_from([0.01, 0.1, 0.5]), st.integers(0, 2**32 - 1),
        st.floats(-2.6, 2.6) | st.sampled_from([-2.4, 0.0, 2.4]))
@@ -207,12 +244,12 @@ def test_solve_static_lockstep_equals_per_run_solve(model, rel_std, seed, r_bar)
     m_bar, errors = comp.solve_static_lockstep(model, coefs, r_bar)
     assert list(errors) == sorted(errors)
     for i, row in enumerate(coefs):
-        want = solve_static_outcome(comp.solve_static, narx.with_coefficients(model, row), r_bar)
+        want = reference_outcomes(narx.with_coefficients(model, row), r_bar)
         if i in errors:
             got = (type(errors[i]), str(errors[i]))
         else:
             got = repr(float(m_bar[i]))
-        assert got == want, i
+        assert got in want, i
 
 
 @settings(max_examples=150, deadline=None)
@@ -226,14 +263,15 @@ def test_solve_static_lockstep_ends_a_labelled_run_at_its_first_failing_level(
     z = np.random.default_rng(seed).standard_normal((n, len(model.terms)))
     coefs = ev.perturbed_coefficients(model, rel_std, z)
     runs = np.tile(np.arange(n), len(levels))
-    calls = []
-    solve_static = comp.solve_static
-    comp.solve_static = lambda m, r: calls.append((tuple(m.coefficients), r)) or solve_static(m, r)
+    calls = []  # (coefficients, level) of each column solved on its own
+    solve_column = comp._solve_column
+    comp._solve_column = lambda m, p, cols, r, closed: (
+        calls.append((tuple(cols[:, 0]), r[0])) or solve_column(m, p, cols, r, closed))
     try:
         m_bar, errors = comp.solve_static_lockstep(
             model, coefs[runs], np.repeat(levels, n), runs)
     finally:
-        comp.solve_static = solve_static
+        comp._solve_column = solve_column
     solved = set()
     for i, run in enumerate(runs.tolist()):
         level = levels[i // n]
@@ -243,9 +281,9 @@ def test_solve_static_lockstep_ends_a_labelled_run_at_its_first_failing_level(
             continue
         if not earlier:
             solved.add((tuple(coefs[run]), level))
-        want = solve_static_outcome(solve_static, narx.with_coefficients(model, coefs[run]), level)
+        want = reference_outcomes(narx.with_coefficients(model, coefs[run]), level)
         got = (type(errors[i]), str(errors[i])) if i in errors else repr(float(m_bar[i]))
-        assert got == want, i
+        assert got in want, i
     assert set(calls) <= solved
 
 
@@ -257,17 +295,17 @@ def test_solve_static_lockstep_solves_complex_eigenvalues_run_by_run(monkeypatch
                n_y=2, n_u=2, tau_d=2, ell=2, inp=(0.0, 1.0), out=(0.0, 0.15))
     coefs = ev.perturbed_coefficients(
         model, 0.05, np.random.default_rng(7).standard_normal((15, 3)))
-    solve_static = comp.solve_static
     calls = []
     solve_roots = poly.solve_roots
     monkeypatch.setattr(poly, "solve_roots", lambda *a: calls.append(a) or solve_roots(*a))
-    for r_bar in (0.01, 0.05):
-        m_bar, errors = comp.solve_static_lockstep(model, coefs, r_bar)
+    solved = {r_bar: comp.solve_static_lockstep(model, coefs, r_bar) for r_bar in (0.01, 0.05)}
+    monkeypatch.undo()  # the reference below solves every run's roots
+    assert len(calls) == 0
+    for r_bar, (m_bar, errors) in solved.items():
         assert not errors
         for i, row in enumerate(coefs):
-            want = solve_static_outcome(solve_static, narx.with_coefficients(model, row), r_bar)
-            assert repr(float(m_bar[i])) == want, i
-    assert len(calls) == 0
+            want = reference_outcomes(narx.with_coefficients(model, row), r_bar)
+            assert want == {repr(float(m_bar[i]))}, i
 
 
 def test_solve_static_admits_a_root_whose_equilibrium_is_stable():
@@ -320,8 +358,11 @@ def test_solve_static_rejects_an_equilibrium_with_a_huge_pole():
 
 
 @settings(max_examples=300, deadline=None)
+@example(mk([term(0.8999999999999999, ("y", 1, 1)), term(0.1, ("y", 2, 1)),
+             term(1.0, ("u", 1, 1))], n_y=2, ell=3, inp=(0.0, 1.0), out=(-2.0, 2.0)), 0.0)
 @given(static_models(), st.floats(-2.4, 2.4))
 def test_solve_static_returns_a_stable_equilibrium(model, r_bar):
+    assert solve_static_outcome(comp.solve_static, model, r_bar) in reference_outcomes(model, r_bar)
     try:
         m_bar = comp.solve_static(model, r_bar)
     except comp.NoFeasibleRoot:
@@ -330,7 +371,7 @@ def test_solve_static_returns_a_stable_equilibrium(model, r_bar):
     # in magnitude: 1.9e-14 at worst over 20,000 examples
     y = narx.one_step(model, [r_bar] * model.n_y, [m_bar] * model.u_depth)
     assert abs(y - r_bar) <= 1e-12
-    assert all(mag < 1.0 for mag in narx.jacobian_eigen(model, m_bar, r_bar))
+    assert all(mag < 1.0 + RIM for mag in narx.jacobian_eigen(model, m_bar, r_bar))
 
 
 # ---------------------------------------------------------------------------

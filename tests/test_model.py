@@ -640,7 +640,7 @@ def random_polynomial(rng, degree):
 
 def test_schur_stable_agrees_with_the_roots():
     rng = np.random.default_rng(20260817)
-    for degree in range(1, 6):
+    for degree in range(1, 13):
         polys = []
         while len(polys) < 400:
             c = random_polynomial(rng, degree)
@@ -652,6 +652,30 @@ def test_schur_stable_agrees_with_the_roots():
         cols = np.array(polys).T
         assert narx.schur_stable(list(cols)).tolist() == [narx.schur_stable(list(c))
                                                           for c in polys]
+
+
+@pytest.mark.parametrize("a", [0.5, 0.99, 0.999, 1.001, 2.0])
+def test_schur_stable_keeps_its_scale_on_deep_polynomials(a):
+    # lambda^n - a has every root at |a|^(1/n).  Steps that did not divide
+    # by 1 - k^2 would square the leading coefficient, (1 - a^2)^(2^(j-1))
+    # after j steps, which underflows to 0 by n = 9 at a = 0.999
+    for n in range(1, 21):
+        char = [-a] + [0.0] * (n - 1) + [1.0]
+        assert narx.schur_stable(char) is (a < 1.0), n
+        cols = [np.array([c, c / 3.0]) for c in char]  # a scaled column agrees
+        assert narx.schur_stable(cols).tolist() == [a < 1.0] * 2, n
+
+
+def test_a_deep_stable_pole_set_is_stable():
+    # y = 0.999 y(k-9) + 0.1 u(k-1): y = 100 u at steady state, and every
+    # pole lies at 0.999^(1/9) ~ 0.99989
+    m = mk([term(0.999, ("y", 9, 1)), term(0.1, ("u", 1, 1))], n_y=9, ell=1,
+           inp=(-1.0, 1.0), out=(-100.0, 100.0))
+    fps = narx.fixed_points(m, 0.5)
+    assert [fp.y_bar for fp in fps] == [pytest.approx(50.0, rel=1e-12)]
+    assert fps[0].stable
+    assert fps[0].eigen_mags == pytest.approx((0.999 ** (1 / 9),) * 9, rel=1e-12)
+    assert comp.solve_static(m, 50.0) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_schur_stable_reads_non_finite_and_overflow_as_unstable():
