@@ -86,7 +86,6 @@ class CompensationSession:
 
     model: object
     m_hist: list
-    bounds: tuple = None
     r: np.ndarray = None
     branch_state: Regime = None
     hold_count: int = 0
@@ -94,8 +93,6 @@ class CompensationSession:
     max_residual: float = 0.0
 
     def __post_init__(self):
-        if self.bounds is None:
-            self.bounds = tuple(self.model.input_range)
         need = hist_depth(self.model)
         if len(self.m_hist) < need:
             raise ValueError(
@@ -346,11 +343,10 @@ def _pick_lines(p, branch, x, e):
     unrolled over the reachable slots.  Its roots are real, computed as
     :func:`narxcomp.poly.solve_roots` computes them.  The nearer of two
     admissible roots wins by (|x - m(k-1)|, x), the first on a tie, as in
-    :func:`select_root`.  The residual is Horner's from the top reachable
-    slot; starting from 0.0, as :func:`_solve` does, changes only the sign
-    of a zero, which ``abs`` drops.  Every other list (an inf or NaN
-    coefficient or sum, a complex or double root, degree 3 and up) makes
-    one :func:`_solve` call.
+    :func:`select_root`.  Every other list (an inf or NaN coefficient or
+    sum, a complex or double root, degree 3 and up) makes one :func:`_solve`
+    call.  Whichever root is taken, its residual |p(x)| / (1 + max |p_i|)
+    is Horner's from the top reachable slot.
     """
     c = ["a"] + list(p[1:])
     live = [i for i, ci in enumerate(c) if ci != "0.0"]
@@ -358,30 +354,27 @@ def _pick_lines(p, branch, x, e):
     horner = c[live[-1]]
     for ci in reversed(c[:live[-1]]):
         horner = "(%s) * %s + %s" % (horner, x, ci)
-    residual = "%s = abs(%s) / (1.0 + big)" % (e, horner)
-    lines = ["a = " + p[0], "t = " + " + ".join(c[i] for i in live),
-             "if t - t == 0.0:", "    big = abs(a)"]
+    lines = ["a = " + p[0], "t = " + " + ".join(c[i] for i in live), "big = abs(a)"]
     for i in live[1:]:
-        lines += ["    b%d = abs(%s)" % (i, c[i]), "    if b%d > big:" % i, "        big = b%d" % i]
-    lines.append("    tol = LEADING_ZERO_RTOL * big")
+        lines += ["b%d = abs(%s)" % (i, c[i]), "if b%d > big:" % i, "    big = b%d" % i]
+    lines.append("tol = LEADING_ZERO_RTOL * big")
     general = "".join(" or b%d > tol" % i for i in live if i > 2)
     if 2 in live:
-        lines.append("    disc = %s * %s - 4.0 * %s * a" % (c[1], c[1], c[2]))
+        lines.append("disc = %s * %s - 4.0 * %s * a" % (c[1], c[1], c[2]))
         general += " or b2 > tol and not 0.0 < disc < inf"
     lines += ["%s = HOLD" % x, "if t - t != 0.0%s:" % general,
-              "    %s, %s = _solve(mp, bounds, %s, %s)" % (x, e, branch, ", ".join(c))]
+              "    %s = _solve(mp, bounds, %s, %s)" % (x, branch, ", ".join(c))]
     if 2 in live:
         lines += ["elif b2 > tol:", "    sq = sqrt(disc)"]
         lines += ["    x%d = (-%s %s sq) / (2.0 * %s)" % (n, c[1], sign, c[2])
                   for n, sign in ((1, "+"), (2, "-"))]
         lines += ["    if %s:" % admit("x1"), "        %s = x1" % x,
                   "    if %s and (%s is HOLD or (abs(x2 - mp), x2) < (abs(x1 - mp), x1)):"
-                  % (admit("x2"), x), "        %s = x2" % x,
-                  "    if %s is not HOLD:" % x, "        " + residual]
+                  % (admit("x2"), x), "        %s = x2" % x]
     if 1 in live:
         lines += ["elif b1 > tol:", "    x1 = -a / %s" % c[1], "    if %s:" % admit("x1"),
-                  "        %s = x1" % x, "        " + residual]
-    return lines
+                  "        %s = x1" % x]
+    return lines + ["if %s is not HOLD:" % x, "    %s = abs(%s) / (1.0 + big)" % (e, horner)]
 
 
 #: The names the generated compensation source reads besides its arguments.
@@ -446,7 +439,7 @@ def _run_loop(factors, tau, hysteretic, depth):
         _KERNEL_IMPORTS + ["def kernel(c, r, j, n, s):"]
         + indented(kernel_coefficients(factors)
                    + ["%s, = s.m_hist[:%d]" % (", ".join(ms), len(ms)),
-                    "bounds = s.bounds", "lo, hi = bounds",
+                    "lo, hi = bounds = s.model.input_range",
                     "holds, res, state = 0, s.max_residual, s.branch_state",
                     "out = []", "append = out.append", "try:",
                     "    for j in range(j, j + n):"], 1)
@@ -579,19 +572,15 @@ def seed_regime(r0, r1):
 
 
 def _solve(m_prev, bounds, branch, *p):
-    """(x, residual) for the step polynomial p[0] + p[1] x + ... through
-    :func:`narxcomp.poly.solve_roots` and :func:`select_root`, with the
-    scaled residual |p(x)| / (1 + max |p_i|) of that root by Horner;
-    (HOLD, 0.0) when no root is admissible or the degree is below 1.  The
-    generated loop calls it for the lists it does not solve in closed form
-    (:func:`_pick_lines`)."""
+    """The root of the step polynomial p[0] + p[1] x + ... that
+    :func:`select_root` picks among :func:`narxcomp.poly.solve_roots`, or
+    HOLD when none is admissible or the degree is below 1.  The generated
+    loop calls it for the lists it does not solve in closed form, and scores
+    the root itself (:func:`_pick_lines`)."""
     q = AlgebraicPolynomial(p)
     if q.degree() < 1:
-        return HOLD, 0.0
-    x = select_root(poly.solve_roots(q), m_prev, bounds, branch)
-    if x is HOLD:
-        return HOLD, 0.0
-    return x, abs(poly.evaluate(q, x)) / (1.0 + max(map(abs, p)))
+        return HOLD
+    return select_root(poly.solve_roots(q), m_prev, bounds, branch)
 
 
 def _reference(r, model):

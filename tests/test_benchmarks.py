@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from narxcomp import model as narx
 from narxcomp.benchmarks import (
     BoucWenPlant,
     HammersteinHeater,
@@ -136,13 +137,12 @@ def test_heater_equals_the_step_loop_bit_for_bit(u, split):
                 == [repr(getattr(ref, a)) for a in HEATER_STATE])
 
 
-def test_heater_rejects_unstable_dynamics():
-    class Broken(HammersteinHeater):
-        B1 = 2.0
-        B3 = 0.0
-
-    with pytest.raises(RuntimeError):
-        Broken()
+def test_heater_linear_dynamics_are_stable():
+    # the benchmark is meaningless unless y = B1 y(k-1) + B3 y(k-2) + ... is
+    # stable: lambda^2 - B1 lambda - B3 has both roots inside the unit circle
+    h = HammersteinHeater
+    assert narx.schur_stable([-h.B3, -h.B1, 1.0]) is True
+    assert narx.schur_stable([0.0, -2.0, 1.0]) is False  # B1 = 2, B3 = 0
 
 
 # ---------------------------------------------------------------------------

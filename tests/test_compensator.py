@@ -104,11 +104,6 @@ def test_session_rejects_short_history(heater_model):
         comp.CompensationSession(model=heater_model, m_hist=[])
 
 
-def test_session_defaults_bounds_to_input_range(heater_model):
-    s = comp.CompensationSession(model=heater_model, m_hist=[0.5])
-    assert s.bounds == (0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Static inversion
 
@@ -850,7 +845,7 @@ def reference_run(model, seeds, r, s=None):
     def pick(p, m_prev, branch):
         if p.degree() < 1:
             return comp.HOLD
-        return comp.select_root(poly.solve_roots(p), m_prev, s.bounds, branch)
+        return comp.select_root(poly.solve_roots(p), m_prev, s.model.input_range, branch)
 
     def note(p, m):
         res = abs(poly.evaluate(p, m)) / (1.0 + max(abs(c) for c in p.coeffs))
@@ -1090,9 +1085,11 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
         literals = float_literals(ka.func.source)
         assert literals <= {0.0, 1.0, 2.0, 4.0} and not literals & set(a.coefficients)
         assert ka.args == (a.coefficients,)
-    # one root selection per branch: a closed form, and the general solve
+    # one root selection per branch: a closed form, and the general solve,
+    # and one residual per branch for whichever root it takes
     source = comp._run_kernel(a).func.source
     assert source.count("disc = ") == 2 and source.count("_solve(") == 2
+    assert source.count("/ (1.0 + big)") == 2 and "t - t == 0.0" not in source
     assert "is None" not in source
 
 
