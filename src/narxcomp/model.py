@@ -533,12 +533,15 @@ def schur_stable(char):
     z-Transform Method*, 1964).  Every step keeps the leading c_n, so the
     scale cannot drift, and a stable polynomial keeps |c_j| <= C(n, j) |c_n|.
     ``char`` holds floats, or column arrays for a verdict per column.  A NaN
-    or inf coefficient, also one a step overflows to, reads as unstable."""
+    or inf coefficient, also one a step overflows to, reads as unstable.
+    Floats stop at the first unstable step, whose 1 - k^2 may be zero."""
     stable = True
     with np.errstate(all="ignore"):
         while len(char) > 1:
             k = char[0] / char[-1]
             stable = stable & (abs(k) < 1) & (abs(char[-1]) < inf)
+            if stable is False:
+                break
             char = [(a - k * b) / (1 - k * k) for a, b in zip(char[1:], char[-2::-1])]
     return stable
 

@@ -392,6 +392,31 @@ HUGE_POLE_MODEL = {
     "terms": [{"coeff": 1e300, "factors": [{"sig": "y", "lag": 1}]},
               {"coeff": 0.3, "factors": [{"sig": "u", "lag": 1}]}]}
 
+#: y = y(k-1) + 0.5 y(k-1)^2 + 0.1 u(k-1), the model of
+#: tools/unit_root_model.json: at u = 0 its double equilibrium y = 0 has the
+#: pole lambda = 1.
+UNIT_ROOT_PATH = str(pathlib.Path(__file__).parents[1] / "tools" / "unit_root_model.json")
+UNIT_ROOT_MODEL = json.loads(pathlib.Path(UNIT_ROOT_PATH).read_text())
+
+#: y = y(k-1) y(k-2): at u = 0 the equilibrium y = 1 has the characteristic
+#: lambda^2 - lambda - 1, whose first Schur-Cohn step meets k = -1.
+PRODUCT_ROOT_MODEL = {
+    "n_y": 2, "n_u": 1, "tau_d": 1, "ell": 2,
+    "input_range": [-1.0, 1.0], "output_range": [-1.0, 1.0],
+    "terms": [{"coeff": 1.0, "factors": [{"sig": "y", "lag": 1}, {"sig": "y", "lag": 2}]}]}
+
+
+def test_fixed_points_print_a_unit_root_as_unstable(capsys, tmp_path):
+    code, out, err = run_cli(["fixed-points", "-m", UNIT_ROOT_PATH, "--u", "0,-0.5"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("u,y,lambda1,stable\n0,0,1,unstable\n0,0,1,unstable\n"
+                   "-0.5,-0.316227766017,0.683772233983,stable\n"
+                   "-0.5,0.316227766017,1.31622776602,unstable\n")
+    path = write_model(tmp_path / "product.json", PRODUCT_ROOT_MODEL)
+    code, out, err = run_cli(["fixed-points", "-m", path, "--u", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["0,0,0,0,stable", "0,1,1.61803398875,0.61803398875,unstable"]
+
 
 def test_phi_lag_below_the_dead_time_is_config_error(capsys, tmp_path):
     path = write_model(tmp_path / "phi.json", PHI_LAG_MODEL)
@@ -430,6 +455,19 @@ def signal_options():
         LEVELS, st.sampled_from([0.0, 0.01, 0.05, 0.2]), LEVELS, st.integers(2, 40))
 
 
+def tracking_options():
+    """``--plant``, and each of the seeding loop's amplitude, frequency and
+    center, drawn or left out."""
+    def flag(name, values):
+        return st.just([]) | values.map(lambda v: [name, repr(v)])
+
+    return st.builds(lambda plant, *loop: ["--plant", plant] + sum(loop, []),
+                     st.sampled_from(["model_as_plant", "heater", "bouc_wen"]),
+                     flag("--loop-amplitude", LEVELS),
+                     flag("--loop-f", st.sampled_from([0.01, 0.05, 0.2])),
+                     flag("--loop-center", LEVELS))
+
+
 def cli_options():
     """A command and its options, the model left out: each command with
     small sizes, levels from 1e-3 to 1e100 of either sign."""
@@ -437,30 +475,35 @@ def cli_options():
     runs = st.integers(1, 3).map(lambda n: ["--rel-std", "0.01", "--runs", str(n)])
     return st.one_of(
         signal_options().map(lambda s: ["simulate"] + s),
-        levels.map(lambda u: ["fixed-points", "--u", u]),
-        st.builds(lambda s, mode: ["compensate"] + s + ["--mode", mode], signal_options(),
-                  st.sampled_from(["auto", "static", "dynamic", "hysteresis"])),
+        st.builds(lambda u, branch: ["fixed-points", "--u", u, "--branch", branch], levels,
+                  st.sampled_from(["steady", "loading", "unloading"])),
+        st.builds(lambda s, mode, t: ["compensate"] + s + ["--mode", mode] + t,
+                  signal_options(), st.sampled_from(["auto", "static", "dynamic", "hysteresis"]),
+                  tracking_options()),
         st.builds(lambda a, f: ["loop", "--amplitude", repr(a), "--f", repr(f)],
                   LEVELS, st.sampled_from([0.01, 0.05, 0.2])),
         st.builds(lambda r, grid: ["montecarlo"] + r + ["--grid", grid], runs, levels),
-        st.builds(lambda r, s: ["montecarlo"] + r + s, runs, signal_options()),
+        st.builds(lambda r, s, t: ["montecarlo"] + r + s + t, runs, signal_options(),
+                  tracking_options()),
     )
 
 
 @st.composite
 def model_files(draw):
-    """A model file as a dict: n_y 1-3, tau_d 1-2, n_u up to 3, 1-6 terms
-    of up to two factors over y, u, phi1 and phi2 with lags in their
-    orders, ell the highest degree or one more, and ranges with half-widths
-    from 1e-150 to 1e150."""
-    n_y, tau_d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    """A model file as a dict: n_y 1-4, tau_d 1-3, n_u up to 3, 1-6 terms
+    of up to three factors of power 1-3 over y, u, phi1 and phi2 with lags
+    in their orders, coefficients in [-1.5, 1.5] or exactly 0, +-0.5 or
+    +-1 (so unit roots come up), ell the highest degree or one more, and
+    ranges with half-widths from 1e-150 to 1e150."""
+    n_y, tau_d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     n_u = draw(st.integers(tau_d, 3))
     lags = {"y": st.integers(1, n_y), "u": st.integers(tau_d, n_u),
             "phi1": st.integers(tau_d, n_u), "phi2": st.integers(tau_d, n_u)}
     factor = st.sampled_from(sorted(lags)).flatmap(lambda sig: st.builds(
-        lambda lag, power: {"sig": sig, "lag": lag, "pow": power}, lags[sig], st.integers(1, 2)))
+        lambda lag, power: {"sig": sig, "lag": lag, "pow": power}, lags[sig], st.integers(1, 3)))
+    coeff = st.floats(-1.5, 1.5) | st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0])
     terms = draw(st.lists(st.builds(lambda c, fs: {"coeff": c, "factors": fs},
-                                    st.floats(-1.5, 1.5), st.lists(factor, max_size=2)),
+                                    coeff, st.lists(factor, max_size=3)),
                           min_size=1, max_size=6))
     ell = max(sum(f["pow"] for f in t["factors"]) for t in terms)
     half = draw(st.sampled_from([1e-150, 1e-3, 1.0, 30.0, 1e150]))
@@ -473,6 +516,8 @@ def model_files(draw):
 @example(model=PHI_LAG_MODEL, argv=["compensate", "--signal", "sine:a=0.5,f=0.01", "--n", "50"])
 @example(model=TRIMMED_MODEL, argv=["fixed-points", "--u", "1e+149,-3e+149"])
 @example(model=HUGE_POLE_MODEL, argv=["fixed-points", "--u", "0"])
+@example(model=UNIT_ROOT_MODEL, argv=["fixed-points", "--u", "0"])
+@example(model=PRODUCT_ROOT_MODEL, argv=["fixed-points", "--u", "0"])
 @example(model=HUGE_POLE_MODEL, argv=["montecarlo", "--rel-std", "0.01", "--runs", "2",
                                       "--grid", "0"])
 @example(  # a loop whose output span, from -1.2e308 to 1.2e308, is past the float range

@@ -695,6 +695,19 @@ def test_schur_stable_reads_non_finite_and_overflow_as_unstable():
     assert narx.schur_stable([1.0]) is True  # no output feedback
 
 
+@pytest.mark.parametrize("char", [[-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0, 1.0]])
+def test_schur_stable_reads_a_unit_root_as_unstable(char):
+    # |k| = 1 at the first step, where 1 - k^2 = 0: lambda = 1, lambda = -1,
+    # and lambda^2 - lambda - 1 (roots 1.618 and -0.618)
+    assert narx.schur_stable(char) is False
+    # the column form agrees, beside a stable column (lambda^n - 0.5)
+    cols = [np.array([c, -0.5 * (i == 0)]) for i, c in enumerate(char)]
+    cols[-1][1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert narx.schur_stable(cols).tolist() == [False, True]
+
+
 def test_fixed_points_heater_oracle(heater_model):
     fps = narx.fixed_points(heater_model, 0.5)
     assert len(fps) == 1

@@ -43,7 +43,10 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: Jacobian, whose stability static inversion tests; ``complex-poles`` is a
 #: static sweep of ``complex_pole_model.json``, the heater's terms with the
 #: characteristic polynomial lambda^2 - 1.2 lambda + 0.5 (|lambda| = 0.71),
-#: the one command whose stability test meets a complex pole pair.
+#: the one command whose stability test meets a complex pole pair;
+#: ``fixed-points-unit-root`` prints the equilibria of ``unit_root_model.json``
+#: (y = y(k-1) + 0.5 y(k-1)^2 + 0.1 u(k-1)), whose poles at u = 0 lie on
+#: the unit circle, lambda = 1.
 COMMANDS = [
     *[(t, ["reproduce", t])
       for t in ("table1", "table3", "table-bw-model", "table-bw-comp", "fig8")],
@@ -73,6 +76,8 @@ COMMANDS = [
                        "--rel-std", "0.005", "--runs", "1000", "--grid", "0.02:0.18:0.02"]),
     ("fixed-points", ["fixed-points", "-m", "bouc_wen", "--u", "-10,10"]),
     ("fixed-points-heater", ["fixed-points", "-m", "heater", "--u", "0.2,0.5,0.9"]),
+    ("fixed-points-unit-root", ["fixed-points", "-m", os.path.join(HERE, "unit_root_model.json"),
+                                "--u", "0,-0.5"]),
     ("simulate", ["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.5",
                   "--n", "500"]),
     ("loop", ["loop", "-m", "bouc_wen", "--amplitude", "30", "--f", "1"]),
