@@ -47,9 +47,6 @@ class MonteCarloBand:
     n_skipped: int
     skip_reasons: dict = field(default_factory=dict)
 
-    def skip_rate(self):
-        return self.n_skipped / self.n_runs if self.n_runs else 0.0
-
 
 def mape(target, actual):
     """Mean absolute error as a percentage of the target's total span.

@@ -31,15 +31,7 @@ class DegreeMismatch(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A root solver did not converge.
-
-    The best estimate found so far, if the solver has one, is kept in
-    ``self.best``; it is empty otherwise.
-    """
-
-    def __init__(self, message, best=()):
-        super().__init__(message)
-        self.best = tuple(best)
+    """A root solver did not converge."""
 
 
 class AlgebraicPolynomial:

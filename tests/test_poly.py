@@ -236,9 +236,8 @@ def test_companion_roots_reports_a_failed_eigenvalue_iteration(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np, "roots", fail)
-    with pytest.raises(poly.NoConvergence) as info:
+    with pytest.raises(poly.NoConvergence, match="companion eigenvalues did not converge"):
         poly.solve_roots(poly.from_roots([1.0, 2.0, 3.0, 4.0]))
-    assert info.value.best == ()
 
 
 @pytest.mark.parametrize("roots", [(1e-8, 1.0, 1e8), (1e-4, 1.0, 1e4),
@@ -283,11 +282,6 @@ def test_analytic_vs_iterative_agree_on_quadratics():
         a = poly.solve_roots(p)
         b = poly.companion_roots(p)
         assert_roots_match(a.roots, b.roots, tol=1e-8)
-
-
-def test_no_convergence_carries_best_estimate():
-    err = poly.NoConvergence("no", best=(1.0 + 0j,))
-    assert err.best == (1.0 + 0j,)
 
 
 # ---------------------------------------------------------------------------
