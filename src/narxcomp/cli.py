@@ -216,24 +216,26 @@ def build_signal(spec, n, ts):
         raise ConfigError("signal", str(e))
 
 
-def resolve_plant(text, model, seed_value, r_start):
-    """Plant factory for compensation runs.
+def resolve_plant(text, model, r_start):
+    """Plant factory for compensation runs, called with a run's first
+    seeded input.
 
     ``heater`` and ``bouc_wen`` are the bundled simulated plants;
     ``model_as_plant`` runs the model itself (optionally
-    ``model_as_plant:<path>`` for a different model file).
+    ``model_as_plant:<path>`` for a different model file) from that input
+    and output ``r_start``.
     """
     if text == "heater":
-        return benchmarks.HammersteinHeater
+        return lambda seed_value: benchmarks.HammersteinHeater()
     if text == "bouc_wen":
-        return benchmarks.BoucWenPlant
+        return lambda seed_value: benchmarks.BoucWenPlant()
     if text == "model_as_plant" or text.startswith("model_as_plant:"):
         _, _, path = text.partition(":")
         try:
             plant_model = model if not path else resolve_model(path)[0]
         except ConfigError as e:
             raise ConfigError("plant", e.message) from None
-        return lambda: ev.ModelPlant(plant_model, seed_value, r_start)
+        return lambda seed_value: ev.ModelPlant(plant_model, seed_value, r_start)
     raise ConfigError(
         "plant",
         "%r is not heater, bouc_wen or model_as_plant[:<path>]" % text,
@@ -384,8 +386,8 @@ def tracking_setup(args, model, name):
     ``loop_spec`` is its (amplitude, f_cps, center), None for other models.
     ``seed`` is the model's input history from
     :func:`narxcomp.compensator.init_history`.  ``plant_factory`` builds
-    the ``--plant``; a model plant starts from input seed[0] and output
-    r(0).
+    the ``--plant`` from a run's input seed (:func:`resolve_plant`); a
+    model plant starts from that input and output r(0).
     """
     ts = pick_ts(args.ts, name)
     spec = parse_signal(args.signal)
@@ -400,7 +402,7 @@ def tracking_setup(args, model, name):
         seed = comp.init_history(model, r, loop)
     except narx.OutOfLoopRange as e:
         raise ConfigError("signal", "r(1) is off the seeding loop: %s" % e) from None
-    return r, lp, seed, resolve_plant(args.plant, model, seed[0], float(r[0]))
+    return r, lp, seed, resolve_plant(args.plant, model, float(r[0]))
 
 
 def cmd_compensate(args):
@@ -419,8 +421,8 @@ def cmd_compensate(args):
         session = comp.CompensationSession(model, seed)
         m = comp.run(session, r)
         holds = session.hold_count
-    y_c = factory().simulate(m)
-    y_u = factory().simulate(r)
+    y_c = factory(seed[0]).simulate(m)
+    y_u = factory(seed[0]).simulate(r)
     mape_c, mape_u = ev.mape(r, y_c), ev.mape(r, y_u)
     print("mape_comp=%.4g%% mape_uncomp=%.4g%% holds=%d" % (mape_c, mape_u, holds),
           file=sys.stderr)

@@ -201,7 +201,8 @@ class HeaterStaticSweep:
 
 class TrackingExperiment:
     """Experiment: compensate the reference ``r`` with a perturbed model and
-    return the output of a fresh plant from ``plant_factory()``.
+    return the output of a fresh plant from ``plant_factory(seed_value)``,
+    ``seed_value`` the run's own first seeded input.
 
     Hysteretic models are seeded from their own loop traced with
     ``loop_spec`` = (amplitude, f_min_cycles_per_sample, center), which they
@@ -217,8 +218,9 @@ class TrackingExperiment:
     def __call__(self, model):
         spec = self.loop_spec
         loop = None if spec is None else narx.hysteresis_loop(model, *spec)
-        session = comp.CompensationSession(model, comp.init_history(model, self.r, loop))
-        return self.plant_factory().simulate(comp.run(session, self.r))
+        seed = comp.init_history(model, self.r, loop)
+        session = comp.CompensationSession(model, seed)
+        return self.plant_factory(seed[0]).simulate(comp.run(session, self.r))
 
 
 # ---------------------------------------------------------------------------

@@ -440,10 +440,10 @@ def _same_band(a, b):
     )
 
 
-def _self_plant(model, r, loop_spec):
-    """Plant factory running the model itself from its nominal loop seed."""
-    seed = comp.init_hysteresis(model, narx.hysteresis_loop(model, *loop_spec), r[0], r[1])
-    return lambda: ev.ModelPlant(model, seed[0], r[0])
+def _self_plant(model, r):
+    """Plant factory running the model itself from a run's input seed and
+    output r(0)."""
+    return lambda seed_value: ev.ModelPlant(model, seed_value, r[0])
 
 
 def _with_term(model, coefficient, *factors):
@@ -572,7 +572,7 @@ def test_lockstep_cases_reach_holds_and_the_scalar_fallback(heater_model, bouc_w
 
 def test_tracking_experiment_needs_a_loop_spec_for_a_hysteretic_model(bouc_wen_model):
     r = 30.0 * np.sin(2 * np.pi * 0.005 * np.arange(50) + 1.5708)
-    experiment = ev.TrackingExperiment(r, BoucWenPlant)
+    experiment = ev.TrackingExperiment(r, lambda seed_value: BoucWenPlant())
     with pytest.raises(ValueError, match="seeded from a traced loop; none given"):
         experiment(bouc_wen_model)
 
@@ -584,7 +584,31 @@ def test_monte_carlo_tracking_band_names_its_skip_reasons(bouc_wen_model):
     spec = (80.0, 0.005, 0.0)
     band = ev.monte_carlo(
         bouc_wen_model, 0.005, 40,
-        ev.TrackingExperiment(r, _self_plant(bouc_wen_model, r, spec), spec), SEED,
+        ev.TrackingExperiment(r, _self_plant(bouc_wen_model, r), spec), SEED,
     )
     assert band.n_skipped == 2
     assert band.skip_reasons == {"LoopUnsettled": 2}
+
+
+def test_each_tracking_run_plant_starts_from_that_run_seed(bouc_wen_model):
+    # the plant of every run starts from the input that run's own
+    # compensator was seeded with, not from the nominal model's seed
+    r = 30.0 * np.sin(2 * np.pi * 0.005 * np.arange(60) + 1.5708)
+    spec = (80.0, 0.005, 0.0)
+    received, plant = [], _self_plant(bouc_wen_model, r)
+
+    def spy(seed_value):
+        received.append(seed_value)
+        return plant(seed_value)
+
+    runs = []
+
+    def experiment(model):
+        runs.append(comp.init_history(model, r, narx.hysteresis_loop(model, *spec))[0])
+        return ev.TrackingExperiment(r, spy, spec)(model)
+
+    band = ev.monte_carlo(bouc_wen_model, 0.005, 8, experiment, SEED)
+    assert band.n_runs - band.n_skipped == len(received) == len(runs) > 1
+    assert received == runs
+    nominal = comp.init_history(bouc_wen_model, r, narx.hysteresis_loop(bouc_wen_model, *spec))
+    assert all(seed != nominal[0] for seed in received)
