@@ -571,13 +571,18 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
                     settle_tol=1e-8, max_periods=64):
     """Trace the settled input-output loop under a sinusoidal excitation.
 
-    Drives u(k) = amplitude * sin(2 pi f_min k) + u_center (f_min in cycles
-    per sample) period by period until two consecutive periods agree to
-    ``settle_tol`` (relative to the period's output span), then splits the
-    settled period into loading (input rising) and unloading (input falling)
-    branches.  Raises :class:`LoopSpecError`, naming the argument, for a
-    loop it cannot trace (the checks below), and its subclass
-    :class:`EmptyLoopBranch` if a branch comes out empty;
+    One period of input, u(i) = amplitude * sin(2 pi f_min i) + u_center for
+    i = 0 .. P-1 with P = round(1 / f_min) (f_min in cycles per sample),
+    defines the loop: the model is driven by that period, repeated, until
+    two consecutive periods agree to ``settle_tol`` (relative to the
+    period's output span), and the settled period is split into loading
+    (input rising) and unloading (input falling) branches.  The input is
+    periodic in P samples even when 1 / f_min is not a whole number, so a
+    period of, say, 8.4 samples settles too: a sine sampled on past the
+    first period would drift in phase from one window to the next, and no
+    two windows would agree.  Raises :class:`LoopSpecError`, naming the
+    argument, for a loop it cannot trace (the checks below), and its
+    subclass :class:`EmptyLoopBranch` if a branch comes out empty;
     :class:`LoopUnsettled` if agreement is never reached;
     models whose output-coefficient sum exceeds one carry a slowly growing
     drift mode, so a run that contracts onto its loop still stops long
@@ -602,28 +607,28 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
         raise LoopSpecError("f", "loop period of %g samples is too coarse" % (1.0 / f_min))
 
     free_run = _free_run_kernel(model)
+    u_p = amplitude * np.sin(2.0 * np.pi * f_min * np.arange(period, dtype=float)) + u_center
+    u = u_p.tolist()
     u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
     y_hist = [0.0] * model.n_y
-    prev_y = None
+    prev = None
     for p in range(max_periods):
-        ks = np.arange(p * period, (p + 1) * period, dtype=float)
-        u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
-        y_p = np.array(free_run(y_hist, u_hist, u_p.tolist()))
-        if not isfinite(y_p[-1]):
+        y = free_run(y_hist, u_hist, u)
+        if not isfinite(y[-1]):
             raise NonFinite("loop trace diverged in period %d" % p)
-        if prev_y is not None:
-            with np.errstate(over="ignore"):  # a span past the float range is inf
-                scale = max(1.0, float(y_p.max() - y_p.min()))
-                gap = float(np.abs(y_p - prev_y).max())
-            if gap < settle_tol * scale:
+        # every output is finite (the kernel stops at the first that is
+        # not); the last samples, compared first, rule most periods out
+        if prev is not None:
+            tol = settle_tol * max(1.0, max(y) - min(y))
+            if abs(y[-1] - prev[-1]) < tol and max(map(abs, map(operator.sub, y, prev))) < tol:
                 break
-        prev_y = y_p
+        prev = y
     else:
         raise LoopUnsettled(
             "hysteresis loop did not settle within %d periods" % max_periods
         )
-    prev_u = amplitude * np.sin(2.0 * np.pi * f_min * (p * period - 1)) + u_center
-    du = np.diff(u_p, prepend=prev_u)
+    y_p = np.array(y)
+    du = np.diff(u_p, prepend=u[-1])  # the period before ends on u[-1]
     # each sample's regime is the sign of the last input step that moved
     # (0 before the first); a NaN step does not move
     moved = np.abs(du) > 0

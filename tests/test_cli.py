@@ -572,8 +572,9 @@ def test_loop_rejects_a_loop_it_cannot_trace(capsys, argv, key):
 BW_REFERENCE = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 TINY_LOOP = ["--signal", "sine:G0=30,f=1", "--loop-amplitude", "1e-300", "--loop-center", "1"]
 TINY_MOVE = "loop amplitude 1e-300 does not move the input off its center 1"
-# 2.23e-16 moves 3 by one ulp, but no sample of an 8.4-sample period gets
-# near enough to the peak to move it
+# 2.23e-16 moves 3 by one ulp either way, but no sample of the 9-sample
+# schedule at 22.7 Hz gets near enough to a peak to move it (see
+# test_model.py::test_loop_with_an_empty_branch_is_rejected)
 NO_SAMPLE_MOVES = "loop of amplitude 2.23e-16 around 3 has an empty branch"
 
 
@@ -583,10 +584,10 @@ NO_SAMPLE_MOVES = "loop of amplitude 2.23e-16 around 3 has an empty branch"
     (["compensate", "-m", "bouc_wen"] + TINY_LOOP, "loop-amplitude: " + TINY_MOVE),
     (["montecarlo", "-m", "bouc_wen", "--rel-std", "0.005", "--runs", "4"] + TINY_LOOP,
      "loop-amplitude: " + TINY_MOVE),
-    (["loop", "-m", "bouc_wen", "--amplitude", "2.23e-16", "--center", "3", "--f", "23.8"],
+    (["loop", "-m", "bouc_wen", "--amplitude", "2.23e-16", "--center", "3", "--f", "22.7"],
      "amplitude: " + NO_SAMPLE_MOVES),
     (["compensate", "-m", "bouc_wen", "--signal", "sine:G0=30,f=1", "--loop-amplitude",
-      "2.23e-16", "--loop-center", "3", "--loop-f", "23.8"], "loop-amplitude: " + NO_SAMPLE_MOVES),
+      "2.23e-16", "--loop-center", "3", "--loop-f", "22.7"], "loop-amplitude: " + NO_SAMPLE_MOVES),
 ], ids=["loop", "compensate", "montecarlo", "loop-no-sample-moves", "compensate-no-sample-moves"])
 def test_loop_amplitude_must_move_the_input(capsys, argv, message):
     # the traced loop would have empty branches
@@ -616,6 +617,28 @@ def test_loop_period_bound_names_the_option(capsys):
         narx.hysteresis_loop(model, 30.0, 1e-6, 0.0, max_periods=0)
     with pytest.raises(cli.ConfigError, match="^f: loop period of 1e\\+06 samples"):
         cli.trace_loop("", model, (30.0, 1.0 / 1_000_001, 0.0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compensate", "-m", "bouc_wen", "--signal", "sine:G0=30,f=0.7,phase=1.5708"],
+    ["compensate", "-m", "bouc_wen", "--signal", "sine:G0=30,f=1.3,phase=1.5708"],
+    ["compensate", "-m", "bouc_wen", "--signal", "sine:G0=30,f=3,phase=1.5708"],
+    ["loop", "-m", "bouc_wen", "--amplitude", "50", "--f", "0.66"],
+    ["compensate", "-m", "valve", "--signal", "sine:G0=1,f=0.3,phase=1.5708,off=2.5"],
+], ids=["bouc_wen-0.7Hz", "bouc_wen-1.3Hz", "bouc_wen-3Hz", "loop-0.66Hz", "valve-0.3Hz"])
+def test_a_loop_period_of_a_fractional_sample_count_settles(capsys, argv):
+    # periods of 285.7, 153.8, 66.7, 303.0 and 333.3 samples: the trace
+    # repeats one period of input, so consecutive periods can agree
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert out.startswith("u,y,branch\n" if argv[0] == "loop" else "k,r,m,y_c,y_u\n")
+
+
+def test_montecarlo_band_on_a_fractional_loop_period(capsys):
+    code, _, err = run_cli(["montecarlo", "-m", "bouc_wen", "--rel-std", "0.005", "--runs",
+                            "40", "--signal", "sine:G0=30,f=0.7,phase=1.5708"], capsys)
+    assert (code, err.splitlines()) == (
+        0, ["skipped 4 of 40 runs", "skip reasons: LoopUnsettled=4"])
 
 
 @pytest.mark.parametrize("argv,key", [

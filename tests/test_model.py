@@ -398,15 +398,14 @@ def test_free_run_kernel_carries_histories(model, u, cut):
     assert repr((got, y_hist, u_hist)) == repr((want[0], want[2], want[3]))
 
 
-def test_loop_equals_one_step_iterated_across_periods(valve_model, valve_loop):
+def test_loop_equals_one_step_iterated_on_the_repeated_period(valve_model, valve_loop):
     # the settled period, found by the loop's own rule, from the term walk
-    # iterated period after period on carried histories
+    # iterated on one period of input, repeated, on carried histories
     period = valve_loop.period
+    u_p = (2.0 * np.sin(2.0 * np.pi * 0.001 * np.arange(period, dtype=float)) + 3.0).tolist()
     y_hist, u_hist = [0.0] * valve_model.n_y, [3.0] * valve_model.u_depth
     prev = None
     for p in range(64):
-        ks = np.arange(p * period, (p + 1) * period, dtype=float)
-        u_p = (2.0 * np.sin(2.0 * np.pi * 0.001 * ks) + 3.0).tolist()
         y_p, _, y_hist, u_hist = iterate_term_walk(valve_model, u_p, y_hist, u_hist)
         if prev is not None and max(abs(a - b) for a, b in zip(y_p, prev)) < 1e-8 * max(
                 1.0, max(y_p) - min(y_p)):
@@ -791,10 +790,14 @@ def test_loop_with_an_empty_branch_is_rejected(bouc_wen_model):
                        "input off its center 1$") as e:
         narx.hysteresis_loop(bouc_wen_model, 1e-300, 0.005, 1.0)
     assert e.value.param == "amplitude"
-    # 2.23e-16 moves 3 by one ulp, but no sample of an 8.4-sample period
-    # gets near enough to the peak to move it
+    # 2.23e-16 moves 3 by one ulp either way, but no sample of the 9-sample
+    # schedule gets near enough to a peak (|sin| at most 0.9896) to move it
+    f_min = 22.7 * 0.005
+    schedule = 2.23e-16 * np.sin(2.0 * np.pi * f_min * np.arange(9, dtype=float)) + 3.0
+    assert 3.0 + 2.23e-16 != 3.0 != 3.0 - 2.23e-16
+    assert schedule.tolist() == [3.0] * 9
     with pytest.raises(narx.EmptyLoopBranch, match="^loop of amplitude 2.23e-16 around 3 has an"):
-        narx.hysteresis_loop(bouc_wen_model, 2.23e-16, 23.8 * 0.005, 3.0)
+        narx.hysteresis_loop(bouc_wen_model, 2.23e-16, f_min, 3.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -817,29 +820,26 @@ def test_loop_spec_errors_name_the_parameter(bouc_wen_model, amplitude, f_min, c
 def per_sample_loop_rows(model, amplitude, f_min, u_center, settle_tol=1e-8, max_periods=64):
     """(loading, unloading) of the settled period, split by the per-sample
     regime loop that :func:`narxcomp.model.hysteresis_loop` ran before it
-    took the regime from numpy; the trace is the same."""
+    took the regime from numpy; the trace is the same, one period of input
+    repeated, and settles by the numpy test it ran before it took plain
+    lists."""
     period = int(round(1.0 / f_min))
     free_run = narx._free_run_kernel(model)
+    u_p = amplitude * np.sin(2.0 * np.pi * f_min * np.arange(period, dtype=float)) + u_center
     u_hist = [float(u_center)] * model.u_depth
     y_hist = [0.0] * model.n_y
     prev_y = None
-    settled = None
-    settled_start = 0
     for p in range(max_periods):
-        ks = np.arange(p * period, (p + 1) * period, dtype=float)
-        u_p = amplitude * np.sin(2.0 * np.pi * f_min * ks) + u_center
         y_p = np.array(free_run(y_hist, u_hist, u_p.tolist()))
         if prev_y is not None:
             scale = max(1.0, float(y_p.max() - y_p.min()))
             if float(np.abs(y_p - prev_y).max()) < settle_tol * scale:
-                settled = (u_p, y_p)
-                settled_start = p * period
                 break
         prev_y = y_p
-    u_p, y_p = settled
+    else:
+        raise AssertionError("the reference trace did not settle")
     du = np.empty(period)
-    prev_u = amplitude * np.sin(2.0 * np.pi * f_min * (settled_start - 1)) + u_center
-    du[0] = u_p[0] - prev_u
+    du[0] = u_p[0] - u_p[-1]  # the period before the settled one ends on u_p[-1]
     du[1:] = np.diff(u_p)
     regime = np.zeros(period)
     cur = 0.0
@@ -870,6 +870,10 @@ def per_sample_loop_rows(model, amplitude, f_min, u_center, settle_tol=1e-8, max
     ("valve", (2.0, 0.001, 3.0)),
     ("valve", (2.0, 0.005, 3.0)),
     ("valve", (2.0, 1e-4, 3.0)),
+    # periods that are not a whole number of samples
+    ("bouc_wen", (50.0, 0.66 * 0.005, 0.0)),
+    ("bouc_wen", (30.0, 0.7 * 0.005, 0.0)),
+    ("valve", (1.0, 0.003, 2.5)),
 ])
 def test_loop_regime_equals_the_per_sample_regime_loop(request, name, spec):
     model = request.getfixturevalue(name + "_model")

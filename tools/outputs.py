@@ -46,7 +46,8 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: the one command whose stability test meets a complex pole pair;
 #: ``fixed-points-unit-root`` prints the equilibria of ``unit_root_model.json``
 #: (y = y(k-1) + 0.5 y(k-1)^2 + 0.1 u(k-1)), whose poles at u = 0 lie on
-#: the unit circle, lambda = 1.
+#: the unit circle, lambda = 1; ``loop-noninteger`` traces a loop whose
+#: period, 303.03 samples, is not a whole number of samples.
 COMMANDS = [
     *[(t, ["reproduce", t])
       for t in ("table1", "table3", "table-bw-model", "table-bw-comp", "fig8")],
@@ -81,6 +82,7 @@ COMMANDS = [
     ("simulate", ["simulate", "-m", "heater", "--signal", "sine:a=0.1,f=0.001,off=0.5",
                   "--n", "500"]),
     ("loop", ["loop", "-m", "bouc_wen", "--amplitude", "30", "--f", "1"]),
+    ("loop-noninteger", ["loop", "-m", "bouc_wen", "--amplitude", "50", "--f", "0.66"]),
 ]
 
 
