@@ -300,8 +300,10 @@ def _step_lines(terms, m, branches):
     m(k-1); ``branches`` is "LU", or "L" for the loading sums alone.  Per
     term in order the known factors multiply the coefficient ``c<i>``, a zero
     product is skipped, the rest is expanded times (x - m(k-1))^d as [0.0]
-    + part and part + [0.0] combine, and added to each sum, negated on the
-    unloading branch where the term flips.
+    + part and part + [0.0] combine, and added to each sum, subtracted on
+    the unloading branch where the term flips (x - y is x + (-y) in IEEE
+    754).  The product 0.0 * m(k-1) of the expansion is the local ``zmp``,
+    computed once per step.
     """
     shared = {}
     body = []
@@ -316,14 +318,15 @@ def _step_lines(terms, m, branches):
         for level in range(1, d + 1):  # times (x - m_prev)
             names = ["d%d_%d" % (level, n) for n in range(len(part) + 1)]
             for name, a, b in zip(names, ["0.0"] + part, part + ["0.0"]):
-                body.append("    %s = %s - %s * mp" % (name, a, b))
+                body.append("    %s = %s - %s" % (name, a, "zmp" if b == "0.0" else b + " * mp"))
             part = names
         for slot, c in enumerate(part, xpow):
             slots.add(slot)
             body.append("    L%d += %s" % (slot, c))
             if "U" in branches:
-                body.append("    U%d += %s%s" % (slot, "-" if flip else "", c))
-    return list(shared.values()) + body, sorted(slots)
+                body.append("    U%d %s= %s" % (slot, "-" if flip else "+", c))
+    zmp = ["zmp = 0.0 * mp"] if any(d for _, _, d, _ in terms) else []
+    return list(shared.values()) + zmp + body, sorted(slots)
 
 
 #: Where a branch's root must lie against m(k-1): C3 loading, C4 unloading.
@@ -342,10 +345,10 @@ def _pick_lines(p, branch, x, e):
     2 with a discriminant in (0, inf), is solved here, with the degree rule
     unrolled over the reachable slots.  Its roots are real, computed as
     :func:`narxcomp.poly.solve_roots` computes them.  The nearer of two
-    admissible roots wins by (|x - m(k-1)|, x), the first on a tie, as in
-    :func:`select_root`.  Every other list (an inf or NaN coefficient or
-    sum, a complex or double root, degree 3 and up) makes one :func:`_solve`
-    call.  Whichever root is taken, its residual |p(x)| / (1 + max |p_i|)
+    admissible roots wins by (|x - m(k-1)|, x), compared as scalars, the
+    first on a tie, as in :func:`select_root`.  Every other list (an inf or
+    NaN coefficient or sum, a complex or double root, degree 3 and up) makes
+    one :func:`_solve` call.  Whichever root is taken, its residual |p(x)| / (1 + max |p_i|)
     is Horner's from the top reachable slot.
     """
     c = ["a"] + list(p[1:])
@@ -365,12 +368,12 @@ def _pick_lines(p, branch, x, e):
     lines += ["%s = HOLD" % x, "if t - t != 0.0%s:" % general,
               "    %s = _solve(mp, bounds, %s, %s)" % (x, branch, ", ".join(c))]
     if 2 in live:
-        lines += ["elif b2 > tol:", "    sq = sqrt(disc)"]
-        lines += ["    x%d = (-%s %s sq) / (2.0 * %s)" % (n, c[1], sign, c[2])
-                  for n, sign in ((1, "+"), (2, "-"))]
+        lines += ["elif b2 > tol:", "    sq = sqrt(disc)", "    w = 2.0 * %s" % c[2]]
+        lines += ["    x%d = (-%s %s sq) / w" % (n, c[1], sign) for n, sign in ((1, "+"), (2, "-"))]
         lines += ["    if %s:" % admit("x1"), "        %s = x1" % x,
-                  "    if %s and (%s is HOLD or (abs(x2 - mp), x2) < (abs(x1 - mp), x1)):"
-                  % (admit("x2"), x), "        %s = x2" % x]
+                  "    if %s and (%s is HOLD or abs(x2 - mp) < abs(x1 - mp)"
+                  " or abs(x2 - mp) == abs(x1 - mp) and x2 < x1):" % (admit("x2"), x),
+                  "        %s = x2" % x]
     if 1 in live:
         lines += ["elif b1 > tol:", "    x1 = -a / %s" % c[1], "    if %s:" % admit("x1"),
                   "        %s = x1" % x]
@@ -425,9 +428,11 @@ def _run_loop(factors, tau, hysteretic, depth):
     regimes = ("LOADING", "UNLOADING") if hysteretic else ("None",)
     for p, regime, b in zip(coefs, regimes, "LU"):
         step += _pick_lines(p, regime, "x" + b, "e" + b)
-    if hysteretic:  # the nearer admissible root; loading wins ties
+    if hysteretic:
+        # the nearer admissible root by (|x - m(k-1)|, x); as xU < mp < xL,
+        # the distances need no abs and a tie goes to unloading
         step += [
-            "if xL is not HOLD and (xU is HOLD or (abs(xL - mp), xL) <= (abs(xU - mp), xU)):",
+            "if xL is not HOLD and (xU is HOLD or xL - mp < mp - xU):",
             "    x, state = xL, LOADING", "    if eL > res:", "        res = eL",
             "elif xU is not HOLD:",
             "    x, state = xU, UNLOADING", "    if eU > res:", "        res = eU",

@@ -359,6 +359,71 @@ def _free_run_kernel(model):
                    model.coefficients)
 
 
+def _table_source(factors):
+    """The shared phi lines, the column sources and the expression of y(k)
+    of a loop period whose input-only products come from a table.
+
+    Per term, the coefficient ``c<i>`` times its factors before the first
+    output factor is one column (none when that is the coefficient alone),
+    and so is each input factor after an output factor, one column per
+    distinct source.  The expression reads column n as the local ``t<n>``
+    and keeps every term's factors in order, so each product and the sum
+    round as in :func:`_output_source`.
+    """
+    shared, columns, terms = {}, {}, []
+    for i, term in enumerate(factors):
+        src = [kernel_factor(kind, lag, power, "y%d" % (lag - 1), "u%d", shared)
+               for kind, lag, power in term]
+        first_y = next((n for n, (kind, _, _) in enumerate(term) if kind == "y"), len(term))
+        lead = " * ".join(["c%d" % i] + src[:first_y])
+        parts = [columns.setdefault(lead, "t%d" % len(columns)) if first_y else lead]
+        parts += [x if kind == "y" else columns.setdefault(x, "t%d" % len(columns))
+                  for (kind, _, _), x in zip(term[first_y:], src[first_y:])]
+        terms.append(" * ".join(parts))
+    return list(shared.values()), list(columns), " + ".join(["0.0"] + terms)
+
+
+@lru_cache(maxsize=256)
+def _table_loop(factors, u_depth):
+    """The table kernel ``kernel(c, u_hist, inputs)`` of a term structure:
+    the columns of :func:`_table_source` for the list ``inputs``, as one list
+    per column, the inputs shifted through the locals that start from
+    ``u_hist`` (u_depth inputs, most-recent-first, left unchanged)."""
+    shared, columns, _ = _table_source(factors)
+    us = ["u%d" % i for i in range(u_depth)]
+    ts = ["t%d" % n for n in range(len(columns))]
+    return compile_kernel("\n".join(
+        ["def kernel(c, u, inputs):"]
+        + indented(kernel_coefficients(factors) + ["%s, = u" % ", ".join(us)]
+                   + ["%s = []" % t for t in ts] + ["add%s = %s.append" % (t, t) for t in ts]
+                   + ["for uk in inputs:"], 1)
+        + indented(shared + ["add%s(%s)" % (t, x) for t, x in zip(ts, columns)]
+                   + [kernel_shift(us, "uk")], 2)
+        + indented(["return [%s]" % ", ".join(ts)], 1)
+    ) + "\n")
+
+
+@lru_cache(maxsize=256)
+def _period_loop(factors, n_y):
+    """The period kernel ``kernel(c, y_hist, table)`` of a term structure:
+    the free run of :func:`_free_run_loop` over one period whose
+    input-only products are the columns ``table`` of :func:`_table_loop`.
+    It carries only the output history ``y_hist`` and writes it back,
+    shifted; a non-finite output ends the loop as the last element."""
+    ys = ["y%d" % i for i in range(n_y)]
+    _, columns, expr = _table_source(factors)
+    ts = "".join("t%d, " % n for n in range(len(columns)))
+    return compile_kernel("\n".join(
+        ["from math import isfinite", "def kernel(c, y, table):"]
+        + indented(kernel_coefficients(factors)
+                   + ["%s, = y" % ", ".join(ys), "out = []", "append = out.append",
+                      "for %sin zip(*table):" % (ts or "() ")], 1)
+        + indented(["v = " + expr, "append(v)", "if not isfinite(v):", "    break",
+                    kernel_shift(ys, "v")], 2)
+        + indented(["y[:] = [%s]" % ", ".join(ys), "return out"], 1)
+    ) + "\n")
+
+
 def kernel_shift(names, new):
     """Source that shifts ``new`` into the history held in the locals
     ``names``, most-recent-first."""
@@ -566,6 +631,11 @@ def static_curve(model, u_grid):
 #: Longest loop period, in samples, that :func:`hysteresis_loop` traces.
 MAX_LOOP_PERIOD = 1_000_000
 
+#: Shortest loop period, in samples, that :func:`hysteresis_loop` runs from
+#: a table of input-only products: below it the table's fixed cost per
+#: trace outweighs what its periods save.
+TABLE_MIN_PERIOD = 32
+
 
 def hysteresis_loop(model, amplitude, f_min, u_center,
                     settle_tol=1e-8, max_periods=64):
@@ -587,6 +657,17 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     models whose output-coefficient sum exceeds one carry a slowly growing
     drift mode, so a run that contracts onto its loop still stops long
     before the drift resurfaces.
+
+    Once a period starts from the steady input history, the last u_depth
+    inputs of the period, every input-only product is the same in each
+    period.  On a period of at least :data:`TABLE_MIN_PERIOD` samples, after
+    two such periods have not settled, the table kernel
+    (:func:`_table_loop`) records those products for one period, one list
+    per column of :func:`_table_source` (a float per column per sample),
+    and the period kernel (:func:`_period_loop`) runs every later period
+    from them; the outputs keep their bits.  Any other period, period 0
+    and each one while a lag deeper than the period still reads the
+    inputs before the trace among them, runs the free-run kernel.
     """
     if not model.is_hysteretic():
         raise ValueError("hysteresis loop requires a model with phi regressors")
@@ -606,14 +687,22 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     if period < 8:
         raise LoopSpecError("f", "loop period of %g samples is too coarse" % (1.0 / f_min))
 
-    free_run = _free_run_kernel(model)
     u_p = amplitude * np.sin(2.0 * np.pi * f_min * np.arange(period, dtype=float)) + u_center
     u = u_p.tolist()
     u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
     y_hist = [0.0] * model.n_y
     prev = None
+    run = partial(_free_run_kernel(model), y_hist, u_hist, u)
+    # period q starts from the steady input history once q * period inputs
+    # have filled it; the table serves from the third such period on
+    first_table = -(-model.u_depth // period) + 2 if period >= TABLE_MIN_PERIOD else None
     for p in range(max_periods):
-        y = free_run(y_hist, u_hist, u)
+        if p == first_table:
+            table = _table_loop(model.factors, model.u_depth)(model.coefficients, u_hist, u)
+            run = partial(_period_loop(model.factors, model.n_y), model.coefficients, y_hist,
+                          table)
+            del table, u  # the period kernel holds the table and reads no input list
+        y = run()
         if not isfinite(y[-1]):
             raise NonFinite("loop trace diverged in period %d" % p)
         # every output is finite (the kernel stops at the first that is
@@ -628,7 +717,7 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
             "hysteresis loop did not settle within %d periods" % max_periods
         )
     y_p = np.array(y)
-    du = np.diff(u_p, prepend=u[-1])  # the period before ends on u[-1]
+    du = np.diff(u_p, prepend=u_p[-1:])  # the period before ends on u_p[-1]
     # each sample's regime is the sign of the last input step that moved
     # (0 before the first); a NaN step does not move
     moved = np.abs(du) > 0

@@ -819,7 +819,18 @@ def step_models(draw, term_factors=STEP_TERMS, taus=st.integers(1, 3)):
     )
 
 
+# phi1 at the dead-time lag, squared and times y, and a deeper phi1: each
+# expansion level takes 0.0 * m(k-1), which is NaN for an infinite m(k-1)
+NON_FINITE_STEP_MODEL = mk([term(0.9, ("y", 1, 1)), term(0.4, ("phi1", 1, 2), ("phi2", 1, 1)),
+                            term(0.3, ("phi1", 2, 1), ("u", 1, 1)),
+                            term(0.2, ("phi1", 1, 1), ("y", 1, 1))], n_u=2, ell=3)
+
+
 @settings(max_examples=300, deadline=None)
+@example(model=NON_FINITE_STEP_MODEL, m_hist=[math.inf, 0.5] + [0.0] * 4, r=[0.5, 1.0], k=0)
+@example(model=NON_FINITE_STEP_MODEL, m_hist=[-math.inf, 0.5] + [0.0] * 4, r=[0.5, 1.0], k=0)
+@example(model=NON_FINITE_STEP_MODEL, m_hist=[math.nan, 0.5] + [0.0] * 4, r=[0.5, 1.0], k=0)
+@example(model=NON_FINITE_STEP_MODEL, m_hist=[0.5, math.inf] + [0.0] * 4, r=[0.5, 1.0], k=0)
 @given(step_models(), st.lists(HIST, min_size=6, max_size=6),
        st.lists(HIST | st.floats(-3.0, 3.0), min_size=1, max_size=6), st.integers(0, 7))
 def test_step_kernel_equals_term_expansion(model, m_hist, r, k):
@@ -996,6 +1007,34 @@ REFERENCE = HIST | st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -
     seeds=[0.5] * 6,
     r=[0.5, 0.5, -0.5, 2.0],
 )
+@example(  # two roots in range at step 0, both a NaN distance from m(k-1) = NaN
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-0.5, ("u", 1, 1))], ell=2),
+    seeds=[math.nan] * 6,
+    r=[0.0, 1.0, 1.5, 0.3],
+)
+@example(  # ... and an inf distance from m(k-1) = inf: the smaller root wins
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-0.5, ("u", 1, 1))], ell=2),
+    seeds=[math.inf] * 6,
+    r=[0.0, 1.0, 1.5, 0.3],
+)
+@example(  # loading admits both roots above m(k-1) = -inf, unloading none
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-0.5, ("u", 1, 1)),
+              term(0.3, ("phi2", 1, 1))], ell=2),
+    seeds=[-math.inf] * 6,
+    r=[0.0, 1.0, 1.5, 0.3],
+)
+@example(  # unloading admits both roots below m(k-1) = inf, loading none
+    model=mk([term(0.5, ("y", 1, 1)), term(1.0, ("u", 1, 2)), term(-0.5, ("u", 1, 1)),
+              term(0.3, ("phi2", 1, 1))], ell=2),
+    seeds=[math.inf] * 6,
+    r=[0.0, 1.0, 1.5, 0.3],
+)
+@example(  # phi1 at the dead-time lag: 0.0 * m(k-1) is NaN at m(k-1) = +-inf
+    model=mk([term(0.9, ("y", 1, 1)), term(0.4, ("u", 1, 1)),
+              term(0.2, ("phi1", 1, 1), ("phi2", 1, 1))]),
+    seeds=[-math.inf] * 6,
+    r=[0.0, 1.0, 1.5, 0.3],
+)
 @given(step_models(RUN_TERMS, st.integers(1, 2)), st.lists(HIST, min_size=6, max_size=6),
        st.lists(REFERENCE, min_size=1, max_size=12))
 def test_run_equals_select_root_loop_on_random_models(model, seeds, r):
@@ -1085,6 +1124,13 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
         literals = float_literals(ka.func.source)
         assert literals <= {0.0, 1.0, 2.0, 4.0} and not literals & set(a.coefficients)
         assert ka.args == (a.coefficients,)
+    # one table and one period kernel per structure too
+    for kernel, orders in ((narx._table_loop, "u_depth"), (narx._period_loop, "n_y")):
+        ka = kernel(a.factors, getattr(a, orders))
+        assert ka is kernel(b.factors, getattr(b, orders))
+        assert ka is not kernel(valve_model.factors, getattr(valve_model, orders))
+        literals = float_literals(ka.source)
+        assert literals <= {0.0, 1.0} and not literals & set(a.coefficients)
     # one root selection per branch: a closed form, and the general solve,
     # and one residual per branch for whichever root it takes
     source = comp._run_kernel(a).func.source
@@ -1094,12 +1140,13 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
 
 
 def kernel_sources(model):
-    """The sources of the free-run, compensation and coefficient kernels
-    generated for ``model``'s term structure."""
+    """The sources of the free-run, compensation, coefficient, loop table
+    and loop period kernels generated for ``model``'s term structure."""
     step = comp._coeff_step(model.factors, model.tau_d, model.is_hysteretic(),
                             comp.hist_depth(model))
     return [narx._free_run_kernel(model).func.source, comp._run_kernel(model).func.source,
-            step.source]
+            step.source, narx._table_loop(model.factors, model.u_depth).source,
+            narx._period_loop(model.factors, model.n_y).source]
 
 
 def test_kernels_take_no_complex_square_root(
@@ -1117,9 +1164,9 @@ def test_kernels_take_no_complex_square_root(
 def test_kernels_compute_each_phi1_difference_once(
         heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
     for model in (bouc_wen_model, valve_model):
-        free_run = kernel_sources(model)[0]
-        assert free_run.count("u0 - u1") == 1
-        assert "p1 = u0 - u1" in free_run and "if p1 > 0.0 else" in free_run
+        for source in (kernel_sources(model)[0], kernel_sources(model)[3]):
+            assert source.count("u0 - u1") == 1
+            assert "p1 = u0 - u1" in source and "if p1 > 0.0 else" in source
     # the coefficients are unpacked once per call, never indexed per sample
     for model in (heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
         for source in kernel_sources(model):
@@ -1129,8 +1176,11 @@ def test_kernels_compute_each_phi1_difference_once(
     deep = mk([term(0.5, ("y", 1, 1)), term(2.0, ("phi1", 2, 1)),
                term(0.3, ("phi1", 2, 1), ("phi2", 2, 1)),
                term(1.0, ("phi1", 1, 1), ("phi2", 1, 1))], n_u=2, tau_d=1)
-    for source in kernel_sources(deep):
+    *sources, period = kernel_sources(deep)
+    for source in sources:
         assert source.count("m0 - m1") + source.count("u1 - u2") == 1
+    # the period kernel reads its input-only products from the table
+    assert " - " not in period and "u1" not in period
 
 
 def empty_model():
@@ -1159,6 +1209,7 @@ def test_perturbed_copy_builds_no_kernel_source(bouc_wen_model, monkeypatch):
     r = 30.0 * np.sin(2 * np.pi * np.arange(40) / 40.0)
     comp.run(comp.CompensationSession(bouc_wen_model, [0.0]), r)
     narx.simulate_free_run(bouc_wen_model, r, [0.0] * bouc_wen_model.n_y)
+    narx.hysteresis_loop(bouc_wen_model, 80.0, 0.005, 0.0)  # settles past the table's period
     calls = []
 
     def counting(*args):
@@ -1171,6 +1222,7 @@ def test_perturbed_copy_builds_no_kernel_source(bouc_wen_model, monkeypatch):
     copy = ev.perturbed_model(bouc_wen_model, 0.01, [0.3, -1.2, 0.8, 2.0])
     m = comp.run(comp.CompensationSession(copy, [0.0]), r)
     y = narx.simulate_free_run(copy, r, [0.0] * copy.n_y)
+    narx.hysteresis_loop(copy, 80.0, 0.005, 0.0)
     assert calls == []
     assert comp._run_kernel(copy).func is comp._run_kernel(bouc_wen_model).func
     assert narx._free_run_kernel(copy).func is narx._free_run_kernel(bouc_wen_model).func

@@ -820,24 +820,28 @@ def test_loop_spec_errors_name_the_parameter(bouc_wen_model, amplitude, f_min, c
 def per_sample_loop_rows(model, amplitude, f_min, u_center, settle_tol=1e-8, max_periods=64):
     """(loading, unloading) of the settled period, split by the per-sample
     regime loop that :func:`narxcomp.model.hysteresis_loop` ran before it
-    took the regime from numpy; the trace is the same, one period of input
-    repeated, and settles by the numpy test it ran before it took plain
-    lists."""
+    took the regime from numpy, or the exception the trace ends with.  The
+    trace is :func:`iterate_term_walk` over one period of input, repeated,
+    on carried histories, every period evaluated term by term, and it
+    settles when a whole period agrees with the one before to
+    ``settle_tol`` times the period's output span (at least 1)."""
     period = int(round(1.0 / f_min))
-    free_run = narx._free_run_kernel(model)
     u_p = amplitude * np.sin(2.0 * np.pi * f_min * np.arange(period, dtype=float)) + u_center
     u_hist = [float(u_center)] * model.u_depth
     y_hist = [0.0] * model.n_y
-    prev_y = None
+    prev = None
     for p in range(max_periods):
-        y_p = np.array(free_run(y_hist, u_hist, u_p.tolist()))
-        if prev_y is not None:
-            scale = max(1.0, float(y_p.max() - y_p.min()))
-            if float(np.abs(y_p - prev_y).max()) < settle_tol * scale:
-                break
-        prev_y = y_p
+        y, diverged, y_hist, u_hist = iterate_term_walk(model, u_p.tolist(), y_hist, u_hist)
+        if diverged:
+            return narx.NonFinite("loop trace diverged in period %d" % p)
+        if prev is not None and max(abs(a - b) for a, b in zip(y, prev)) < settle_tol * max(
+                1.0, max(y) - min(y)):
+            break
+        prev = y
     else:
-        raise AssertionError("the reference trace did not settle")
+        return narx.LoopUnsettled("hysteresis loop did not settle within %d periods"
+                                  % max_periods)
+    y_p = np.array(y)
     du = np.empty(period)
     du[0] = u_p[0] - u_p[-1]  # the period before the settled one ends on u_p[-1]
     du[1:] = np.diff(u_p)
@@ -851,9 +855,30 @@ def per_sample_loop_rows(model, amplitude, f_min, u_center, settle_tol=1e-8, max
         regime[i] = cur
     loading = np.column_stack([u_p[regime > 0], y_p[regime > 0]])
     unloading = np.column_stack([u_p[regime < 0], y_p[regime < 0]])
+    if not (len(loading) and len(unloading)):
+        return narx.EmptyLoopBranch("loop of amplitude %g around %g has an empty branch"
+                                    % (amplitude, u_center))
     loading = loading[np.argsort(loading[:, 0], kind="stable")]
     unloading = unloading[np.argsort(unloading[:, 0], kind="stable")[::-1]]
     return loading.tolist(), unloading.tolist()
+
+
+def loop_outcome(model, *spec, **kwargs):
+    """:func:`narxcomp.model.hysteresis_loop`'s rows, or its exception, in
+    the form :func:`per_sample_loop_rows` returns them."""
+    try:
+        loop = narx.hysteresis_loop(model, *spec, **kwargs)
+    except (ArithmeticError, RuntimeError, ValueError) as e:
+        return e
+    return loop.loading.tolist(), loop.unloading.tolist()
+
+
+def same_outcome(got, want):
+    """Rows equal to the bit (repr tells signed zeros apart), or exceptions
+    of one type with one message."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("name,spec", [
@@ -880,6 +905,83 @@ def test_loop_regime_equals_the_per_sample_regime_loop(request, name, spec):
     loop = narx.hysteresis_loop(model, *spec)
     assert repr((loop.loading.tolist(), loop.unloading.tolist())) == repr(
         per_sample_loop_rows(model, *spec))
+
+
+# lag 36 reaches further back than any period drawn; the others do not
+LOOP_FACTORS = st.tuples(
+    st.sampled_from(["y", "u", "phi1", "phi2"]), st.sampled_from([1, 1, 2, 3, 4, 36]),
+    st.integers(1, 2)
+)
+HYSTERETIC_MODELS = st.lists(
+    st.tuples(st.floats(-0.6, 0.6), st.lists(LOOP_FACTORS, max_size=3)),
+    min_size=1, max_size=5,
+).map(model_of).filter(lambda m: m.is_hysteretic())
+ONE_COLUMN_MODEL = mk([term(0.9, ("y", 1, 1)), term(0.5, ("phi1", 1, 1))])
+DEEP_LAG_MODEL = mk([term(0.9, ("y", 1, 1)), term(0.5, ("u", 1, 1)), term(0.2, ("u", 37, 1)),
+                     term(0.3, ("phi1", 36, 1), ("phi2", 36, 1)),
+                     term(-0.1, ("y", 1, 1), ("phi1", 1, 1), ("u", 2, 2))], n_u=37, ell=4)
+
+
+def test_loop_builds_one_table_from_the_third_steady_period(
+        monkeypatch, bouc_wen_model, valve_model):
+    # the outputs keep their bits either way, so only a count shows which
+    # traces run from the table: one table a trace, on periods of 32
+    # samples or more, before the third period that starts from the
+    # steady input history
+    built = []
+
+    def counting(*structure):
+        built.append(structure)
+        return table_loop(*structure)
+
+    table_loop = narx._table_loop
+    monkeypatch.setattr(narx, "_table_loop", counting)
+    for model, spec, max_periods, tables in [
+            (bouc_wen_model, (80.0, 0.005, 0.0), 64, 1),  # settles in period 9
+            (valve_model, (0.5, 0.1, 3.0), 64, 0),  # 10 samples: below the bound
+            (ONE_COLUMN_MODEL, (1.0, 1 / 32, 0.0), 3, 0),  # periods 1 and 2 are steady
+            (ONE_COLUMN_MODEL, (1.0, 1 / 32, 0.0), 4, 1),
+            (DEEP_LAG_MODEL, (1.0, 1 / 33, 0.0), 4, 0),  # periods 2 and 3 are steady
+            (DEEP_LAG_MODEL, (1.0, 1 / 33, 0.0), 5, 1)]:
+        built.clear()
+        try:
+            narx.hysteresis_loop(model, *spec, max_periods=max_periods)
+        except narx.LoopUnsettled:
+            assert max_periods < 64
+        assert built == [(model.factors, model.u_depth)] * tables
+
+
+@settings(max_examples=200, deadline=None)
+# one table column (the y(k-1) term reads none)
+@example(model=ONE_COLUMN_MODEL, amplitude=1.0, period=32, center=0.0, max_periods=64)
+# every term begins with an output factor: no column leads a term
+@example(model=mk([term(0.9, ("y", 1, 1)), term(0.5, ("y", 1, 1), ("phi1", 1, 1)),
+                   term(0.2, ("y", 1, 1), ("phi2", 2, 1))]),
+         amplitude=1.0, period=32, center=0.0, max_periods=64)
+# y(k-2) phi1 phi2 u(k-1)^2: input columns after an output factor
+@example(model=mk([term(0.97, ("y", 1, 1)), term(0.02, ("y", 2, 1)), term(0.5, ("phi1", 1, 1)),
+                   term(-0.1, ("y", 2, 1), ("phi1", 1, 1), ("phi2", 1, 1), ("u", 1, 2))],
+                  n_y=2, ell=5),
+         amplitude=1.5, period=36, center=0.5, max_periods=64)
+# a phi1 lag of 36 and a u lag of 37 on a 33-sample period: the periods
+# start from the repeating input history from the third on, and the table
+# serves from the fifth
+@example(model=DEEP_LAG_MODEL, amplitude=1.0, period=33, center=0.0, max_periods=64)
+# diverges in a period run from the table
+@example(model=mk([term(1.5, ("y", 1, 1)), term(0.5, ("phi1", 1, 1))]),
+         amplitude=1.0, period=40, center=0.0, max_periods=64)
+# unsettled just before and just after the table's first period
+@example(model=ONE_COLUMN_MODEL, amplitude=1.0, period=32, center=0.0, max_periods=3)
+@example(model=ONE_COLUMN_MODEL, amplitude=1.0, period=32, center=0.0, max_periods=4)
+@example(model=DEEP_LAG_MODEL, amplitude=1.0, period=33, center=0.0, max_periods=5)
+@given(HYSTERETIC_MODELS, st.sampled_from([0.5, 1.0, 2.5]), st.integers(8, 40),
+       st.sampled_from([-1.0, 0.0, 0.25]), st.sampled_from([3, 4, 8, 64]))
+def test_loop_equals_the_term_walk_on_random_models(model, amplitude, period, center,
+                                                    max_periods):
+    # the periods run from the loop table give the free run's bits
+    spec = (amplitude, 1.0 / period, center)
+    want = per_sample_loop_rows(model, *spec, max_periods=max_periods)
+    assert same_outcome(loop_outcome(model, *spec, max_periods=max_periods), want)
 
 
 def test_loop_unsettled_raised(valve_model):

@@ -47,7 +47,11 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: ``fixed-points-unit-root`` prints the equilibria of ``unit_root_model.json``
 #: (y = y(k-1) + 0.5 y(k-1)^2 + 0.1 u(k-1)), whose poles at u = 0 lie on
 #: the unit circle, lambda = 1; ``loop-noninteger`` traces a loop whose
-#: period, 303.03 samples, is not a whole number of samples.
+#: period, 303.03 samples, is not a whole number of samples;
+#: ``loop-deep-lag`` traces ``deep_lag_model.json``, whose phi1 lag of 36
+#: and u lag of 37 reach further back than its 33-sample loop period: its
+#: periods start from the repeating input history from the third on, and
+#: the fifth to the eighth, the settled one, run from the loop table.
 COMMANDS = [
     *[(t, ["reproduce", t])
       for t in ("table1", "table3", "table-bw-model", "table-bw-comp", "fig8")],
@@ -83,6 +87,8 @@ COMMANDS = [
                   "--n", "500"]),
     ("loop", ["loop", "-m", "bouc_wen", "--amplitude", "30", "--f", "1"]),
     ("loop-noninteger", ["loop", "-m", "bouc_wen", "--amplitude", "50", "--f", "0.66"]),
+    ("loop-deep-lag", ["loop", "-m", os.path.join(HERE, "deep_lag_model.json"),
+                       "--amplitude", "1", "--f", "0.0303", "--ts", "1"]),
 ]
 
 
