@@ -359,71 +359,6 @@ def _free_run_kernel(model):
                    model.coefficients)
 
 
-def _table_source(factors):
-    """The shared phi lines, the column sources and the expression of y(k)
-    of a loop period whose input-only products come from a table.
-
-    Per term, the coefficient ``c<i>`` times its factors before the first
-    output factor is one column (none when that is the coefficient alone),
-    and so is each input factor after an output factor, one column per
-    distinct source.  The expression reads column n as the local ``t<n>``
-    and keeps every term's factors in order, so each product and the sum
-    round as in :func:`_output_source`.
-    """
-    shared, columns, terms = {}, {}, []
-    for i, term in enumerate(factors):
-        src = [kernel_factor(kind, lag, power, "y%d" % (lag - 1), "u%d", shared)
-               for kind, lag, power in term]
-        first_y = next((n for n, (kind, _, _) in enumerate(term) if kind == "y"), len(term))
-        lead = " * ".join(["c%d" % i] + src[:first_y])
-        parts = [columns.setdefault(lead, "t%d" % len(columns)) if first_y else lead]
-        parts += [x if kind == "y" else columns.setdefault(x, "t%d" % len(columns))
-                  for (kind, _, _), x in zip(term[first_y:], src[first_y:])]
-        terms.append(" * ".join(parts))
-    return list(shared.values()), list(columns), " + ".join(["0.0"] + terms)
-
-
-@lru_cache(maxsize=256)
-def _table_loop(factors, u_depth):
-    """The table kernel ``kernel(c, u_hist, inputs)`` of a term structure:
-    the columns of :func:`_table_source` for the list ``inputs``, as one list
-    per column, the inputs shifted through the locals that start from
-    ``u_hist`` (u_depth inputs, most-recent-first, left unchanged)."""
-    shared, columns, _ = _table_source(factors)
-    us = ["u%d" % i for i in range(u_depth)]
-    ts = ["t%d" % n for n in range(len(columns))]
-    return compile_kernel("\n".join(
-        ["def kernel(c, u, inputs):"]
-        + indented(kernel_coefficients(factors) + ["%s, = u" % ", ".join(us)]
-                   + ["%s = []" % t for t in ts] + ["add%s = %s.append" % (t, t) for t in ts]
-                   + ["for uk in inputs:"], 1)
-        + indented(shared + ["add%s(%s)" % (t, x) for t, x in zip(ts, columns)]
-                   + [kernel_shift(us, "uk")], 2)
-        + indented(["return [%s]" % ", ".join(ts)], 1)
-    ) + "\n")
-
-
-@lru_cache(maxsize=256)
-def _period_loop(factors, n_y):
-    """The period kernel ``kernel(c, y_hist, table)`` of a term structure:
-    the free run of :func:`_free_run_loop` over one period whose
-    input-only products are the columns ``table`` of :func:`_table_loop`.
-    It carries only the output history ``y_hist`` and writes it back,
-    shifted; a non-finite output ends the loop as the last element."""
-    ys = ["y%d" % i for i in range(n_y)]
-    _, columns, expr = _table_source(factors)
-    ts = "".join("t%d, " % n for n in range(len(columns)))
-    return compile_kernel("\n".join(
-        ["from math import isfinite", "def kernel(c, y, table):"]
-        + indented(kernel_coefficients(factors)
-                   + ["%s, = y" % ", ".join(ys), "out = []", "append = out.append",
-                      "for %sin zip(*table):" % (ts or "() ")], 1)
-        + indented(["v = " + expr, "append(v)", "if not isfinite(v):", "    break",
-                    kernel_shift(ys, "v")], 2)
-        + indented(["y[:] = [%s]" % ", ".join(ys), "return out"], 1)
-    ) + "\n")
-
-
 def kernel_shift(names, new):
     """Source that shifts ``new`` into the history held in the locals
     ``names``, most-recent-first."""
@@ -631,10 +566,65 @@ def static_curve(model, u_grid):
 #: Longest loop period, in samples, that :func:`hysteresis_loop` traces.
 MAX_LOOP_PERIOD = 1_000_000
 
-#: Shortest loop period, in samples, that :func:`hysteresis_loop` runs from
-#: a table of input-only products: below it the table's fixed cost per
-#: trace outweighs what its periods save.
-TABLE_MIN_PERIOD = 32
+
+def _period_map(kernel, states, u_hist, u, outputs, settle_tol, periods):
+    """The outputs of the first of the next ``periods`` periods that
+    settles, predicted by the period map of an output-affine structure; an
+    empty array when none settles, None when a prediction up to the
+    deciding period is not finite.
+
+    ``outputs`` are two consecutive periods of the free-run ``kernel`` on
+    the input list ``u`` from the steady input history ``u_hist``, that
+    started from the output histories s0 and s1 of ``states`` and ended on
+    s1 and s2.  A period from s0 + x has the outputs y1 + G x and ends on
+    s1 + Phi x; the second period is the run along e = s1 - s0, and one run
+    from s0 moved along each other output completes the directions.  Period
+    j after the second differs from the one before by G Phi^j e.  Blocks of
+    predicted periods start at 2,048 floats, or one period, and double up
+    to 65,536 floats.
+    """
+    (s0, s1, s2), (y1, y2) = states, outputs
+    base = np.array(y2)
+    scale = max(1.0, float(np.abs(base).max()))
+    with np.errstate(all="ignore"):
+        e = np.subtract(s1, s0)  # 0 only if settle_tol settles nothing: NaN rows
+        k = np.abs(e).argmax()
+        steps, outs, ends = e.copy(), [base] * len(e), [s2] * len(e)
+        for i in range(len(e)):
+            if i != k:
+                s = s0[:]
+                s[i] += scale
+                steps[i] = s[i] - s0[i]
+                outs[i], ends[i] = kernel(s, u_hist[:], u), s
+                if not isfinite(outs[i][-1]):
+                    return None
+        # in the coordinates c of x = D c, D moving output k by e and each
+        # other output i by steps[i], G x is c @ dy and Phi x is D c', c' =
+        # c @ power; the rows of v are Phi^i e in c, i from 1, and power
+        # becomes the power of Phi that moves a block of v on to the next
+        dy = np.array(outs) - np.array(y1)
+        power = (np.array(ends) - np.array(s1)) / steps
+        e[k] = 0.0
+        power -= np.outer(power[:, k], e / steps)
+        v, d, first = power[k:k + 1], 0.0, 0
+        while len(v) < periods and 2 * len(v) * len(u) <= 1 << 11:
+            v, power = np.concatenate((v, v.dot(power))), power.dot(power)
+        while first < periods:
+            v = v[:periods - first]
+            ds = v.cumsum(0) + d
+            rows = ds.dot(dy) + base  # one predicted period per row
+            # a NaN or inf row has a non-finite span; one that overflows
+            # only in its span hands the trace back to the kernel too
+            span = rows.max(1) - rows.min(1)
+            tol = settle_tol * np.maximum(1.0, span)
+            stop = ~np.isfinite(span) | (np.abs(v.dot(dy)).max(1) < tol)
+            j = stop.argmax()
+            if stop[j]:
+                return rows[j] if isfinite(span[j]) else None
+            first, d, v = first + len(v), ds[-1], v.dot(power)
+            if 2 * len(v) * len(u) <= 1 << 16:
+                v, power = np.concatenate((v, v.dot(power))), power.dot(power)
+    return np.array(())
 
 
 def hysteresis_loop(model, amplitude, f_min, u_center,
@@ -658,16 +648,18 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     drift mode, so a run that contracts onto its loop still stops long
     before the drift resurfaces.
 
-    Once a period starts from the steady input history, the last u_depth
-    inputs of the period, every input-only product is the same in each
-    period.  On a period of at least :data:`TABLE_MIN_PERIOD` samples, after
-    two such periods have not settled, the table kernel
-    (:func:`_table_loop`) records those products for one period, one list
-    per column of :func:`_table_source` (a float per column per sample),
-    and the period kernel (:func:`_period_loop`) runs every later period
-    from them; the outputs keep their bits.  Any other period, period 0
-    and each one while a lag deeper than the period still reads the
-    inputs before the trace among them, runs the free-run kernel.
+    Periods 0 .. q0 + 2 run the free-run kernel, period q0 = ceil(u_depth /
+    P) being the first that starts from the steady input history, the
+    period's own last u_depth inputs; a trace that settles by then keeps
+    the kernel's bits.  From period q0 on every period sees the same
+    inputs, so where every term has output power <= 1 a period's outputs
+    are affine in the outputs it starts from, and :func:`_period_map`
+    predicts every later period up to ``max_periods`` in closed form, from
+    periods q0 + 1 and q0 + 2 and n_y - 1 more kernel runs, and applies the
+    same settle test to each; its rows agree with iterated ones to
+    rounding.  Every other structure, and a mapped trace whose predictions
+    turn non-finite before the deciding period, runs each later period
+    through the kernel, which names the period it diverges in.
     """
     if not model.is_hysteretic():
         raise ValueError("hysteresis loop requires a model with phi regressors")
@@ -691,17 +683,20 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
     u = u_p.tolist()
     u_hist = [float(u_center)] * model.u_depth  # u(k-1), u(k-2), ...
     y_hist = [0.0] * model.n_y
-    prev = None
-    run = partial(_free_run_kernel(model), y_hist, u_hist, u)
+    prev = older = start = None
+    kernel = _free_run_kernel(model)
+    run = partial(kernel, y_hist, u_hist, u)
     # period q starts from the steady input history once q * period inputs
-    # have filled it; the table serves from the third such period on
-    first_table = -(-model.u_depth // period) + 2 if period >= TABLE_MIN_PERIOD else None
+    # have filled it; an output-affine structure is mapped after the third
+    first_map = -(-model.u_depth // period) + 3
     for p in range(max_periods):
-        if p == first_table:
-            table = _table_loop(model.factors, model.u_depth)(model.coefficients, u_hist, u)
-            run = partial(_period_loop(model.factors, model.n_y), model.coefficients, y_hist,
-                          table)
-            del table, u  # the period kernel holds the table and reads no input list
+        if p == first_map and all(sum(power for kind, _, power in term if kind == "y") <= 1
+                                  for term in model.factors):
+            y = _period_map(kernel, (before, start, y_hist), u_hist, u, (older, prev),
+                            settle_tol, max_periods - p)
+            if y is not None:
+                break
+        before, start = start, y_hist[:]
         y = run()
         if not isfinite(y[-1]):
             raise NonFinite("loop trace diverged in period %d" % p)
@@ -711,8 +706,11 @@ def hysteresis_loop(model, amplitude, f_min, u_center,
             tol = settle_tol * max(1.0, max(y) - min(y))
             if abs(y[-1] - prev[-1]) < tol and max(map(abs, map(operator.sub, y, prev))) < tol:
                 break
-        prev = y
+        # the map reads the period before the last; no other is kept
+        older, prev = prev if p + 1 == first_map else None, y
     else:
+        y = ()
+    if not len(y):
         raise LoopUnsettled(
             "hysteresis loop did not settle within %d periods" % max_periods
         )

@@ -1124,13 +1124,6 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
         literals = float_literals(ka.func.source)
         assert literals <= {0.0, 1.0, 2.0, 4.0} and not literals & set(a.coefficients)
         assert ka.args == (a.coefficients,)
-    # one table and one period kernel per structure too
-    for kernel, orders in ((narx._table_loop, "u_depth"), (narx._period_loop, "n_y")):
-        ka = kernel(a.factors, getattr(a, orders))
-        assert ka is kernel(b.factors, getattr(b, orders))
-        assert ka is not kernel(valve_model.factors, getattr(valve_model, orders))
-        literals = float_literals(ka.source)
-        assert literals <= {0.0, 1.0} and not literals & set(a.coefficients)
     # one root selection per branch: a closed form, and the general solve,
     # and one residual per branch for whichever root it takes
     source = comp._run_kernel(a).func.source
@@ -1140,13 +1133,12 @@ def test_kernels_are_shared_by_structure(bouc_wen_model, valve_model):
 
 
 def kernel_sources(model):
-    """The sources of the free-run, compensation, coefficient, loop table
-    and loop period kernels generated for ``model``'s term structure."""
+    """The sources of the free-run, compensation and coefficient kernels
+    generated for ``model``'s term structure."""
     step = comp._coeff_step(model.factors, model.tau_d, model.is_hysteretic(),
                             comp.hist_depth(model))
     return [narx._free_run_kernel(model).func.source, comp._run_kernel(model).func.source,
-            step.source, narx._table_loop(model.factors, model.u_depth).source,
-            narx._period_loop(model.factors, model.n_y).source]
+            step.source]
 
 
 def test_kernels_take_no_complex_square_root(
@@ -1164,9 +1156,9 @@ def test_kernels_take_no_complex_square_root(
 def test_kernels_compute_each_phi1_difference_once(
         heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
     for model in (bouc_wen_model, valve_model):
-        for source in (kernel_sources(model)[0], kernel_sources(model)[3]):
-            assert source.count("u0 - u1") == 1
-            assert "p1 = u0 - u1" in source and "if p1 > 0.0 else" in source
+        source = kernel_sources(model)[0]
+        assert source.count("u0 - u1") == 1
+        assert "p1 = u0 - u1" in source and "if p1 > 0.0 else" in source
     # the coefficients are unpacked once per call, never indexed per sample
     for model in (heater_model, bouc_wen_model, bouc_wen_sigma1_model, valve_model):
         for source in kernel_sources(model):
@@ -1176,11 +1168,8 @@ def test_kernels_compute_each_phi1_difference_once(
     deep = mk([term(0.5, ("y", 1, 1)), term(2.0, ("phi1", 2, 1)),
                term(0.3, ("phi1", 2, 1), ("phi2", 2, 1)),
                term(1.0, ("phi1", 1, 1), ("phi2", 1, 1))], n_u=2, tau_d=1)
-    *sources, period = kernel_sources(deep)
-    for source in sources:
+    for source in kernel_sources(deep):
         assert source.count("m0 - m1") + source.count("u1 - u2") == 1
-    # the period kernel reads its input-only products from the table
-    assert " - " not in period and "u1" not in period
 
 
 def empty_model():
@@ -1209,7 +1198,7 @@ def test_perturbed_copy_builds_no_kernel_source(bouc_wen_model, monkeypatch):
     r = 30.0 * np.sin(2 * np.pi * np.arange(40) / 40.0)
     comp.run(comp.CompensationSession(bouc_wen_model, [0.0]), r)
     narx.simulate_free_run(bouc_wen_model, r, [0.0] * bouc_wen_model.n_y)
-    narx.hysteresis_loop(bouc_wen_model, 80.0, 0.005, 0.0)  # settles past the table's period
+    narx.hysteresis_loop(bouc_wen_model, 80.0, 0.005, 0.0)  # settles past the map's first period
     calls = []
 
     def counting(*args):

@@ -34,6 +34,8 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: the tracking band at the default seed 20260817; the skip-heavy sweep
 #: ``skips`` (494 of 1000 runs skipped) and band ``tracking-skips``
 #: (LoopUnsettled=16, OutOfLoopRange=2 of 40) exercise the stderr of skips;
+#: ``tracking-fractional``, a band at 0.7 Hz (LoopUnsettled=4 of 40), pins
+#: the loop's 64-period cap on a second seeding loop;
 #: ``static-5000`` has more runs than a lockstep block of the static sweep
 #: holds columns, so each block is one level; the ``compensate`` runs cover
 #: each bundled model's loop kernel, and ``cubic`` the degree-3 solve of
@@ -51,7 +53,7 @@ TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 #: ``loop-deep-lag`` traces ``deep_lag_model.json``, whose phi1 lag of 36
 #: and u lag of 37 reach further back than its 33-sample loop period: its
 #: periods start from the repeating input history from the third on, and
-#: the fifth to the eighth, the settled one, run from the loop table.
+#: the sixth to the eighth, the settled one, are predicted by the period map.
 COMMANDS = [
     *[(t, ["reproduce", t])
       for t in ("table1", "table3", "table-bw-model", "table-bw-comp", "fig8")],
@@ -61,6 +63,8 @@ COMMANDS = [
                        *TRACKING, "--seed", "4242"]),
     ("tracking-skips", ["montecarlo", "-m", "bouc_wen", "--rel-std", "0.02", "--runs", "40",
                         *TRACKING, "--seed", "11"]),
+    ("tracking-fractional", ["montecarlo", "-m", "bouc_wen", "--rel-std", "0.005", "--runs", "40",
+                             "--signal", "sine:G0=30,f=0.7,phase=1.5708"]),
     ("compensate", ["compensate", "-m", "bouc_wen", *TRACKING]),
     ("static", ["montecarlo", "-m", "heater", "--rel-std", "0.005", "--runs", "1000",
                 "--grid", "0.05:0.45:0.05", "--seed", "20260817"]),
