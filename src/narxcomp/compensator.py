@@ -554,8 +554,9 @@ def init_dynamic(model, r_at_start):
 
 def init_hysteresis(model, loop, r0, r1):
     """Seed the input history from a traced hysteresis loop: the input
-    that would produce r1 on the branch :func:`seed_regime` names."""
-    m0 = loop_inverse(loop, r1, seed_regime(r0, r1))
+    that would produce r1 on the loading branch when the reference starts
+    upward (r1 >= r0, ties load), on the unloading branch otherwise."""
+    m0 = loop_inverse(loop, r1, LOADING if r1 >= r0 else UNLOADING)
     return [m0] * hist_depth(model)
 
 
@@ -568,12 +569,6 @@ def init_history(model, r, loop=None):
     if loop is None:
         raise ValueError("a hysteretic model is seeded from a traced loop; none given")
     return init_hysteresis(model, loop, float(r[0]), float(r[1]))
-
-
-def seed_regime(r0, r1):
-    """The branch :func:`init_hysteresis` seeds on: loading when the
-    reference starts upward (r1 >= r0, ties load), unloading otherwise."""
-    return LOADING if r1 >= r0 else UNLOADING
 
 
 def _solve(m_prev, bounds, branch, *p):

@@ -191,11 +191,13 @@ class HeaterStaticSweep:
             levels = self.grid[start:start + width]
             runs = np.tile(alive, len(levels))  # level-major: a level's runs side by side
             m, errs = comp.solve_static_lockstep(
-                model, coefs[runs], np.repeat(levels, alive.size), runs)
+                model, np.tile(coefs[alive], (len(levels), 1)),
+                np.repeat(levels, alive.size), runs)
             m_bar[alive, start:start + len(levels)] = m.reshape(len(levels), alive.size).T
             for j, e in errs.items():
                 errors.setdefault(int(runs[j]), e)
-            alive = alive[~np.isin(alive, list(errors))]
+            if errs:
+                alive = alive[~np.isin(alive, list(errors))]
         return HammersteinHeater.static_output(m_bar[alive]), errors
 
 

@@ -542,7 +542,8 @@ def schur_stable(char):
             stable = stable & (abs(k) < 1) & (abs(char[-1]) < inf)
             if stable is False:
                 break
-            char = [(a - k * b) / (1 - k * k) for a, b in zip(char[1:], char[-2::-1])]
+            scale = 1 - k * k
+            char = [(a - k * b) / scale for a, b in zip(char[1:], char[-2::-1])]
     return stable
 
 

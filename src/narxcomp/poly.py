@@ -215,7 +215,7 @@ def lockstep_roots(p):
     p = np.asarray(p, dtype=float)
     mag = np.abs(p)
     live = mag > LEADING_ZERO_RTOL * mag.max(axis=0)
-    degree = np.where(live.any(axis=0), len(p) - 1 - np.argmax(live[::-1], axis=0), -1)
+    degree = (live * np.arange(1, len(p) + 1)[:, None]).max(axis=0) - 1
     a0, a1 = p[0], p[1]
     a2 = p[2] if len(p) > 2 else np.zeros_like(a0)
     quad = degree == 2

@@ -358,3 +358,41 @@ def test_lockstep_roots_equal_solve_roots_bit_for_bit(columns):
         # gives complex roots
         want = poly.real_roots(poly.solve_roots(p))
         assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+_degree_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-6, 1e-6),
+)
+
+
+@st.composite
+def _degree_columns(draw):
+    """Columns of one drawn row count, 2 to 5: drawn entries, all-zero
+    columns, or leading entries at, under and over LEADING_ZERO_RTOL times
+    the largest magnitude below them."""
+    rows = draw(st.integers(2, 5))
+
+    def column():
+        c = draw(st.lists(_degree_entry, min_size=rows, max_size=rows))
+        kind = draw(st.sampled_from(["drawn", "zero", "tiny leading"]))
+        if kind == "zero":
+            return [draw(st.sampled_from([0.0, -0.0])) for _ in c]
+        if kind == "tiny leading":
+            body = draw(st.integers(1, rows - 1))
+            tol = poly.LEADING_ZERO_RTOL * max(map(abs, c[:body]))
+            c[body:] = [draw(st.sampled_from([0.0, 0.5, 1.0, -1.0, 1.5])) * tol for _ in c[body:]]
+        return c
+
+    return [column() for _ in range(draw(st.integers(1, 6)))]
+
+
+@example(columns=[[0.0, -0.0], [1.0, 1e-13], [math.inf, 1.0]])  # a linear model's two rows
+@example(columns=[[1.0, 2.0, 3.0, 3e-12], [1.0, 2.0, 3.0, -3e-12], [0.5, 0.0, 0.0, 1e-300]])
+@settings(max_examples=300)
+@given(_degree_columns())
+def test_lockstep_degree_equals_algebraic_degree_for_every_row_count(columns):
+    # _comp_columns builds max(ell, 1) + 1 rows: 2 for a linear model, 4 for a cubic
+    degree = poly.lockstep_roots(np.array(columns).T)[1]
+    assert degree.tolist() == [P(c).degree() for c in columns]

@@ -1,6 +1,6 @@
 """Run every command of the byte-identity contract twice and digest its outputs.
 
-    python3 tools/outputs.py [--out DIR]
+    python3 tools/outputs.py [--out DIR] [--against REV]
 
 Each command of ``COMMANDS`` runs twice, each time in a fresh process
 (``python -m narxcomp.cli`` on the ``src`` next to this script), and
@@ -9,6 +9,15 @@ into DIR (created if missing; a temporary directory when ``--out`` is not
 given).  The script prints ``sha256  file`` for every CSV and stderr file
 of the first run, and exits 1 when a command fails or the two runs differ
 in any file.
+
+With ``--against REV`` the second run is made on REV's ``src`` instead,
+unpacked by ``git archive`` into a temporary directory; the commands and
+the ``tools/*.json`` models stay this tree's.  The script prints ``same``,
+``changed`` (with REV's digest after the file) or ``new`` and this tree's
+digest for every file; a file REV does not write, and both files of a
+command REV's CLI rejects (exit 2), are ``new``.  It exits 1 when a
+command fails on this tree, or when a changed or new digest does not
+appear in ``CHANGES.md``.
 
 Digests are per machine: every sine reference and excitation goes
 through ``numpy.sin``, whose last bit may differ between numpy builds and
@@ -26,7 +35,9 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
+ROOT = os.path.dirname(HERE)
+SRC = os.path.join(ROOT, "src")
+CHANGES = os.path.join(ROOT, "CHANGES.md")
 
 TRACKING = ["--signal", "sine:G0=30,f=1,phase=1.5708"]
 
@@ -96,18 +107,23 @@ COMMANDS = [
 ]
 
 
-def run_all(out, i):
-    """Run every command once into ``out``; returns the labels that failed."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    failed = []
+def run_all(out, i, src=None):
+    """Run every command once into ``out`` on the package in ``src``
+    (default ``SRC``); returns each label's exit code."""
+    env = dict(os.environ, PYTHONPATH=src or SRC)
+    codes = {}
     for label, args in COMMANDS:
         stem = os.path.join(out, "rerun-%d-%s" % (i, label))
+        if os.path.exists(stem + ".csv"):  # a failing command writes none: drop an earlier one
+            os.remove(stem + ".csv")
         with open(stem + ".err", "wb") as err:
-            code = subprocess.call([sys.executable, "-m", "narxcomp.cli", *args,
-                                    "-o", stem + ".csv"], env=env, stderr=err)
-        if code:
-            failed.append("%s (exit %d)" % (label, code))
-    return failed
+            codes[label] = subprocess.call([sys.executable, "-m", "narxcomp.cli", *args,
+                                            "-o", stem + ".csv"], env=env, stderr=err)
+    return codes
+
+
+def failures(codes):
+    return ["%s (exit %d)" % (label, code) for label, code in codes.items() if code]
 
 
 def digest(path):
@@ -129,14 +145,68 @@ def compare(out):
     return differ
 
 
+def against(src, out):
+    """Run every command once on this tree and once on the package in
+    ``src`` into ``out``; returns (failed, rows): the commands that fail on
+    this tree, and a (status, digest, file, REV's digest or None) row per
+    file, status ``same``, ``changed`` or ``new``."""
+    failed = failures(run_all(out, 1))
+    rev_codes = run_all(out, 2, src)
+    rows = []
+    for label, _ in COMMANDS:
+        for ext in (".csv", ".err"):
+            mine, theirs = (os.path.join(out, "rerun-%d-%s%s" % (i, label, ext))
+                            for i in (1, 2))
+            if not os.path.exists(mine):
+                continue
+            sha = digest(mine)
+            old = (digest(theirs) if rev_codes[label] != 2 and os.path.exists(theirs)
+                   else None)
+            status = "new" if old is None else "same" if old == sha else "changed"
+            rows.append((status, sha, label + ext, old))
+    return failed, rows
+
+
+def extract_src(rev, dest):
+    """Unpack REV's ``src`` into ``dest`` with ``git archive``; returns its path."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                         stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=tar, check=True)
+    return os.path.join(dest, "src")
+
+
+def main_against(rev, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        failed, rows = against(extract_src(rev, tmp), out or tmp)
+    for status, sha, name, old in rows:
+        line = "%-7s  %s  %s" % (status, sha, name)
+        print(line + ("  (%s: %s)" % (rev, old) if status == "changed" else ""))
+    if failed:
+        print("failed: " + ", ".join(failed), file=sys.stderr)
+        return 1
+    with open(CHANGES, encoding="utf-8") as fh:
+        changes = fh.read()
+    missing = [name for status, sha, name, _ in rows if status != "same" and sha not in changes]
+    if missing:
+        print("changed or new against %s, digest not in CHANGES.md: %s"
+              % (rev, ", ".join(missing)), file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", help="directory for the rerun files (default: a temporary one)")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the outputs of REV's src instead of a second run")
     args = parser.parse_args(argv)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    if args.against:
+        return main_against(args.against, args.out)
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or tmp
-        os.makedirs(out, exist_ok=True)
-        failed = run_all(out, 1) + run_all(out, 2)
+        failed = failures(run_all(out, 1)) + failures(run_all(out, 2))
         if failed:
             print("failed: " + ", ".join(failed), file=sys.stderr)
             return 1
