@@ -20,14 +20,12 @@ import numpy as np
 
 from . import model as narx
 from . import poly
-from .poly import AlgebraicPolynomial
+from .poly import AlgebraicPolynomial, compile_kernel, indented
 from .model import (
     Regime,
     fixed_points,  # not called here; perfbench/tracing.py wraps this module's binding
     loop_inverse,
     static_rows,
-    compile_kernel,
-    indented,
     kernel_coefficients,
     kernel_factor,
     kernel_shift,
@@ -341,41 +339,40 @@ def _pick_lines(p, branch, x, e):
 
     ``branch`` is the source of the Regime, or "None"; the locals ``mp``,
     ``bounds``, ``lo`` and ``hi`` must hold m(k-1) and the input range.  A
-    finite list whose degree under the ``LEADING_ZERO_RTOL`` rule is 1, or
-    2 with a discriminant in (0, inf), is solved here, with the degree rule
-    unrolled over the reachable slots.  Its roots are real, computed as
-    :func:`narxcomp.poly.solve_roots` computes them.  The nearer of two
+    finite list whose degree is 1, or 2 with a discriminant in (0, inf), is
+    solved here by the lines of :func:`narxcomp.poly.closed_forms`, the
+    degree rule unrolled over the reachable slots.  The nearer of two
     admissible roots wins by (|x - m(k-1)|, x), compared as scalars, the
     first on a tie, as in :func:`select_root`.  Every other list (an inf or
     NaN coefficient or sum, a complex or double root, degree 3 and up) makes
-    one :func:`_solve` call.  Whichever root is taken, its residual |p(x)| / (1 + max |p_i|)
-    is Horner's from the top reachable slot.
+    one :func:`_solve` call.  Whichever root is taken, its residual
+    |p(x)| / (1 + max |p_i|) is Horner's from the top reachable slot.
     """
     c = ["a"] + list(p[1:])
     live = [i for i, ci in enumerate(c) if ci != "0.0"]
     admit = ("lo <= {0} <= hi" + _SIDE[branch]).format
+    tol, disc, sq, w, linear, root1, root2 = poly.closed_forms(*c[:3])
     horner = c[live[-1]]
     for ci in reversed(c[:live[-1]]):
         horner = "(%s) * %s + %s" % (horner, x, ci)
     lines = ["a = " + p[0], "t = " + " + ".join(c[i] for i in live), "big = abs(a)"]
     for i in live[1:]:
         lines += ["b%d = abs(%s)" % (i, c[i]), "if b%d > big:" % i, "    big = b%d" % i]
-    lines.append("tol = LEADING_ZERO_RTOL * big")
+    lines.append(tol)
     general = "".join(" or b%d > tol" % i for i in live if i > 2)
     if 2 in live:
-        lines.append("disc = %s * %s - 4.0 * %s * a" % (c[1], c[1], c[2]))
+        lines.append(disc)
         general += " or b2 > tol and not 0.0 < disc < inf"
     lines += ["%s = HOLD" % x, "if t - t != 0.0%s:" % general,
               "    %s = _solve(mp, bounds, %s, %s)" % (x, branch, ", ".join(c))]
     if 2 in live:
-        lines += ["elif b2 > tol:", "    sq = sqrt(disc)", "    w = 2.0 * %s" % c[2]]
-        lines += ["    x%d = (-%s %s sq) / w" % (n, c[1], sign) for n, sign in ((1, "+"), (2, "-"))]
+        lines += ["elif b2 > tol:"] + indented([sq, w, "x1 = " + root1, "x2 = " + root2], 1)
         lines += ["    if %s:" % admit("x1"), "        %s = x1" % x,
                   "    if %s and (%s is HOLD or abs(x2 - mp) < abs(x1 - mp)"
                   " or abs(x2 - mp) == abs(x1 - mp) and x2 < x1):" % (admit("x2"), x),
                   "        %s = x2" % x]
     if 1 in live:
-        lines += ["elif b1 > tol:", "    x1 = -a / %s" % c[1], "    if %s:" % admit("x1"),
+        lines += ["elif b1 > tol:", "    x1 = " + linear, "    if %s:" % admit("x1"),
                   "        %s = x1" % x]
     return lines + ["if %s is not HOLD:" % x, "    %s = abs(%s) / (1.0 + big)" % (e, horner)]
 

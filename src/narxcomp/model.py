@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import poly
-from .poly import AlgebraicPolynomial
+from .poly import AlgebraicPolynomial, compile_kernel, indented
 
 
 class Signal(Enum):
@@ -254,20 +254,6 @@ def validate(model):
     return problems
 
 
-def compile_kernel(source):
-    """The function ``kernel`` defined by the generated ``source``.
-
-    Kernels take the coefficients as an argument and never hold them as
-    literals, so their generators cache one kernel per term structure.  The
-    function's ``source`` attribute keeps the text for reading.
-    """
-    namespace = {}
-    exec(compile(source, "<narxcomp kernel>", "exec"), namespace)
-    kernel = namespace["kernel"]
-    kernel.source = source
-    return kernel
-
-
 def kernel_factor(kind, lag, power, y_read, u, shared):
     """Source of one (kind, lag, power) factor, read as :func:`one_step`
     reads it: ``y_read`` is the source of the output read at this lag, and
@@ -302,11 +288,6 @@ def kernel_coefficients(factors):
     none for a model with no terms."""
     names = ["c%d" % i for i in range(len(factors))]
     return ["%s, = c" % ", ".join(names)] if names else []
-
-
-def indented(lines, depth):
-    """``lines`` indented by ``depth`` levels of four spaces."""
-    return ["    " * depth + line for line in lines]
 
 
 def _output_source(factors, y, u):
@@ -742,15 +723,11 @@ def loop_inverse(loop, y_target, regime):
     branch = loop.branch(regime).tolist()
     t = float(y_target)
     for (u0, y0), (u1, y1) in zip(branch, branch[1:]):
-        if (y0 - t) * (y1 - t) <= 0.0:
-            if y1 == y0:
-                return float(u0)
-            return float(u0 + (t - y0) * (u1 - u0) / (y1 - y0))
+        if y0 <= t <= y1 or y1 <= t <= y0:
+            return float(u0 if y1 == y0 else u0 + (t - y0) * (u1 - u0) / (y1 - y0))
     ys = loop.branch(regime)[:, 1]
-    raise OutOfLoopRange(
-        "target %g outside the output span [%g, %g] of the traced %s branch"
-        % (t, ys.min(initial=inf), ys.max(initial=-inf), regime.name.lower())
-    )
+    raise OutOfLoopRange("target %g outside the output span [%g, %g] of the traced %s branch"
+                         % (t, ys.min(initial=inf), ys.max(initial=-inf), regime.name.lower()))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,47 @@ DEFAULT_IM_TOL = 1e-9
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
 
 
+def compile_kernel(source):
+    """The function ``kernel`` defined by the generated ``source``.
+
+    Kernels take the coefficients as an argument and never hold them as
+    literals, so their generators cache one kernel per term structure.  The
+    function's ``source`` attribute keeps the text for reading.
+    """
+    namespace = {}
+    exec(compile(source, "<narxcomp kernel>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
+
+
+def indented(lines, depth):
+    """``lines`` indented by ``depth`` levels of four spaces."""
+    return ["    " * depth + line for line in lines]
+
+
+def closed_forms(a0, a1, a2):
+    """The degree rule and closed-form roots as source over the coefficients
+    ``a0``, ``a1``, ``a2`` and the local ``big``, the largest magnitude: the
+    lines of ``tol`` (a coefficient counts where its magnitude exceeds it),
+    ``disc``, ``sq`` and ``w``, the linear root and the quadratic roots."""
+    return ("tol = LEADING_ZERO_RTOL * big",
+            "disc = %s * %s - 4.0 * %s * %s" % (a1, a1, a2, a0), "sq = sqrt(disc)",
+            "w = 2.0 * " + a2, "-%s / %s" % (a0, a1),
+            *["(-%s %s sq) / w" % (a1, sign) for sign in "+-"])
+
+
+#: The compensation step inlines these lines; ``_tolerance(big)`` and
+#: ``_closed_roots(sqrt, a0, a1[, a2])`` (the linear root as a 1-tuple, or the
+#: quadratic roots and disc) run them on floats and numpy columns alike.
+_TOL, _DISC, _SQ, _W, _LINEAR, _X1, _X2 = closed_forms("a0", "a1", "a2")
+_tolerance = compile_kernel("from %s import LEADING_ZERO_RTOL\ndef kernel(big):\n    %s\n"
+                            "    return tol" % (__name__, _TOL))
+_closed_roots = compile_kernel("\n".join(["def kernel(sqrt, a0, a1, a2=None):"] + indented(
+    ["if a2 is None:", "    return %s," % _LINEAR, _DISC, _SQ, _W,
+     "return %s, %s, disc" % (_X1, _X2)], 1)))
+
+
 class DegreeMismatch(ValueError):
     """The polynomial's degree is outside what the solver handles."""
 
@@ -57,7 +98,7 @@ class AlgebraicPolynomial:
         return hash(self.coeffs)
 
     def degree(self):
-        """Effective degree; -1 for the zero polynomial and one with a NaN.
+        """Effective degree; -1 for the zero polynomial and one with a NaN or an inf.
 
         Leading coefficients below ``LEADING_ZERO_RTOL`` times the largest
         coefficient magnitude are ignored.
@@ -68,11 +109,11 @@ class AlgebraicPolynomial:
 def effective_degree(coeffs):
     """Degree of the ascending coefficients ``coeffs`` under the
     ``LEADING_ZERO_RTOL`` rule of :meth:`AlgebraicPolynomial.degree`; -1
-    also when a coefficient is NaN, wherever it sits."""
-    biggest = max(map(abs, coeffs))
-    if biggest == 0.0 or any(map(math.isnan, coeffs)):
+    also when a coefficient is NaN or infinite, wherever it sits: an
+    infinite one makes ``tol`` infinite, which no magnitude exceeds."""
+    if any(map(math.isnan, coeffs)):
         return -1
-    tol = LEADING_ZERO_RTOL * biggest
+    tol = _tolerance(max(map(abs, coeffs)))
     d = len(coeffs) - 1
     while d >= 0 and not abs(coeffs[d]) > tol:
         d -= 1
@@ -164,28 +205,20 @@ durand_kerner = companion_roots
 
 
 def solve_roots(p):
-    """All roots of ``p``: closed forms at its effective degrees 1 and 2,
-    companion-matrix eigenvalues above.
-
-    Degree 2 takes ``math.sqrt`` of a discriminant in (0, inf), so its roots
-    are the real ones :func:`lockstep_roots` and the generated compensation
-    loop compute; a zero, negative or non-finite discriminant goes through
-    ``cmath.sqrt``.
-    """
+    """All roots of ``p``: the closed forms of :func:`closed_forms` at its
+    effective degrees 1 and 2, companion-matrix eigenvalues above."""
     d = p.degree()
     if d < 1:
         raise DegreeMismatch("no roots to solve for degree %d" % d)
     if d > 2:
         return companion_roots(p)
-    a = p.coeffs[: d + 1]
-    if d == 1:
-        roots = (-a[0] / a[1],)
-    else:
-        a0, a1, a2 = a
-        disc = a1 * a1 - 4.0 * a2 * a0
-        s = math.sqrt(disc) if 0.0 < disc < math.inf else cmath.sqrt(complex(disc))
-        roots = ((-a1 + s) / (2.0 * a2), (-a1 - s) / (2.0 * a2))
-    return RootSet(roots, "analytic")
+    return RootSet(_closed_roots(_sqrt, *p.coeffs[: d + 1])[:d], "analytic")
+
+
+def _sqrt(disc):
+    """``math.sqrt`` of a discriminant in (0, inf), as :func:`lockstep_roots`
+    and the compensation step take it; ``cmath.sqrt`` of any other."""
+    return math.sqrt(disc) if 0.0 < disc < math.inf else cmath.sqrt(complex(disc))
 
 
 def real_roots(rs, im_tol=DEFAULT_IM_TOL):
@@ -193,11 +226,7 @@ def real_roots(rs, im_tol=DEFAULT_IM_TOL):
 
     A root r counts as real when |Im r| <= im_tol * max(1, |Re r|).
     """
-    out = []
-    for r in rs.roots:
-        if abs(r.imag) <= im_tol * max(1.0, abs(r.real)):
-            out.append(r.real)
-    return out
+    return [r.real for r in rs.roots if abs(r.imag) <= im_tol * max(1.0, abs(r.real))]
 
 
 def lockstep_roots(p):
@@ -207,22 +236,19 @@ def lockstep_roots(p):
     (closed, degree, roots): a mask of the columns with finite
     coefficients and roots whose effective degree is 1, or 2 with a
     discriminant in (0, inf); each column's effective degree; and its two
-    roots as arrays, the second one meaningful at degree 2 only: -a0 / a1,
-    or (-a1 +- sqrt(disc)) / (2 a2) as :func:`solve_roots` (see
-    :func:`narxcomp.compensator._pick_lines`).  Columns outside ``closed``,
+    roots as arrays, the second one meaningful at degree 2 only, from
+    :func:`closed_forms` with ``numpy.sqrt``.  Columns outside ``closed``,
     complex and double roots among them, need :func:`solve_roots`.
     """
     p = np.asarray(p, dtype=float)
     mag = np.abs(p)
-    live = mag > LEADING_ZERO_RTOL * mag.max(axis=0)
+    live = mag > _tolerance(mag.max(axis=0))
     degree = (live * np.arange(1, len(p) + 1)[:, None]).max(axis=0) - 1
-    a0, a1 = p[0], p[1]
-    a2 = p[2] if len(p) > 2 else np.zeros_like(a0)
+    a2 = p[2] if len(p) > 2 else np.zeros_like(p[0])
     quad = degree == 2
     with np.errstate(all="ignore"):
-        disc = a1 * a1 - 4.0 * a2 * a0
-        sq = np.sqrt(disc)
-        roots = (np.where(quad, (-a1 + sq) / (2.0 * a2), -a0 / a1), (-a1 - sq) / (2.0 * a2))
+        x1, x2, disc = _closed_roots(np.sqrt, p[0], p[1], a2)
+        roots = (np.where(quad, x1, *_closed_roots(np.sqrt, p[0], p[1])), x2)
     closed = (degree == 1) | (quad & (0.0 < disc) & (disc < np.inf))
     closed &= np.isfinite(roots[0]) & (np.isfinite(roots[1]) | ~quad) & np.isfinite(p).all(axis=0)
     return closed, degree, roots

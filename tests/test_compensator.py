@@ -2,7 +2,9 @@
 
 import ast
 import functools
+import hashlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -1151,6 +1153,41 @@ def test_kernels_take_no_complex_square_root(
         for source in kernel_sources(model):
             for name in ("cmath", "csqrt", "complex(", "DEFAULT_IM_TOL", "_TINY_DISC", "**"):
                 assert name not in source
+
+
+#: sha256 of the generated sources (compensation loop, coefficient step,
+#: free-run loop) per model.  A change that alters a generated kernel by
+#: design (a new formula, a counter inside the loop, a rescaled degree rule)
+#: updates these digests and names the change in CHANGES.md.
+KERNEL_DIGESTS = {
+    "heater": ("0f54e32acce0b229d8f84386eb063fe2c68124cde3042732fb0eaa2eafc310e5",
+               "d305c28d12acaac5b679520b46f30f5951fe397af33e64bd5b830c5d1eaed8d3",
+               "886c46cb01f1c69ef2c5fc566618dedcb558f2c9fbccc3e78a5b84b5832babf7"),
+    "valve": ("8f5993b5ea6806d28a5998525229e39894a3751f7582d8c6538c391c6297e3c0",
+              "a15d0f023a24877e0c43d8a510aa2156b36d4ad9111dd36de6814d42bcd66e06",
+              "695a970130af0ff1a216262e640defef998f6b3a82e4ff9dd2d7a55b14d5a825"),
+    "bouc_wen": ("38d43c8d87b4d6f6506baa89e75dd0eca6cd1b8274bb5044e483bff441e31fd1",
+                 "7e35b19682f31edd8f326edcee7f5ac69b21de30b1e8a85b4d6fdf193e9ba7d5",
+                 "5c83e25d279383eaada3abcb25bba2652a3ed84906a97f5ce2bfa8a605d5531e"),
+    "cubic_model": ("e06bdef207ad50e30bf96f35a89a3dc74170e4f5ecf45dc8d29c0f04dcc7a34f",
+                    "e38341e97830a36f6027feb4b65b47305c69896afa5ca40c9aa3716b24a93943",
+                    "87b4ce820599d15905943eb84dabe68d3d78122c03e76ea8c1126de8c96a8035"),
+}
+KERNEL_DIGESTS["bouc_wen_sigma1"] = KERNEL_DIGESTS["bouc_wen"]  # one term structure
+
+
+def test_generated_kernel_sources_are_pinned(
+        heater_model, valve_model, bouc_wen_model, bouc_wen_sigma1_model):
+    cubic = narx.load_model(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "cubic_model.json"))
+    models = {"heater": heater_model, "valve": valve_model, "bouc_wen": bouc_wen_model,
+              "bouc_wen_sigma1": bouc_wen_sigma1_model, "cubic_model": cubic}
+    for name, model in models.items():
+        structure = (model.factors, model.tau_d, model.is_hysteretic(), comp.hist_depth(model))
+        sources = (comp._run_loop(*structure).source, comp._coeff_step(*structure).source,
+                   narx._free_run_loop(model.factors, model.n_y, model.u_depth).source)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in sources)
+        assert digests == KERNEL_DIGESTS[name], name
 
 
 def test_kernels_compute_each_phi1_difference_once(

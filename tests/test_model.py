@@ -1111,7 +1111,7 @@ def row_walk_loop_inverse(loop, y_target, regime):
     for i in range(len(branch) - 1):
         u0, y0 = branch[i]
         u1, y1 = branch[i + 1]
-        if (y0 - t) * (y1 - t) <= 0.0:
+        if y0 <= t <= y1 or y1 <= t <= y0:
             if y1 == y0:
                 return float(u0)
             return float(u0 + (t - y0) * (u1 - u0) / (y1 - y0))
@@ -1148,6 +1148,7 @@ def branches_and_targets(draw):
 @example(([(1.0, 2.0)], 2.0))
 @example(([(1.0, 0.5), (3.0, 0.5), (4.0, 2.0)], 0.5))  # a flat first segment
 @example(([(1.0, -1.0), (3.0, 2.0)], math.nan))
+@example(([(0.0, 0.0), (0.0, 0.0)], 5e-324))  # (y0 - t) * (y1 - t) underflows to 0
 @given(branches_and_targets())
 def test_loop_inverse_equals_the_row_walk(case):
     rows, target = case
@@ -1156,6 +1157,40 @@ def test_loop_inverse_equals_the_row_walk(case):
     for regime in (Regime.LOADING, Regime.UNLOADING):
         assert (inverse_outcome(narx.loop_inverse, loop, target, regime)
                 == inverse_outcome(row_walk_loop_inverse, loop, target, regime))
+
+
+#: A power of two that takes the bundled loops' outputs, exactly, down to
+#: about 1e-170, where the product of two output differences underflows.
+TINY = 2.0 ** -560
+
+
+def scaled_outputs(loop, scale):
+    return narx.HysteresisLoop(loading=loop.loading * [1.0, scale],
+                               unloading=loop.unloading * [1.0, scale], period=loop.period)
+
+
+def inverse_or_error(loop, y_target, regime):
+    try:
+        return repr(narx.loop_inverse(loop, y_target, regime))
+    except narx.OutOfLoopRange:
+        return "OutOfLoopRange"
+
+
+# outputs 1e-170, 2e-170 and 2.5e-170 and the target 3e-170 past them: every
+# product of differences underflows, so a product test takes the first
+# segment and extrapolates to u = 2
+@example(rows=[(0.0, 1e-170 / TINY), (1.0, 2e-170 / TINY), (2.0, 2.5e-170 / TINY)],
+         target=3e-170 / TINY, regime=Regime.LOADING)
+@settings(max_examples=100, deadline=None)
+@given(rows=st.none(), target=st.floats(-60.0, 60.0), regime=st.sampled_from(list(Regime)))
+def test_loop_inverse_is_the_same_on_tiny_outputs(bouc_wen_loop, rows, target, regime):
+    # scaling every output and the target by a power of two scales each
+    # difference exactly, so the interpolated input stays the same bit for bit
+    loop = bouc_wen_loop
+    if rows is not None:
+        loop = narx.HysteresisLoop(loading=np.array(rows), unloading=np.array(rows), period=8)
+    assert (inverse_or_error(scaled_outputs(loop, TINY), target * TINY, regime)
+            == inverse_or_error(loop, target, regime))
 
 
 # ---------------------------------------------------------------------------

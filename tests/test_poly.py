@@ -53,10 +53,14 @@ def test_degree_ignores_tiny_leading_coefficients():
 
 
 def test_degree_of_a_nan_is_minus_one_wherever_it_sits():
-    # max over the magnitudes sees a NaN only in front
-    columns = [[0.5, 1.0, math.nan], [math.nan, 1.0, 0.5], [1.0, math.nan, 0.0]]
-    assert [P(c).degree() for c in columns] == [-1, -1, -1]
-    assert poly.lockstep_roots(np.array(columns).T)[1].tolist() == [-1, -1, -1]
+    # max over the magnitudes sees a NaN only in front; an infinity makes the
+    # threshold infinite, which no magnitude exceeds
+    columns = [[0.5, 1.0, math.nan], [math.nan, 1.0, 0.5], [1.0, math.nan, 0.0],
+               [1.0, math.inf], [math.inf, 1.0, 2.0], [1.0, 2.0, -math.inf]]
+    assert [P(c).degree() for c in columns] == [-1] * len(columns)
+    for rows in (2, 3):
+        block = [c for c in columns if len(c) == rows]
+        assert poly.lockstep_roots(np.array(block).T)[1].tolist() == [-1] * len(block)
 
 
 @given(
