@@ -56,11 +56,6 @@ MAX_SAMPLES = 10_000_000
 #: Most Monte Carlo runs ``--runs`` may ask for.
 MAX_RUNS = 1_000_000
 
-REPRODUCE_TARGETS = (
-    "table1", "table3", "table-bw-model", "table-bw-comp", "fig8",
-)
-
-
 class ConfigError(Exception):
     """Bad configuration; the message starts with the offending key."""
 
@@ -477,27 +472,15 @@ def cmd_montecarlo(args):
     return header, [a.tolist() for a in (band.grid, band.mean, band.std, band.lo, band.hi)]
 
 
-def _bundled(name):
-    return resolve_model(name)[0]
-
-
 def cmd_reproduce(args):
-    target = args.target
-    if target == "table1":
-        rows = ev.heater_validation_table(_bundled("heater"))
-    elif target == "table3":
-        rows = ev.heater_compensation_table(_bundled("heater"))
-    elif target == "table-bw-model":
-        rows = ev.bouc_wen_validation_table(_bundled("bouc_wen"))
-    elif target == "table-bw-comp":
-        rows = ev.bouc_wen_compensation_table(_bundled("bouc_wen"))
-    else:
-        # fig8: response of both Bouc-Wen variants to a sine frozen mid-cycle
-        u, y_free = ev.drift_hold_run(_bundled("bouc_wen"))
-        _, y_cns = ev.drift_hold_run(_bundled("bouc_wen_sigma1"))
-        header = ("k", "u", "y_unconstrained", "y_constrained")
-        return header, (range(len(u)), u.tolist(), y_free.tolist(), y_cns.tolist())
-    return TABLE_HEADER, tuple(zip(*rows))
+    if args.target != "fig8":
+        rows = ev.reproduce_table(args.target, resolve_model(ev.TABLES[args.target].model)[0])
+        return TABLE_HEADER, tuple(zip(*rows))
+    # fig8: response of both Bouc-Wen variants to a sine frozen mid-cycle
+    u, y_free = ev.drift_hold_run(resolve_model("bouc_wen")[0])
+    _, y_cns = ev.drift_hold_run(resolve_model("bouc_wen_sigma1")[0])
+    header = ("k", "u", "y_unconstrained", "y_constrained")
+    return header, (range(len(u)), u.tolist(), y_free.tolist(), y_cns.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +593,7 @@ def build_parser():
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("reproduce", help="regenerate a bundled benchmark grid")
-    p.add_argument("target", choices=REPRODUCE_TARGETS)
+    p.add_argument("target", choices=(*ev.TABLES, "fig8"))
     _add_output(p)
     p.set_defaults(func=cmd_reproduce)
 

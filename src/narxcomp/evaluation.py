@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -303,7 +304,9 @@ def table_experiment(model, plant_factory, cells, mode, signal, ts=1.0,
     builds the excitation (validation) or reference (compensation) series.
     Each run covers discard + eval whole periods and the MAPE is taken over
     the trailing eval periods.  A failed cell yields NaNs instead of
-    aborting the table.
+    aborting the table; a malformed cell -- f_hz * ts not finite and > 0,
+    or fewer than 2 evaluated samples -- or a negative ``discard_periods``
+    raises ValueError before the first cell runs.
 
     Returns rows of (f_hz, level, mape_main, mape_secondary): for
     ``mode="validate"`` the main value is the model-vs-plant MAPE and the
@@ -312,10 +315,20 @@ def table_experiment(model, plant_factory, cells, mode, signal, ts=1.0,
     """
     if mode not in ("validate", "compensate"):
         raise ValueError("mode must be 'validate' or 'compensate'")
-    rows = []
+    if discard_periods < 0:
+        raise ValueError("discard_periods = %r, need >= 0" % (discard_periods,))
+    plan = []
     for f_hz, level in cells:
         f_cps = f_hz * ts
+        if not 0.0 < f_cps < float("inf"):
+            raise ValueError("cell %r: f_hz * ts = %r, need finite > 0" % ((f_hz, level), f_cps))
         period = int(round(1.0 / f_cps))
+        if eval_periods * period < 2:
+            raise ValueError("cell %r: eval_periods * round(1 / f_cps) = %r samples, need >= 2"
+                             % ((f_hz, level), eval_periods * period))
+        plan.append((f_hz, level, f_cps, period))
+    rows = []
+    for f_hz, level, f_cps, period in plan:
         n = (discard_periods + eval_periods) * period
         win = slice(discard_periods * period, n)
         try:
@@ -347,93 +360,56 @@ HEATER_TS = 10.0
 #: Sampling time of the Bouc-Wen benchmark, seconds.
 BOUC_WEN_TS = 0.005
 
-HEATER_VALIDATION_CELLS = tuple(
-    (f, u0) for f in (0.0005, 0.001, 0.002) for u0 in (0.3, 0.5, 0.7)
-)
-HEATER_COMPENSATION_CELLS = tuple(
-    (f, r0) for f in (0.0005, 0.001, 0.002, 0.004) for r0 in (0.05, 0.10, 0.20)
-)
-BOUC_WEN_VALIDATION_CELLS = tuple(
-    (f, g) for f in (0.2, 1.0, 5.0) for g in (10.0, 30.0, 50.0)
-)
-BOUC_WEN_COMPENSATION_CELLS = tuple(
-    (f, g0) for f in (0.2, 1.0, 2.0, 5.0) for g0 in (20.0, 30.0, 40.0)
-)
-
 #: Loop used to seed every Bouc-Wen compensation run: 50-unit sine at
 #: 0.2 Hz around zero (in cycles per sample at BOUC_WEN_TS).
 BOUC_WEN_LOOP_SPEC = (50.0, 0.2 * BOUC_WEN_TS, 0.0)
 
+#: One canned table: the bundled ``model`` against a fresh ``plant()`` in
+#: ``mode`` over (f_hz, level) ``cells``, as :func:`table_experiment` runs
+#: them; ``excitation(level)`` gives the (amplitude, offset, phase) of a
+#: cell's series offset + amplitude sin(2 pi f k Ts + phase).
+Recipe = namedtuple("Recipe", "model plant mode ts cells discard_periods eval_periods excitation")
 
-def heater_validation_table(model):
-    """Free-run MAPE of the heater model against the heater plant.
-
-    Excitation u(k) = u0 + 0.2 sin(2 pi f k Ts) over the bundled
-    (frequency, offset) grid; both plant and model start cold and the
-    error is taken over two full periods from the start (the slow heater
-    transient is part of what the model must capture).
-    """
-    def signal(u0, f_cps, n):
-        k = np.arange(n, dtype=float)
-        return u0 + 0.2 * np.sin(2.0 * np.pi * f_cps * k)
-
-    return table_experiment(
-        model, HammersteinHeater, HEATER_VALIDATION_CELLS, "validate",
-        signal, ts=HEATER_TS, discard_periods=0, eval_periods=2,
-    )
-
-
-def heater_compensation_table(model):
-    """Compensated / uncompensated tracking MAPE on the heater plant.
-
-    Reference r(k) = r0 sin(2 pi f k Ts + pi/2) + r0 over the bundled
-    (frequency, level) grid, two cold-start periods per cell, errors over
-    the full window.
-    """
-    def signal(r0, f_cps, n):
-        k = np.arange(n, dtype=float)
-        return r0 * np.sin(2.0 * np.pi * f_cps * k + 0.5 * np.pi) + r0
-
-    return table_experiment(
-        model, HammersteinHeater, HEATER_COMPENSATION_CELLS, "compensate",
-        signal, ts=HEATER_TS, discard_periods=0, eval_periods=2,
-    )
+#: The tables behind the CLI ``reproduce`` targets, by target name.  The
+#: heater tables start cold and take the error over two full periods from
+#: the start (the slow heater transient is part of what the model must
+#: capture); the Bouc-Wen tables discard three transient periods and
+#: evaluate the next two.
+TABLES = {
+    # u(k) = u0 + 0.2 sin(2 pi f k Ts)
+    "table1": Recipe("heater", HammersteinHeater, "validate", HEATER_TS,
+                     tuple(product((0.0005, 0.001, 0.002), (0.3, 0.5, 0.7))), 0, 2,
+                     lambda u0: (0.2, u0, 0.0)),
+    # r(k) = r0 sin(2 pi f k Ts + pi/2) + r0
+    "table3": Recipe("heater", HammersteinHeater, "compensate", HEATER_TS,
+                     tuple(product((0.0005, 0.001, 0.002, 0.004), (0.05, 0.10, 0.20))), 0, 2,
+                     lambda r0: (r0, r0, 0.5 * np.pi)),
+    # u(k) = G sin(2 pi f k Ts)
+    "table-bw-model": Recipe("bouc_wen", BoucWenPlant, "validate", BOUC_WEN_TS,
+                             tuple(product((0.2, 1.0, 5.0), (10.0, 30.0, 50.0))), 3, 2,
+                             lambda g: (g, 0.0, 0.0)),
+    # r(k) = G0 sin(2 pi f k Ts + pi/2)
+    "table-bw-comp": Recipe("bouc_wen", BoucWenPlant, "compensate", BOUC_WEN_TS,
+                            tuple(product((0.2, 1.0, 2.0, 5.0), (20.0, 30.0, 40.0))), 3, 2,
+                            lambda g0: (g0, 0.0, 0.5 * np.pi)),
+}
 
 
-def bouc_wen_validation_table(model):
-    """Free-run MAPE of a Bouc-Wen model against the Bouc-Wen plant.
+def reproduce_table(target, model):
+    """Rows of the ``TABLES`` entry ``target`` run on ``model``; a hysteretic
+    model's compensate table seeds every cell from one ``BOUC_WEN_LOOP_SPEC`` loop."""
+    recipe = TABLES[target]
+    loop = None
+    if recipe.mode == "compensate" and model.is_hysteretic():
+        loop = narx.hysteresis_loop(model, *BOUC_WEN_LOOP_SPEC)
 
-    Excitation u(k) = G sin(2 pi f k Ts); three transient periods are
-    discarded and the error is taken over the next two.
-    """
-    def signal(g, f_cps, n):
-        k = np.arange(n, dtype=float)
-        return g * np.sin(2.0 * np.pi * f_cps * k)
+    def signal(level, f_cps, n):
+        amplitude, offset, phase = recipe.excitation(level)
+        return offset + amplitude * np.sin(2.0 * np.pi * f_cps * np.arange(n, dtype=float) + phase)
 
     return table_experiment(
-        model, BoucWenPlant, BOUC_WEN_VALIDATION_CELLS, "validate",
-        signal, ts=BOUC_WEN_TS, discard_periods=3, eval_periods=2,
-    )
-
-
-def bouc_wen_compensation_table(model, loop=None):
-    """Compensated / uncompensated tracking MAPE on the Bouc-Wen plant.
-
-    Reference r(k) = G0 sin(2 pi f k Ts + pi/2); three transient periods
-    discarded, two evaluated.  The seeding loop is traced once (see
-    BOUC_WEN_LOOP_SPEC) and shared by every cell unless one is passed in.
-    """
-    if loop is None:
-        amp, f_min, center = BOUC_WEN_LOOP_SPEC
-        loop = narx.hysteresis_loop(model, amp, f_min, center)
-
-    def signal(g0, f_cps, n):
-        k = np.arange(n, dtype=float)
-        return g0 * np.sin(2.0 * np.pi * f_cps * k + 0.5 * np.pi)
-
-    return table_experiment(
-        model, BoucWenPlant, BOUC_WEN_COMPENSATION_CELLS, "compensate",
-        signal, ts=BOUC_WEN_TS, discard_periods=3, eval_periods=2, loop=loop,
+        model, recipe.plant, recipe.cells, recipe.mode, signal, ts=recipe.ts,
+        discard_periods=recipe.discard_periods, eval_periods=recipe.eval_periods, loop=loop,
     )
 
 

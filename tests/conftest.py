@@ -58,25 +58,25 @@ def valve_loop(valve_model):
 def heater_val_table(heater_model):
     import narxcomp.evaluation as ev
 
-    return ev.heater_validation_table(heater_model)
+    return ev.reproduce_table("table1", heater_model)
 
 
 @pytest.fixture(scope="session")
 def heater_comp_table(heater_model):
     import narxcomp.evaluation as ev
 
-    return ev.heater_compensation_table(heater_model)
+    return ev.reproduce_table("table3", heater_model)
 
 
 @pytest.fixture(scope="session")
 def bouc_wen_val_table(bouc_wen_model):
     import narxcomp.evaluation as ev
 
-    return ev.bouc_wen_validation_table(bouc_wen_model)
+    return ev.reproduce_table("table-bw-model", bouc_wen_model)
 
 
 @pytest.fixture(scope="session")
 def bouc_wen_comp_table(bouc_wen_model):
     import narxcomp.evaluation as ev
 
-    return ev.bouc_wen_compensation_table(bouc_wen_model)
+    return ev.reproduce_table("table-bw-comp", bouc_wen_model)

@@ -1,5 +1,6 @@
 """Metrics, Monte Carlo propagation, and the canned benchmark experiments."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,86 @@ def test_table_experiment_failed_cell_yields_nan(heater_model):
     assert np.isfinite(rows[1][2]) and np.isfinite(rows[1][3])
 
 
+def heater_validation_signal(u0, f_cps, n):
+    k = np.arange(n, dtype=float)
+    return u0 + 0.2 * np.sin(2.0 * np.pi * f_cps * k)
+
+
+@pytest.mark.parametrize("cell,kwargs,message", [
+    ((0.0, 0.5), {}, "cell (0.0, 0.5): f_hz * ts = 0.0"),
+    ((0.3, 0.5), {}, "cell (0.3, 0.5): eval_periods * round(1 / f_cps) = 0 samples"),
+    ((0.0005, 0.5), {"discard_periods": -1}, "discard_periods = -1"),
+], ids=["zero-frequency", "zero-sample-period", "negative-discard"])
+def test_table_experiment_checks_every_cell_before_the_first_runs(
+        heater_model, cell, kwargs, message):
+    # at ts = 10, f = 0 has no period and f = 0.3 Hz rounds its period to 0
+    # samples; either used to fail after the cells before it had run
+    built = []
+
+    def plant():
+        built.append(cell)
+        return HammersteinHeater()
+
+    kwargs = {"discard_periods": 0, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ev.table_experiment(heater_model, plant, [(0.0005, 0.3), cell], "validate",
+                            heater_validation_signal, ts=ev.HEATER_TS, **kwargs)
+    assert built == []
+
+
+# The four recipe functions that ``ev.TABLES`` replaced, written out: per
+# target, the plant, mode, cells, ts, discard and eval periods and the
+# closure that built each cell's series (table1's is the one above).
+def heater_compensation_signal(r0, f_cps, n):
+    k = np.arange(n, dtype=float)
+    return r0 * np.sin(2.0 * np.pi * f_cps * k + 0.5 * np.pi) + r0
+
+
+def bouc_wen_validation_signal(g, f_cps, n):
+    k = np.arange(n, dtype=float)
+    return g * np.sin(2.0 * np.pi * f_cps * k)
+
+
+def bouc_wen_compensation_signal(g0, f_cps, n):
+    k = np.arange(n, dtype=float)
+    return g0 * np.sin(2.0 * np.pi * f_cps * k + 0.5 * np.pi)
+
+
+FORMER_RECIPES = {
+    "table1": (HammersteinHeater, "validate",
+               [(f, u0) for f in (0.0005, 0.001, 0.002) for u0 in (0.3, 0.5, 0.7)],
+               10.0, 0, 2, heater_validation_signal),
+    "table3": (HammersteinHeater, "compensate",
+               [(f, r0) for f in (0.0005, 0.001, 0.002, 0.004) for r0 in (0.05, 0.10, 0.20)],
+               10.0, 0, 2, heater_compensation_signal),
+    "table-bw-model": (BoucWenPlant, "validate",
+                       [(f, g) for f in (0.2, 1.0, 5.0) for g in (10.0, 30.0, 50.0)],
+                       0.005, 3, 2, bouc_wen_validation_signal),
+    "table-bw-comp": (BoucWenPlant, "compensate",
+                      [(f, g0) for f in (0.2, 1.0, 2.0, 5.0) for g0 in (20.0, 30.0, 40.0)],
+                      0.005, 3, 2, bouc_wen_compensation_signal),
+}
+
+
+@pytest.mark.parametrize("target", list(FORMER_RECIPES))
+def test_reproduce_table_runs_the_former_recipe(monkeypatch, request, target):
+    seen = []
+    monkeypatch.setattr(ev, "table_experiment", lambda *a, **kw: seen.append((a, kw)) or [])
+    model = request.getfixturevalue(ev.TABLES[target].model + "_model")
+    assert ev.reproduce_table(target, model) == []
+    (args, kwargs), = seen
+    plant, mode, cells, ts, discard, evals, former = FORMER_RECIPES[target]
+    assert args[:4] == (model, plant, tuple(cells), mode)
+    assert (kwargs["ts"], kwargs["discard_periods"], kwargs["eval_periods"]) == (ts, discard, evals)
+    assert (kwargs["loop"] is None) == (target != "table-bw-comp")
+    signal = args[4]
+    for f_hz, level in cells:
+        f_cps = f_hz * ts
+        n = (discard + evals) * int(round(1.0 / f_cps))
+        got, want = signal(level, f_cps, n), former(level, f_cps, n)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_table_experiment_validate_has_nan_secondary(heater_val_table):
     for f_hz, level, main, secondary in heater_val_table:
         assert np.isfinite(main)
@@ -348,7 +429,7 @@ def test_table_experiment_validate_has_nan_secondary(heater_val_table):
 def test_heater_validation_table_layout(heater_val_table):
     assert len(heater_val_table) == 9
     assert [row[:2] for row in heater_val_table] == [
-        list(c) if isinstance(c, list) else c for c in ev.HEATER_VALIDATION_CELLS
+        list(c) if isinstance(c, list) else c for c in ev.TABLES["table1"].cells
     ]
     # Model degrades near the origin: u0 = 0.3 is the worst column at
     # every frequency.

@@ -1,10 +1,13 @@
 """tools/outputs.py, the byte-identity command runner."""
 
+import argparse
 import importlib.util
 import os
 import subprocess
 
 import pytest
+
+from narxcomp import cli
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "tools", "outputs.py")
@@ -29,6 +32,13 @@ def test_out_directory_is_created(outputs, monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines] == ["fixed-points.csv", "fixed-points.err"]
     assert lines[1].split("  ")[0] == outputs.digest(str(out / "rerun-1-fixed-points.err"))
+
+
+def test_the_contract_runs_every_reproduce_target(outputs):
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    target, = (a for a in sub.choices["reproduce"]._actions if a.dest == "target")
+    runs = [(label, args) for label, args in outputs.COMMANDS if args[0] == "reproduce"]
+    assert runs == [(t, ["reproduce", t]) for t in target.choices]
 
 
 # A stand-in for narxcomp/cli.py: per command label, the CSV it writes and
